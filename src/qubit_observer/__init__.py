@@ -8,17 +8,16 @@ Fock-space master-equation oracle that validates the reduced linear model.
 from .fock_oracle import (FockConfig, FockTruncationError, build_operators,
                           evolve, expectations, joint_initial_state,
                           reduced_mean_trajectory)
-from .kalman_filter import (FilterRun, LinearModel, RiccatiSolution,
-                            error_covariance_ode, kalman_gain, riccati_rhs,
-                            run_filter, run_filter_ensemble, solve_riccati,
-                            specialize_plant_observer, unbiased_drift)
+from .kalman_filter import (LinearModel, RiccatiSolution, error_covariance_ode,
+                            kalman_gain, riccati_rhs, run_filter_ensemble,
+                            solve_riccati, specialize_plant_observer,
+                            unbiased_drift)
 from .model_builder import (AugmentedModel, ObserverSpec, build_augmented,
                             closed_loop_transfer, hurwitz_check, observer_drift,
                             optimal_gain, output_bias, realizability_matrices,
                             steady_state_mean, symplectic_j)
-from .sde_engine import (MeasurementRecord, SimConfig, StateTrajectory,
-                         exact_lti_step, sample_initial, simulate_paths,
-                         time_grid, two_point_law)
+from .sde_engine import (Ensemble, SimConfig, exact_lti_step, sample_initial,
+                         simulate_paths, time_grid, two_point_law)
 from .spin_algebra import (PAULI, PauliBasis, PlantSpec, ThetaMatrix,
                            commutator_oracle, pauli_product, plant_generator,
                            qubit_moments, theta)

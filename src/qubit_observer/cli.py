@@ -89,18 +89,18 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     return report
 
 
-def cmd_simulate(config: ExperimentConfig, threads: int = 1) -> tuple:
+def cmd_simulate(config: ExperimentConfig) -> tuple:
     """Monte Carlo run: paths plus ensemble-vs-steady-state comparison."""
     model = build_augmented(config.plant, config.observer)
-    results = simulate_paths(model, config.sim, threads=threads)
+    ens = simulate_paths(model, config.sim)
     mean_map = steady_state_mean(config.observer) @ config.observer.beta
 
-    terminal = np.array([traj.x_o_path[-1] for traj, _ in results])
-    z_true = np.array([traj.z_p_true for traj, _ in results])
+    terminal = ens.x_o[:, -1]
+    z_true = ens.z_p
     report = {
         "command": "simulate",
-        "n_paths": len(results),
-        "t_final": float(results[0][0].times[-1]),
+        "n_paths": int(z_true.size),
+        "t_final": float(ens.times[-1]),
         "scheme": config.sim.scheme,
         "seed": config.sim.seed,
         "groups": {},
@@ -140,7 +140,7 @@ def cmd_simulate(config: ExperimentConfig, threads: int = 1) -> tuple:
     _check(report, "steady_state_agreement", z_limit <= ZSCORE_LIMIT,
            {"max_abs_z": z_limit, "limit": ZSCORE_LIMIT})
     _finish(report)
-    return report, results
+    return report, ens
 
 
 def _filter_self_test() -> dict:
@@ -160,11 +160,12 @@ def _filter_self_test() -> dict:
     return report
 
 
-def cmd_filter(config: ExperimentConfig, threads: int = 1, self_test: bool = False):
+def cmd_filter(config: ExperimentConfig, self_test: bool = False):
     """Riccati solve, record simulation and filter run with MC-vs-Riccati table.
 
     The simulation is regenerated on the filter grid so record and Riccati
-    grids coincide.
+    grids coincide.  Estimation errors are formed only at the checkpoints
+    and the terminal time.
     """
     if self_test:
         return _filter_self_test(), None
@@ -174,24 +175,18 @@ def cmd_filter(config: ExperimentConfig, threads: int = 1, self_test: bool = Fal
     sim = replace(config.sim, dt=config.filter.dt, t_final=config.filter.t_final)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
-    results = simulate_paths(reduced, sim, threads=threads)
-    records = [rec for _, rec in results]
-    x_hat = run_filter_ensemble(model, ricc, records)
+    ens = simulate_paths(reduced, sim)
+    x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
 
-    n_paths = len(results)
+    n_paths = ens.z_p.size
     n_steps = grid.size - 1
-    states = np.empty((n_paths, grid.size, 3))
-    for i, (traj, _) in enumerate(results):
-        states[i, :, 0] = traj.z_p_true
-        states[i, :, 1:] = traj.x_o_path
-    errors = states - x_hat
 
     checkpoints = np.unique(np.round(np.linspace(n_steps / 10.0, n_steps, 10)).astype(int))
     table = []
     max_bias_z = 0.0
     max_cov_z = 0.0
     for idx in checkpoints:
-        err = errors[:, idx, :]
+        err = np.column_stack([ens.z_p, ens.x_o[:, idx]]) - x_hat[:, idx]
         mean, cov = ensemble_mean_cov(err)
         se_mean = np.maximum(np.sqrt(np.diag(cov) / n_paths), 1e-300)
         bias_z = mean / se_mean
@@ -213,7 +208,7 @@ def cmd_filter(config: ExperimentConfig, threads: int = 1, self_test: bool = Fal
             "covariance_z_scores": cov_z.tolist(),
         })
 
-    terminal_errors = (states[:, -1, 0] - x_hat[:, -1, 0]).tolist()
+    terminal_errors = (ens.z_p - x_hat[:, -1, 0]).tolist()
     report = {
         "command": "filter",
         "mode": "monte_carlo",
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON experiment configuration")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override sim seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker thread cap")
         if name == "filter":
             cmd.add_argument("--self-test", action="store_true",
                              help="run the closed-form scalar regression check only")
@@ -328,12 +322,11 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             report = cmd_analyze(config)
         elif args.command == "simulate":
-            report, results = cmd_simulate(config, threads=args.threads)
+            report, ens = cmd_simulate(config)
             if want_csv:
-                write_paths_csv(os.path.join(out_dir, "paths.csv"), results)
+                write_paths_csv(os.path.join(out_dir, "paths.csv"), ens)
         elif args.command == "filter":
-            report, ricc = cmd_filter(config, threads=args.threads,
-                                      self_test=args.self_test)
+            report, ricc = cmd_filter(config, self_test=args.self_test)
             if ricc is not None and want_csv:
                 write_riccati_csv(os.path.join(out_dir, "riccati.csv"), ricc)
         else:

@@ -5,6 +5,7 @@ command with the same configuration and seed produces byte-identical
 artifacts on any IEEE-754 platform.
 """
 
+import json
 import math
 import os
 
@@ -45,7 +46,7 @@ def _json_fragment(obj, indent, out):
         out.append("{\n")
         items = list(obj.items())
         for i, (key, val) in enumerate(items):
-            out.append(pad + "  " + f'"{key}": ')
+            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False) + ": ")
             _json_fragment(val, indent + 2, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
@@ -73,8 +74,7 @@ def _json_fragment(obj, indent, out):
             raise ValueError(f"non-finite value in output: {x!r}")
         out.append(format(x, FLOAT_FMT))
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .export import write_csv
-from .spin_algebra import PAULI
+from .spin_algebra import PAULI, _frozen
 
 __all__ = [
     "FockConfig",
@@ -40,12 +40,6 @@ __all__ = [
 
 class FockTruncationError(RuntimeError):
     """Raised when population leaks into the top of the truncated Fock space."""
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

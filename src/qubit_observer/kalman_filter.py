@@ -21,44 +21,31 @@ projected.  Record-driven filter updates are Euler-Maruyama-consistent since
 dz is an increment stream.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .export import write_csv, write_json
-from .model_builder import ObserverSpec, build_augmented
-from .sde_engine import MeasurementRecord
-from .spin_algebra import PlantSpec
+from .export import write_csv
+from .model_builder import _COND_LIMIT, ObserverSpec, build_augmented
+from .spin_algebra import PlantSpec, _frozen
 
 __all__ = [
     "LinearModel",
     "RiccatiSolution",
-    "FilterRun",
     "unbiased_drift",
     "kalman_gain",
     "riccati_rhs",
     "solve_riccati",
-    "run_filter",
     "run_filter_ensemble",
     "error_covariance_ode",
     "gain_interpolator",
     "specialize_plant_observer",
     "write_riccati_csv",
-    "write_filter_summary_json",
 ]
-
-_COND_LIMIT = 1e12
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 def _as_coeff(value, name: str):
@@ -150,16 +137,6 @@ class RiccatiSolution:
         object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=float)))
         object.__setattr__(self, "sigma_star", _frozen(np.asarray(self.sigma_star, dtype=float)))
         object.__setattr__(self, "gains", _frozen(np.asarray(self.gains, dtype=float)))
-
-
-@dataclass(frozen=True)
-class FilterRun:
-    """Estimate trajectory for one record plus the terminal error summary."""
-
-    times: np.ndarray
-    x_hat: np.ndarray
-    z_p_true: float
-    terminal_error: float
 
 
 def _ddt_inv(d: np.ndarray) -> np.ndarray:
@@ -257,56 +234,27 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     return RiccatiSolution(times=grid, sigma_star=sig_out, gains=gain_out)
 
 
-def _match_grids(t1: np.ndarray, t2: np.ndarray, what: str) -> None:
-    if t1.size != t2.size or np.max(np.abs(t1 - t2)) > 1e-12:
-        raise ValueError(f"{what}: time grids do not match")
+def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
+                        times, dz) -> np.ndarray:
+    """Propagate the unbiased estimate along many records sharing one grid.
 
-
-def run_filter(model: LinearModel, riccati: RiccatiSolution,
-               record: MeasurementRecord) -> FilterRun:
-    """Propagate the unbiased estimate along one measurement record.
-
+    ``times`` must be the Riccati grid; ``dz`` holds one record per row,
+    (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p), with
+    ``dz[:, k]`` the increment over the step starting at ``times[k]``.
     x_hat(t_0) is the model's initial mean exactly; each step applies the
     drift A - G D C and injects G dz with the gain stored at the step's left
-    node.
+    node.  Returns the estimates as an (n_paths, n_times, n) array.
     """
-    times = np.asarray(record.times, dtype=float)
-    _match_grids(times, riccati.times, "run_filter")
-    dz = np.asarray(record.dz, dtype=float)
-    if dz.ndim == 1:
-        dz = dz[:, None]
-    n_steps = times.size - 1
-    x_hat = model.x0_mean.copy()
-    out = np.empty((times.size, model.n))
-    out[0] = x_hat
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        a, _, c = model.coeffs_at(times[k])
-        g = riccati.gains[k]
-        drift = unbiased_drift(a, g, model.D, c)
-        x_hat = x_hat + (drift @ x_hat) * h + g @ dz[k]
-        out[k + 1] = x_hat
-    terminal_error = float(out[-1, 0] - record.z_p_true)
-    return FilterRun(times=_frozen(times), x_hat=_frozen(out),
-                     z_p_true=record.z_p_true, terminal_error=terminal_error)
-
-
-def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
-                        records) -> np.ndarray:
-    """Vectorized filter over many records sharing one grid.
-
-    Returns the estimates as an (n_paths, n_times, n) array; identical to
-    mapping :func:`run_filter` over the records.
-    """
-    if not records:
-        raise ValueError("no records supplied")
-    times = np.asarray(records[0].times, dtype=float)
-    _match_grids(times, riccati.times, "run_filter_ensemble")
-    for rec in records[1:]:
-        _match_grids(np.asarray(rec.times, dtype=float), times, "run_filter_ensemble")
-    dz = np.stack([np.asarray(r.dz, dtype=float) for r in records])
+    times = np.asarray(times, dtype=float)
+    if times.shape != riccati.times.shape or np.max(np.abs(times - riccati.times)) > 1e-12:
+        raise ValueError("run_filter_ensemble: time grids do not match")
+    dz = np.asarray(dz, dtype=float)
     if dz.ndim == 2:
         dz = dz[:, :, None]
+    p = model.D.shape[0]
+    if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
+        raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
+                         f"{p}-vector per grid step; got shape {dz.shape}")
     n_paths = dz.shape[0]
     n_steps = times.size - 1
     n = model.n
@@ -438,6 +386,3 @@ def write_estimates_csv(path, times, x_hat) -> None:
 
     write_csv(path, header, rows())
 
-
-def write_filter_summary_json(path, summary: dict) -> None:
-    write_json(path, summary)

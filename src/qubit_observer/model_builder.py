@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import PlantSpec, qubit_moments
+from .spin_algebra import PlantSpec, _frozen, qubit_moments
 
 __all__ = [
     "ObserverSpec",
@@ -36,12 +36,6 @@ def symplectic_j() -> np.ndarray:
 
 
 _J = symplectic_j()
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,17 @@ only as a deliberately wrong baseline for tests.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .export import write_csv
 from .model_builder import AugmentedModel, ObserverSpec
 from .spin_algebra import PlantSpec, qubit_moments
 
 __all__ = [
     "SimConfig",
-    "MeasurementRecord",
-    "StateTrajectory",
+    "Ensemble",
     "SCHEMES",
     "time_grid",
     "exact_lti_step",
@@ -43,12 +40,6 @@ SCHEMES = ("exact_lti", "euler_maruyama")
 _NOISE_MODES = ("shared", "independent")
 _CHUNK = 256
 _CHECK_EVERY = 64
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -94,41 +85,20 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """Homodyne record: time grid, scalar increments, realized plant value."""
+class Ensemble:
+    """Sampled paths as arrays, one row per path, all on the grid ``times``.
+
+    ``z_p[i]`` is the realized plant value of path i (constant in time),
+    ``x_o[i, k]`` its observer quadratures at ``times[k]`` and ``dz[i, k]``
+    its homodyne record increment over the step starting at ``times[k]``.
+    Shapes: times (n_t,), z_p (n_paths,), x_o (n_paths, n_t, 2),
+    dz (n_paths, n_t - 1).
+    """
 
     times: np.ndarray
+    z_p: np.ndarray
+    x_o: np.ndarray
     dz: np.ndarray
-    z_p_true: float
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        dz = np.asarray(self.dz, dtype=float)
-        if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be a strictly increasing grid")
-        if dz.shape != (times.size - 1,):
-            raise ValueError("dz must hold one increment per grid step")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "dz", _frozen(dz))
-        object.__setattr__(self, "z_p_true", float(self.z_p_true))
-
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Observer quadrature path plus the constant realized plant value."""
-
-    times: np.ndarray
-    x_o_path: np.ndarray
-    z_p_true: float
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        path = np.asarray(self.x_o_path, dtype=float)
-        if path.shape != (times.size, 2):
-            raise ValueError("x_o_path must have one 2-vector per grid point")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "x_o_path", _frozen(path))
-        object.__setattr__(self, "z_p_true", float(self.z_p_true))
 
 
 def time_grid(config: SimConfig) -> np.ndarray:
@@ -230,16 +200,18 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def simulate_paths(model: AugmentedModel, config: SimConfig, threads: int = 1) -> list:
+def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     """Sample trajectories and homodyne records of the reduced model.
 
-    Returns a list of (StateTrajectory, MeasurementRecord) pairs, one per
-    path.  Each path owns an RNG substream derived from (seed, path index),
-    so results do not depend on chunking or thread count, and rerunning with
-    the same configuration is bitwise reproducible.  The conserved plant
-    value never enters the propagated state, so it is constant by
-    construction on every path.
+    Paths are sampled _CHUNK at a time straight into the ensemble arrays.
+    Each path owns an RNG substream derived from (seed, path index), and
+    every matrix product spans at least two paths, so a path's values are
+    bitwise the same whatever the ensemble size, and rerunning with the same
+    configuration is bitwise reproducible.  The conserved plant value never
+    enters the propagated state, so it is constant by construction on every
+    path.
     """
+    n_paths = config.n_paths
     n_steps = config.n_steps
     dt = config.dt
     times = time_grid(config)
@@ -262,71 +234,55 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, threads: int = 1) -
         noise_factor = _psd_factor(noise_cov)
         n_noise = 3
     else:
+        drift_unit = u_live
+        sqdt = math.sqrt(dt)
+        a_oo, b_oo, d_row = a_live[:2, :2], model.B[1:, :], model.D[0]
         n_noise = 2 if shared else 4
 
-    children = np.random.SeedSequence(config.seed).spawn(config.n_paths)
-    results = [None] * config.n_paths
-
-    def run_chunk(start: int, stop: int) -> None:
+    z_p = np.empty(n_paths)
+    x_o = np.empty((n_paths, n_steps + 1, 2))
+    dz = np.empty((n_paths, n_steps))
+    children = np.random.SeedSequence(config.seed).spawn(n_paths)
+    for start in range(0, n_paths, _CHUNK):
+        stop = min(start + _CHUNK, n_paths)
         ids = range(start, stop)
         nc = stop - start
-        z_vals = np.empty(nc)
-        x0 = np.empty((2, nc))
-        eta = np.empty((n_steps, n_noise, nc))
+        # A one-column product goes through BLAS's matrix-vector kernel, which
+        # rounds differently from the matrix-matrix one; a lone path is
+        # therefore padded with an idle all-zero column that stays zero.
+        width = max(nc, 2)
+        z_vals = np.zeros(width)
+        state = np.zeros((3, width))
+        eta = np.zeros((n_steps, n_noise, width))
         for j, i in enumerate(ids):
             rng = np.random.default_rng(children[i])
             z_vals[j] = support if rng.random() < p_plus else -support
-            x0[:, j] = mean_o + factor_o @ rng.standard_normal(2)
+            state[:2, j] = mean_o + factor_o @ rng.standard_normal(2)
             eta[:, :, j] = rng.standard_normal((n_steps, n_noise))
+        z_p[start:stop] = z_vals[:nc]
+        x_o[start:stop, 0] = state[:2, :nc].T
 
-        state = np.zeros((3, nc))
-        state[:2] = x0
-        traj = np.empty((n_steps + 1, 2, nc))
-        zrec = np.empty((n_steps + 1, nc))
-        traj[0] = state[:2]
-        zrec[0] = 0.0
-
-        if exact:
-            forcing = drift_unit[:, None] * z_vals[None, :]
-            for k in range(n_steps):
-                state = transition @ state + forcing + noise_factor @ eta[k]
-                traj[k + 1] = state[:2]
-                zrec[k + 1] = state[2]
-                if (k + 1) % _CHECK_EVERY == 0:
-                    _finiteness_check(state, ids, k)
-        else:
-            sqdt = math.sqrt(dt)
-            a_oo = a_live[:2, :2]
-            forcing = u_live[:2, None] * z_vals[None, :]
-            b_oo = model.B[1:, :]
-            d_row = model.D[0]
-            for k in range(n_steps):
+        forcing = drift_unit[:, None] * z_vals[None, :]
+        for k in range(n_steps):
+            if exact:
+                new = transition @ state + forcing + noise_factor @ eta[k]
+            else:
                 dw = sqdt * eta[k, :2]
                 dw_rec = dw if shared else sqdt * eta[k, 2:4]
-                dz_k = (dc[1:] @ state[:2] + dc[0] * z_vals) * dt + d_row @ dw_rec
-                state[:2] = state[:2] + (a_oo @ state[:2] + forcing) * dt + b_oo @ dw
-                state[2] += dz_k
-                traj[k + 1] = state[:2]
-                zrec[k + 1] = state[2]
-                if (k + 1) % _CHECK_EVERY == 0:
-                    _finiteness_check(state, ids, k)
-
+                dz_k = (dc[1:] @ state[:2] + forcing[2]) * dt + d_row @ dw_rec
+                new = np.empty_like(state)
+                new[:2] = state[:2] + (a_oo @ state[:2] + forcing[:2]) * dt + b_oo @ dw
+                new[2] = state[2] + dz_k
+            x_o[start:stop, k + 1] = new[:2, :nc].T
+            dz[start:stop, k] = new[2, :nc] - state[2, :nc]
+            state = new
+            if (k + 1) % _CHECK_EVERY == 0:
+                _finiteness_check(state, ids, k)
         _finiteness_check(state, ids, n_steps)
-        dz = np.diff(zrec, axis=0)
-        for j, i in enumerate(ids):
-            results[i] = (
-                StateTrajectory(times, np.ascontiguousarray(traj[:, :, j]), z_vals[j]),
-                MeasurementRecord(times, np.ascontiguousarray(dz[:, j]), z_vals[j]),
-            )
 
-    bounds = [(s, min(s + _CHUNK, config.n_paths)) for s in range(0, config.n_paths, _CHUNK)]
-    if threads and threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda se: run_chunk(*se), bounds))
-    else:
-        for start, stop in bounds:
-            run_chunk(start, stop)
-    return results
+    for a in (times, z_p, x_o, dz):
+        a.setflags(write=False)
+    return Ensemble(times=times, z_p=z_p, x_o=x_o, dz=dz)
 
 
 def ensemble_mean_cov(samples) -> tuple:
@@ -350,24 +306,22 @@ def ensemble_mean_cov(samples) -> tuple:
     return mean, cov
 
 
-def write_paths_csv(path, results) -> None:
+def write_paths_csv(path, ens: Ensemble) -> None:
     """Concatenated per-path CSV: path_id, t, dz, x_o_1, x_o_2, z_p_true.
 
     Row k of a path carries the state at t_k and the record increment over
     the step starting at t_k; the final row pads dz with 0.  Uses one printf
     format per row (same bytes as the generic writer, much faster for the
-    millions of rows a large ensemble produces).
+    millions of rows a large ensemble produces) and writes path by path.
     """
-    row_fmt = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-    lines = ["path_id,t,dz,x_o_1,x_o_2,z_p_true"]
-    for pid, (traj, record) in enumerate(results):
-        if not (np.isfinite(traj.x_o_path).all() and np.isfinite(record.dz).all()):
-            raise ValueError(f"non-finite value in path {pid}")
-        n_steps = record.dz.size
-        dz_padded = np.concatenate([record.dz, [0.0]])
-        for k in range(n_steps + 1):
-            lines.append(row_fmt % (pid, traj.times[k], dz_padded[k],
-                                    traj.x_o_path[k, 0], traj.x_o_path[k, 1],
-                                    traj.z_p_true))
+    finite = np.isfinite(ens.x_o).all(axis=(1, 2)) & np.isfinite(ens.dz).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value in path {int(np.argmin(finite))}")
+    row_fmt = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    times = ens.times.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("path_id,t,dz,x_o_1,x_o_2,z_p_true\n")
+        for pid, z in enumerate(ens.z_p.tolist()):
+            dz_padded = ens.dz[pid].tolist() + [0.0]
+            fh.write("".join(row_fmt % (pid, t, d, x1, x2, z) for t, d, (x1, x2)
+                             in zip(times, dz_padded, ens.x_o[pid].tolist())))

@@ -26,6 +26,7 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of an array; shared by the package's frozen dataclasses."""
     a = np.array(a)
     a.setflags(write=False)
     return a

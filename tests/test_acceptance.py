@@ -191,21 +191,15 @@ def test_criterion_6_filter_statistical_suite():
     reduced = build_augmented(DEFAULT_PLANT, DEFAULT_OBSERVER)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
-    results = simulate_paths(reduced, sim, threads=2)
-    records = [rec for _, rec in results]
-    x_hat = run_filter_ensemble(model, ricc, records)
-    states = np.empty_like(x_hat)
-    for i, (traj, _) in enumerate(results):
-        states[i, :, 0] = traj.z_p_true
-        states[i, :, 1:] = traj.x_o_path
-    err = states - x_hat
+    ens = simulate_paths(reduced, sim)
+    x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
 
     n_steps = grid.size - 1
     checkpoints = np.unique(np.round(np.linspace(n_steps / 10.0, n_steps, 10)).astype(int))
     max_bias_z = 0.0
     max_cov_z = 0.0
     for idx in checkpoints:
-        e_k = err[:, idx, :]
+        e_k = np.column_stack([ens.z_p, ens.x_o[:, idx]]) - x_hat[:, idx]
         bias = e_k.mean(axis=0)
         se = e_k.std(axis=0, ddof=1) / math.sqrt(n_paths)
         max_bias_z = max(max_bias_z, float(np.max(np.abs(bias / se))))

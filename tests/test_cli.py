@@ -44,6 +44,9 @@ def test_dumps_json_roundtrip():
     doc = {"a": [1.0, 2.5], "b": {"c": True, "d": None, "e": "x\"y"}}
     parsed = json.loads(dumps_json(doc))
     assert parsed == {"a": [1.0, 2.5], "b": {"c": True, "d": None, "e": 'x"y'}}
+    # Quotes, backslashes and control characters in keys and values.
+    doc = {'k"\\\n\t': {'v\t"': 'x\ny\\"\r\x01', "plain": "ü"}}
+    assert json.loads(dumps_json(doc)) == doc
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -107,6 +110,15 @@ def test_invalid_beta_exits_with_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    for command in ("analyze", "simulate", "filter", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_simulate_outputs_and_determinism(tmp_path):
     path = write_config(tmp_path, small_config())
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -153,7 +165,7 @@ def test_filter_monte_carlo_run(tmp_path):
     cfg["sim"]["n_paths"] = 200
     path = write_config(tmp_path, cfg)
     out = tmp_path / "fmc"
-    assert main(["filter", "--config", path, "--out", str(out), "--threads", "2"]) == 0
+    assert main(["filter", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["unbiasedness"]["passed"] is True
     assert report["checks"]["covariance_consistency"]["passed"] is True

@@ -5,13 +5,13 @@ import pytest
 
 from qubit_observer.kalman_filter import (LinearModel, error_covariance_ode,
                                           gain_interpolator, kalman_gain,
-                                          riccati_rhs, run_filter,
-                                          run_filter_ensemble, solve_riccati,
+                                          riccati_rhs, run_filter_ensemble,
+                                          solve_riccati,
                                           specialize_plant_observer,
                                           unbiased_drift, write_estimates_csv,
                                           write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
-from qubit_observer.sde_engine import MeasurementRecord, SimConfig, simulate_paths, time_grid
+from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PlantSpec
 
 ATOL = 1e-12
@@ -179,44 +179,56 @@ def test_run_filter_homogeneous_flow():
     grid = np.arange(0, 10001) * 1e-4
     ricc = solve_riccati(model, grid)
     np.testing.assert_allclose(ricc.gains, 0.0, atol=ATOL)
-    record = MeasurementRecord(times=grid, dz=np.zeros(grid.size - 1), z_p_true=0.0)
-    run = run_filter(model, ricc, record)
-    np.testing.assert_allclose(run.x_hat[:, 0], 2.0 * np.exp(-0.3 * grid), atol=1e-3)
-    assert run.x_hat[0, 0] == 2.0
+    x_hat = run_filter_ensemble(model, ricc, grid, np.zeros((1, grid.size - 1)))
+    np.testing.assert_allclose(x_hat[0, :, 0], 2.0 * np.exp(-0.3 * grid), atol=1e-3)
+    assert x_hat[0, 0, 0] == 2.0
 
 
 def test_run_filter_grid_mismatch():
     model = scalar_regression_model()
     grid = np.linspace(0.0, 1.0, 11)
     ricc = solve_riccati(model, grid)
-    record = MeasurementRecord(times=np.linspace(0.0, 2.0, 11),
-                               dz=np.zeros(10), z_p_true=0.0)
-    with pytest.raises(ValueError):
-        run_filter(model, ricc, record)
+    with pytest.raises(ValueError, match="time grids"):
+        run_filter_ensemble(model, ricc, np.linspace(0.0, 2.0, 11), np.zeros((1, 10)))
+    with pytest.raises(ValueError, match="time grids"):
+        run_filter_ensemble(model, ricc, grid[:-1], np.zeros((1, 9)))
+
+
+def test_run_filter_ensemble_rejects_dz_shape_mismatch():
+    model = scalar_regression_model()
+    grid = np.linspace(0.0, 1.0, 11)
+    ricc = solve_riccati(model, grid)
+    for bad in (np.zeros((1, 11)), np.zeros((1, 9)), np.zeros((1, 10, 2)),
+                np.zeros((0, 10)), np.zeros(10), np.zeros((1, 1, 10, 1))):
+        with pytest.raises(ValueError, match="dz must hold"):
+            run_filter_ensemble(model, ricc, grid, bad)
+    # (n_paths, n_steps) and (n_paths, n_steps, 1) are the same scalar record.
+    dz = np.full((2, 10), 0.1)
+    np.testing.assert_array_equal(run_filter_ensemble(model, ricc, grid, dz),
+                                  run_filter_ensemble(model, ricc, grid, dz[:, :, None]))
 
 
 def _scalar_records(n_paths, dt, t_final, seed):
     rng = np.random.default_rng(seed)
     n_steps = int(round(t_final / dt))
     times = np.arange(n_steps + 1) * dt
-    records = []
-    for _ in range(n_paths):
-        z = rng.standard_normal()
-        dz = z * dt + math.sqrt(dt) * rng.standard_normal(n_steps)
-        records.append(MeasurementRecord(times=times, dz=dz, z_p_true=z))
-    return times, records
+    z = np.empty(n_paths)
+    dz = np.empty((n_paths, n_steps))
+    for i in range(n_paths):
+        z[i] = rng.standard_normal()
+        dz[i] = z[i] * dt + math.sqrt(dt) * rng.standard_normal(n_steps)
+    return times, z, dz
 
 
 def test_scalar_regression_monte_carlo():
     """Estimate of a Gaussian constant: posterior-mean form and 1/(1+T) variance."""
     model = scalar_regression_model()
     dt, t_final, n_paths = 1e-3, 1.0, 2000
-    times, records = _scalar_records(n_paths, dt, t_final, seed=31)
+    times, z, dz = _scalar_records(n_paths, dt, t_final, seed=31)
     ricc = solve_riccati(model, times)
-    estimates = run_filter_ensemble(model, ricc, records)[:, -1, 0]
-    sums = np.array([rec.dz.sum() for rec in records])
-    np.testing.assert_allclose(estimates, sums / (1.0 + t_final), atol=2e-3)
-    errors = np.array([rec.z_p_true for rec in records]) - estimates
+    estimates = run_filter_ensemble(model, ricc, times, dz)[:, -1, 0]
+    np.testing.assert_allclose(estimates, dz.sum(axis=1) / (1.0 + t_final), atol=2e-3)
+    errors = z - estimates
     expected_var = 1.0 / (1.0 + t_final)
     se = expected_var * math.sqrt(2.0 / (n_paths - 1))
     assert abs(errors.var(ddof=1) - expected_var) < 4 * se
@@ -224,16 +236,22 @@ def test_scalar_regression_monte_carlo():
 
 
 def test_run_filter_matches_ensemble_version():
+    """The vectorized filter equals a plain per-record loop of its update rule."""
     model = specialize_plant_observer(PLANT, OBS)
     reduced = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.01, t_final=0.5, n_paths=8, seed=44)
-    results = simulate_paths(reduced, config)
-    records = [rec for _, rec in results]
-    ricc = solve_riccati(model, time_grid(config))
-    batch = run_filter_ensemble(model, ricc, records)
-    for i, record in enumerate(records):
-        single = run_filter(model, ricc, record)
-        np.testing.assert_allclose(single.x_hat, batch[i], atol=1e-12)
+    ens = simulate_paths(reduced, config)
+    ricc = solve_riccati(model, ens.times)
+    batch = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    for i, dz in enumerate(ens.dz):
+        x_hat = model.x0_mean.copy()
+        np.testing.assert_array_equal(batch[i, 0], x_hat)
+        for k in range(dz.size):
+            a, _, c = model.coeffs_at(ens.times[k])
+            g = ricc.gains[k]
+            h = ens.times[k + 1] - ens.times[k]
+            x_hat = x_hat + (unbiased_drift(a, g, model.D, c) @ x_hat) * h + g[:, 0] * dz[k]
+            np.testing.assert_allclose(batch[i, k + 1], x_hat, atol=1e-12)
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():
@@ -315,23 +333,18 @@ def test_filter_unbiased_and_covariance_consistent_quick():
     config = SimConfig(dt=0.005, t_final=1.0, n_paths=600, seed=71)
     grid = time_grid(config)
     ricc = solve_riccati(model, grid)
-    results = simulate_paths(reduced, config)
-    records = [rec for _, rec in results]
-    x_hat = run_filter_ensemble(model, ricc, records)
-    states = np.empty_like(x_hat)
-    for i, (traj, _) in enumerate(results):
-        states[i, :, 0] = traj.z_p_true
-        states[i, :, 1:] = traj.x_o_path
-    err = states - x_hat
-    n = len(results)
+    ens = simulate_paths(reduced, config)
+    x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    n = config.n_paths
     for idx in (40, 100, 200):
-        bias = err[:, idx, :].mean(axis=0)
-        se = err[:, idx, :].std(axis=0, ddof=1) / math.sqrt(n)
+        err = np.column_stack([ens.z_p, ens.x_o[:, idx]]) - x_hat[:, idx]
+        bias = err.mean(axis=0)
+        se = err.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(bias) < 4 * se)
-        emp = np.cov(err[:, idx, :].T, ddof=1)
+        emp = np.cov(err.T, ddof=1)
         for i in range(3):
             for j in range(3):
-                products = err[:, idx, i] * err[:, idx, j]
+                products = err[:, i] * err[:, j]
                 se_ij = products.std(ddof=1) / math.sqrt(n)
                 assert abs(emp[i, j] - ricc.sigma_star[idx, i, j]) < 4 * se_ij
 

@@ -1,15 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qubit_observer.model_builder import (AugmentedModel, ObserverSpec,
                                           build_augmented, steady_state_mean)
-from qubit_observer.sde_engine import (MeasurementRecord, SimConfig,
-                                       ensemble_mean_cov, exact_lti_step,
-                                       sample_initial, simulate_paths,
-                                       time_grid, two_point_law,
-                                       write_paths_csv)
+from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
+                                       exact_lti_step, sample_initial,
+                                       simulate_paths, time_grid,
+                                       two_point_law, write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
 
 MIXED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=np.eye(2) / 2)
@@ -124,11 +124,12 @@ def test_sample_initial_reproduces_moments():
 def test_paths_z_p_on_spectrum_and_constant():
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.05, t_final=1.0, n_paths=64, seed=5)
-    for traj, record in simulate_paths(model, config):
-        assert traj.z_p_true in (-1.0, 1.0)
-        assert record.z_p_true == traj.z_p_true
-        assert record.dz.shape == (config.n_steps,)
-        assert traj.x_o_path.shape == (config.n_steps + 1, 2)
+    ens = simulate_paths(model, config)
+    assert set(np.unique(ens.z_p)) <= {-1.0, 1.0}
+    np.testing.assert_array_equal(ens.times, time_grid(config))
+    assert ens.z_p.shape == (64,)
+    assert ens.dz.shape == (64, config.n_steps)
+    assert ens.x_o.shape == (64, config.n_steps + 1, 2)
 
 
 def test_zero_input_model_keeps_zero_mean():
@@ -137,11 +138,10 @@ def test_zero_input_model_keeps_zero_mean():
     degenerate = AugmentedModel(A=model.A, B=model.B, C=model.C, D=model.D,
                                 x0_mean=np.zeros(3), sigma0=np.zeros((3, 3)))
     config = SimConfig(dt=0.05, t_final=3.0, n_paths=400, seed=21)
-    results = simulate_paths(degenerate, config)
-    terminal = np.array([traj.x_o_path[-1] for traj, _ in results])
-    assert all(traj.z_p_true == 0.0 for traj, _ in results)
-    mean, cov = ensemble_mean_cov(terminal)
-    se = np.sqrt(np.diag(cov) / len(results))
+    ens = simulate_paths(degenerate, config)
+    assert np.all(ens.z_p == 0.0)
+    mean, cov = ensemble_mean_cov(ens.x_o[:, -1])
+    se = np.sqrt(np.diag(cov) / config.n_paths)
     assert np.all(np.abs(mean) < 4 * se)
 
 
@@ -149,10 +149,9 @@ def test_ensemble_mean_matches_steady_state():
     """Settled quadrature mean (-0.5, -0.5) within 4 SE over 2000 paths."""
     model = build_augmented(PINNED, OBS)
     config = SimConfig(dt=0.1, t_final=10.0, n_paths=2000, seed=11)
-    results = simulate_paths(model, config)
-    terminal = np.array([traj.x_o_path[-1] for traj, _ in results])
-    mean, cov = ensemble_mean_cov(terminal)
-    se = np.sqrt(np.diag(cov) / len(results))
+    ens = simulate_paths(model, config)
+    mean, cov = ensemble_mean_cov(ens.x_o[:, -1])
+    se = np.sqrt(np.diag(cov) / config.n_paths)
     target = steady_state_mean(OBS) @ OBS.beta
     np.testing.assert_array_less(np.abs(mean - target), 4 * se)
 
@@ -161,13 +160,11 @@ def test_stationary_covariance_is_identity():
     """Centered quadrature covariance solves the stationary Lyapunov equation."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.25, t_final=10.0, n_paths=4000, seed=29)
-    results = simulate_paths(model, config)
-    terminal = np.array([traj.x_o_path[-1] for traj, _ in results])
-    z_true = np.array([traj.z_p_true for traj, _ in results])
+    ens = simulate_paths(model, config)
     settled = steady_state_mean(OBS) @ OBS.beta
-    centered = terminal - np.outer(z_true, settled)
+    centered = ens.x_o[:, -1] - np.outer(ens.z_p, settled)
     _, cov = ensemble_mean_cov(centered)
-    tol = 4.0 * math.sqrt(2.0 / len(results))
+    tol = 4.0 * math.sqrt(2.0 / config.n_paths)
     np.testing.assert_allclose(cov, np.eye(2), atol=tol)
 
 
@@ -176,28 +173,36 @@ def test_record_variance_matches_gain_norm():
     model = build_augmented(PINNED, OBS)
     dt = 0.002
     config = SimConfig(dt=dt, t_final=4.0, n_paths=200, seed=13)
-    results = simulate_paths(model, config)
+    ens = simulate_paths(model, config)
     norm_k_sq = float((model.D @ model.D.T)[0, 0])
-    steady = []
-    for _, record in results:
-        window = record.dz[record.times[:-1] > 2.0]
-        steady.append(window - window.mean())
-    pooled = np.concatenate(steady)
+    window = ens.dz[:, ens.times[:-1] > 2.0]
+    pooled = window - window.mean(axis=1, keepdims=True)
     ratio = pooled.var(ddof=1) / dt / norm_k_sq
     assert abs(ratio - 1.0) < 0.03
 
 
-def test_determinism_and_thread_invariance():
+@pytest.mark.parametrize("scheme", ["exact_lti", "euler_maruyama"])
+def test_paths_independent_of_ensemble_size(scheme):
+    """A path's sample is bitwise the same whatever n_paths, and reruns repeat it.
+
+    n_paths = 1 and 257 leave a one-path chunk; 2 and 300 leave narrower
+    chunks than the 600-path run.
+    """
     model = build_augmented(MIXED, OBS)
-    config = SimConfig(dt=0.02, t_final=1.0, n_paths=300, seed=123)
-    base = simulate_paths(model, config)
-    again = simulate_paths(model, config)
-    threaded = simulate_paths(model, config, threads=4)
-    for (t0, r0), (t1, r1), (t2, r2) in zip(base, again, threaded):
-        np.testing.assert_array_equal(r0.dz, r1.dz)
-        np.testing.assert_array_equal(r0.dz, r2.dz)
-        np.testing.assert_array_equal(t0.x_o_path, t1.x_o_path)
-        np.testing.assert_array_equal(t0.x_o_path, t2.x_o_path)
+
+    def run(n_paths):
+        return simulate_paths(model, SimConfig(dt=0.02, t_final=1.0, n_paths=n_paths,
+                                               seed=123, scheme=scheme))
+
+    full = run(600)
+    again = run(600)
+    for name in ("z_p", "x_o", "dz"):
+        np.testing.assert_array_equal(getattr(full, name), getattr(again, name))
+    for n in (1, 2, 257, 300):
+        part = run(n)
+        for name in ("z_p", "x_o", "dz"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[:n],
+                                          err_msg=f"{name}, n_paths={n}")
 
 
 def test_euler_scheme_runs_and_shares_noise():
@@ -205,21 +210,21 @@ def test_euler_scheme_runs_and_shares_noise():
     model = build_augmented(PINNED, OBS)
     config = SimConfig(dt=0.001, t_final=0.5, n_paths=50, seed=3,
                        scheme="euler_maruyama")
-    results = simulate_paths(model, config)
+    ens = simulate_paths(model, config)
     corrs = []
-    for traj, record in results:
-        dx = np.diff(traj.x_o_path, axis=0) @ model.D[0] * -1.0  # -(K . dx_o)
-        corrs.append(np.corrcoef(dx, record.dz)[0, 1])
+    for x_o, dz in zip(ens.x_o, ens.dz):
+        dx = np.diff(x_o, axis=0) @ model.D[0] * -1.0  # -(K . dx_o)
+        corrs.append(np.corrcoef(dx, dz)[0, 1])
     # dz = ... + K dw while dx_o = ... - sqrt(kappa) dw, so -K.dx_o ~ +sqrt(k) K dw
     assert np.mean(corrs) > 0.9
 
     independent = SimConfig(dt=0.001, t_final=0.5, n_paths=50, seed=3,
                             scheme="euler_maruyama", record_noise="independent")
-    results_ind = simulate_paths(model, independent)
+    ens_ind = simulate_paths(model, independent)
     corrs_ind = []
-    for traj, record in results_ind:
-        dx = np.diff(traj.x_o_path, axis=0) @ model.D[0] * -1.0
-        corrs_ind.append(np.corrcoef(dx, record.dz)[0, 1])
+    for x_o, dz in zip(ens_ind.x_o, ens_ind.dz):
+        dx = np.diff(x_o, axis=0) @ model.D[0] * -1.0
+        corrs_ind.append(np.corrcoef(dx, dz)[0, 1])
     assert abs(np.mean(corrs_ind)) < 0.2
 
 
@@ -238,19 +243,23 @@ def test_time_grid_and_csv_roundtrip(tmp_path):
     config = SimConfig(dt=0.1, t_final=0.5, n_paths=2, seed=0)
     grid = time_grid(config)
     assert grid.shape == (6,) and grid[0] == 0.0
-    results = simulate_paths(model, config)
+    ens = simulate_paths(model, config)
     out = tmp_path / "paths.csv"
-    write_paths_csv(out, results)
+    write_paths_csv(out, ens)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path_id,t,dz,x_o_1,x_o_2,z_p_true"
     assert len(lines) == 1 + 2 * (config.n_steps + 1)
     first = lines[1].split(",")
     assert float(first[1]) == 0.0
-    np.testing.assert_allclose(float(first[2]), results[0][1].dz[0])
+    np.testing.assert_allclose(float(first[2]), ens.dz[0, 0])
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        MeasurementRecord(times=np.array([0.0, 0.1, 0.1]), dz=np.zeros(2), z_p_true=1.0)
-    with pytest.raises(ValueError):
-        MeasurementRecord(times=np.array([0.0, 0.1]), dz=np.zeros(2), z_p_true=1.0)
+def test_paths_csv_rejects_non_finite(tmp_path):
+    model = build_augmented(MIXED, OBS)
+    ens = simulate_paths(model, SimConfig(dt=0.1, t_final=0.5, n_paths=3, seed=0))
+    x_o = ens.x_o.copy()
+    x_o[2, 3, 1] = np.nan
+    out = tmp_path / "paths.csv"
+    with pytest.raises(ValueError, match="path 2"):
+        write_paths_csv(out, replace(ens, x_o=x_o))
+    assert not out.exists()

@@ -235,7 +235,7 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
 
 
 def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
-                        times, dz) -> np.ndarray:
+                        times, dz, keep=None) -> np.ndarray:
     """Propagate the unbiased estimate along many records sharing one grid.
 
     ``times`` must be the Riccati grid; ``dz`` holds one record per row,
@@ -243,7 +243,9 @@ def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
     ``dz[:, k]`` the increment over the step starting at ``times[k]``.
     x_hat(t_0) is the model's initial mean exactly; each step applies the
     drift A - G D C and injects G dz with the gain stored at the step's left
-    node.  Returns the estimates as an (n_paths, n_times, n) array.
+    node.  ``keep`` lists the grid nodes to return, strictly increasing; by
+    default every node is kept.  Returns the estimates at those nodes as an
+    (n_paths, len(keep), n) array.
     """
     times = np.asarray(times, dtype=float)
     if times.shape != riccati.times.shape or np.max(np.abs(times - riccati.times)) > 1e-12:
@@ -255,20 +257,29 @@ def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
     if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
         raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
                          f"{p}-vector per grid step; got shape {dz.shape}")
+    keep = np.arange(times.size) if keep is None else np.asarray(keep)
+    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
+            or keep[0] < 0 or keep[-1] >= times.size or np.any(np.diff(keep) <= 0)):
+        raise ValueError(f"keep must be strictly increasing node indices in "
+                         f"[0, {times.size - 1}]; got {keep!r}")
+    slot = np.full(times.size, -1)
+    slot[keep] = np.arange(keep.size)
     n_paths = dz.shape[0]
     n_steps = times.size - 1
     n = model.n
     eye = np.eye(n)
     x = np.broadcast_to(model.x0_mean, (n_paths, n)).copy()
-    out = np.empty((n_paths, times.size, n))
-    out[:, 0, :] = x
+    out = np.empty((n_paths, keep.size, n))
+    if slot[0] >= 0:
+        out[:, slot[0], :] = x
     for k in range(n_steps):
         h = times[k + 1] - times[k]
         a, _, c = model.coeffs_at(times[k])
         g = riccati.gains[k]
         step_map = eye + h * unbiased_drift(a, g, model.D, c)
         x = x @ step_map.T + dz[:, k, :] @ g.T
-        out[:, k + 1, :] = x
+        if slot[k + 1] >= 0:
+            out[:, slot[k + 1], :] = x
     return out
 
 

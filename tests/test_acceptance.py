@@ -13,7 +13,7 @@ import pytest
 
 from qubit_observer.cli import main
 from qubit_observer.fock_oracle import (FockConfig, build_operators, evolve,
-                                        expectations, joint_initial_state,
+                                        joint_initial_state,
                                         reduced_mean_trajectory)
 from qubit_observer.kalman_filter import (error_covariance_ode,
                                           gain_interpolator, run_filter_ensemble,
@@ -91,8 +91,7 @@ def test_criterion_2_qnd_invariance():
     comm_l = np.abs(ops.z_p @ ops.lindblad - ops.lindblad @ ops.z_p).max()
     state = joint_initial_state(EIGENSTATE_RHO, 20)
     config = FockConfig(n_trunc=20, dt=1e-3, t_final=10.0 / kappa, store_every=25)
-    _, series = evolve(state, ops, config)
-    traces = expectations(series, ops)
+    _, traces = evolve(state, ops, config)
     drift = float(np.max(np.abs(traces.exp_zp - traces.exp_zp[0])))
     elapsed = time.perf_counter() - start
     ok = (exact_zero and drift <= 1e-6 and comm_h <= 1e-12 and comm_l <= 1e-12
@@ -238,8 +237,7 @@ def test_criterion_7_surrogate_oracle_agreement():
     ops = build_operators(plant.c_p, obs.beta, obs.omega_o, obs.kappa, 20)
     state = joint_initial_state(plant.rho_p, 20)
     config = FockConfig(n_trunc=20, dt=1e-3, t_final=2.5, store_every=10)
-    times, series = evolve(state, ops, config)
-    traces = expectations(series, ops)
+    times, traces = evolve(state, ops, config)
     reference = reduced_mean_trajectory(obs.omega_o, obs.kappa, obs.beta,
                                         traces.exp_zp[0],
                                         (traces.exp_q[0], traces.exp_p[0]), times)

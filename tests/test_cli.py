@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+from pathlib import Path
+
+from qubit_observer import cli
 from qubit_observer.cli import main
 from qubit_observer.config import ConfigError, load_config
+from qubit_observer.kalman_filter import RiccatiSolution
 from qubit_observer.export import dumps_json, format_value
 
 
@@ -171,6 +176,40 @@ def test_filter_monte_carlo_run(tmp_path):
     assert report["checks"]["covariance_consistency"]["passed"] is True
     assert len(report["terminal_zp_errors"]) == 200
     assert (out / "riccati.csv").exists()
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+@pytest.mark.parametrize("seed", [80, 116])
+def test_filter_gate_passes_seeds_with_largest_z(seed):
+    """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.01, 4.14) pass
+    once the limit keeps the family-wise rate of a single 4-sigma test."""
+    config = load_config(DEFAULT_CONFIG)
+    report, _ = cli.cmd_filter(replace(config, sim=replace(config.sim, seed=seed)))
+    cov = report["checks"]["covariance_consistency"]
+    bias = report["checks"]["unbiasedness"]
+    assert cov["detail"]["n_tests"] == 60 and bias["detail"]["n_tests"] == 30
+    assert cov["detail"]["limit"] == pytest.approx(4.881, abs=1e-3)
+    assert bias["detail"]["limit"] == pytest.approx(4.742, abs=1e-3)
+    assert 4.0 < cov["detail"]["max_abs_z"] <= cov["detail"]["limit"]
+    assert report["passed"] is True
+
+
+def test_filter_gate_detects_inflated_covariance(monkeypatch):
+    """A Riccati covariance 30% too large, with the true gains, still fails the gate."""
+    solve = cli.solve_riccati
+
+    def inflated(model, grid):
+        ricc = solve(model, grid)
+        return RiccatiSolution(times=ricc.times, sigma_star=1.3 * ricc.sigma_star,
+                               gains=ricc.gains)
+
+    monkeypatch.setattr(cli, "solve_riccati", inflated)
+    report, _ = cli.cmd_filter(load_config(DEFAULT_CONFIG))
+    assert report["checks"]["unbiasedness"]["passed"] is True
+    assert report["checks"]["covariance_consistency"]["passed"] is False
+    assert report["passed"] is False
 
 
 def test_filter_pinned_plant_keeps_zero_variance(tmp_path):

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
+
 from qubit_observer.fock_oracle import (FockConfig, FockTruncationError,
                                         JointState, OperatorSet,
                                         build_operators, coherent_state,
                                         destroy, evolve, expectations,
-                                        joint_initial_state, quadratures,
-                                        reduced_mean_trajectory,
+                                        joint_initial_state, liouvillian,
+                                        quadratures, reduced_mean_trajectory,
                                         write_oracle_csv)
+from qubit_observer.spin_algebra import PAULI
 
 EIGENSTATE = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)  # sigma_1 -> +1
 MIXED = 0.5 * np.eye(2, dtype=complex)
@@ -49,13 +55,15 @@ def test_free_evolution_is_identity():
     rho[0, 0] = 0.6
     rho[1, 1] = 0.4
     state = JointState(rho)
+    # diagonal readouts that tell every populated level apart
+    readout = np.diag(np.arange(dim, dtype=complex))
     ops = OperatorSet(h_total=np.zeros((dim, dim), dtype=complex),
                       lindblad=np.zeros((dim, dim), dtype=complex),
-                      z_p=np.zeros((dim, dim), dtype=complex),
-                      q=np.zeros((dim, dim), dtype=complex),
-                      p=np.zeros((dim, dim), dtype=complex), n_trunc=6)
-    times, series = evolve(state, ops, FockConfig(n_trunc=6, dt=0.01, t_final=0.5))
-    np.testing.assert_allclose(series[-1], series[0], atol=1e-14)
+                      z_p=readout, q=readout ** 2, p=-readout, n_trunc=6)
+    times, traces = evolve(state, ops, FockConfig(n_trunc=6, dt=0.01, t_final=0.5))
+    for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
+        series = getattr(traces, name)
+        np.testing.assert_allclose(series[-1], series[0], atol=1e-14)
 
 
 def test_lossy_cavity_decay_of_coherent_state():
@@ -64,28 +72,25 @@ def test_lossy_cavity_decay_of_coherent_state():
     n_trunc = 12
     ops = build_operators([1.0, 0.0, 0.0], [0.0, 0.0], 0.0, kappa, n_trunc)
     state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc, alpha=0.5)
-    times, series = evolve(state, ops, FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=1.0))
-    a_full = np.kron(np.eye(2), destroy(n_trunc + 1))
-    mean_a = np.array([np.trace(rho @ a_full) for rho in series])
+    times, traces = evolve(state, ops, FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=1.0))
+    mean_a = 0.5 * (traces.exp_q + 1j * traces.exp_p)  # q + i p = 2a
     np.testing.assert_allclose(mean_a, 0.5 * np.exp(-0.5 * kappa * times), atol=1e-8)
 
 
 def test_trace_preserved_long_run():
     ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 10)
     state = joint_initial_state(MIXED, 10)
-    times, series = evolve(state, ops, FockConfig(n_trunc=10, dt=1e-3, t_final=5.0,
+    times, traces = evolve(state, ops, FockConfig(n_trunc=10, dt=1e-3, t_final=5.0,
                                                   store_every=100))
-    drifts = np.abs([np.trace(rho).real - 1.0 for rho in series])
-    assert drifts.max() <= 1e-8 * max(times[-1], 1.0)
+    assert traces.trace_drift.max() <= 1e-8 * max(times[-1], 1.0)
 
 
 def test_zp_expectation_constant_for_pinned_state():
     """sigma_3 eigenstate with c_p = e_3 keeps the readout at exactly one."""
     ops = build_operators([0.0, 0.0, 1.0], [1.0, 0.0], 1.0, 4.0, 14)
     state = joint_initial_state(np.diag([1.0, 0.0]), 14)
-    times, series = evolve(state, ops, FockConfig(n_trunc=14, dt=1e-3, t_final=1.0,
+    times, traces = evolve(state, ops, FockConfig(n_trunc=14, dt=1e-3, t_final=1.0,
                                                   store_every=20))
-    traces = expectations(series, ops)
     np.testing.assert_allclose(traces.exp_zp, 1.0, atol=1e-6)
     np.testing.assert_allclose(traces.exp_zp_sq, 1.0, atol=1e-6)
 
@@ -93,9 +98,8 @@ def test_zp_expectation_constant_for_pinned_state():
 def test_quadrature_means_stay_zero_for_mixed_qubit():
     ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 12)
     state = joint_initial_state(MIXED, 12)
-    _, series = evolve(state, ops, FockConfig(n_trunc=12, dt=1e-3, t_final=1.0,
+    _, traces = evolve(state, ops, FockConfig(n_trunc=12, dt=1e-3, t_final=1.0,
                                               store_every=20))
-    traces = expectations(series, ops)
     np.testing.assert_allclose(traces.exp_q, 0.0, atol=1e-6)
     np.testing.assert_allclose(traces.exp_p, 0.0, atol=1e-6)
 
@@ -104,9 +108,8 @@ def test_quadrature_means_follow_reduced_model():
     """Eigenstate driving reproduces the linear mean ODE within 1e-4."""
     ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 20)
     state = joint_initial_state(EIGENSTATE, 20)
-    times, series = evolve(state, ops, FockConfig(n_trunc=20, dt=1e-3, t_final=2.0,
+    times, traces = evolve(state, ops, FockConfig(n_trunc=20, dt=1e-3, t_final=2.0,
                                                   store_every=10))
-    traces = expectations(series, ops)
     reference = reduced_mean_trajectory(1.0, 4.0, [1.0, 0.0], traces.exp_zp[0],
                                         (traces.exp_q[0], traces.exp_p[0]), times)
     deviation = np.abs(np.column_stack([traces.exp_q, traces.exp_p]) - reference)
@@ -156,10 +159,79 @@ def test_expectations_rejects_corrupted_state():
 def test_oracle_csv(tmp_path):
     ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 8)
     state = joint_initial_state(MIXED, 8)
-    times, series = evolve(state, ops, FockConfig(n_trunc=8, dt=1e-2, t_final=0.1))
-    traces = expectations(series, ops)
+    times, traces = evolve(state, ops, FockConfig(n_trunc=8, dt=1e-2, t_final=0.1))
     out = tmp_path / "oracle.csv"
     write_oracle_csv(out, times, traces)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,exp_zp,exp_q,exp_p,leakage"
     assert len(lines) == 1 + times.size
+
+
+def _dense_superoperator(ops: OperatorSet) -> np.ndarray:
+    """Lindblad generator on column-stacked vec(rho), one basis matrix at a time."""
+    h, lind = np.asarray(ops.h_total), np.asarray(ops.lindblad)
+    ldl = lind.conj().T @ lind
+    dim = h.shape[0]
+    gen = np.empty((dim * dim, dim * dim), dtype=complex)
+    for col in range(dim * dim):
+        unit = np.zeros(dim * dim, dtype=complex)
+        unit[col] = 1.0
+        rho = unit.reshape(dim, dim, order="F")
+        image = (-1j * (h @ rho - rho @ h) + lind @ rho @ lind.conj().T
+                 - 0.5 * (ldl @ rho + rho @ ldl))
+        gen[:, col] = image.reshape(-1, order="F")
+    return gen
+
+
+def _reference_traces(ops, state, times, propagate):
+    """Readouts of propagate(vec(rho0), t) at each stored time."""
+    dim = state.rho.shape[0]
+    vec0 = np.asarray(state.rho).reshape(-1, order="F")
+    rhos = np.array([propagate(vec0, t).reshape(dim, dim, order="F") for t in times])
+    return expectations(0.5 * (rhos + rhos.conj().transpose(0, 2, 1)), ops)
+
+
+def test_evolve_matches_dense_exponential():
+    """vec/kron ordering pinned against expm of a generator built entrywise."""
+    n_trunc = 5
+    ops = build_operators([0.6, 0.0, 0.8], [0.7, -0.3], 1.3, 2.0, n_trunc)
+    state = joint_initial_state(EIGENSTATE, n_trunc, alpha=0.4 + 0.2j)
+    gen = _dense_superoperator(ops)
+    np.testing.assert_allclose(liouvillian(ops).toarray(), gen, atol=1e-14)
+    times, traces = evolve(state, ops, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.6,
+                                                  store_every=5, leakage_threshold=1e-2))
+    ref = _reference_traces(ops, state, times, lambda v, t: expm(gen * t) @ v)
+    for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
+        np.testing.assert_allclose(getattr(traces, name), getattr(ref, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_evolve_blocks_and_tail_match_single_shot():
+    """More stored nodes than one block, and n_steps not a multiple of store_every."""
+    n_trunc = 5
+    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.5], 1.0, 4.0, n_trunc)
+    state = joint_initial_state(EIGENSTATE, n_trunc)
+    config = FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.63, store_every=2,
+                        leakage_threshold=1e-2)
+    times, traces = evolve(state, ops, config)
+    stored = list(range(0, 64, 2)) + [63]
+    np.testing.assert_allclose(times, np.array(stored) * 1e-2, rtol=0, atol=1e-15)
+    assert times.size == 33  # block of 25, block of 6, then the 1-step tail
+    single = expm_multiply(liouvillian(ops), np.asarray(state.rho).reshape(-1, order="F"),
+                           start=0.0, stop=0.63, num=64, endpoint=True)
+    ref = _reference_traces(ops, state, stored, lambda v, k: single[k])
+    for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
+        np.testing.assert_allclose(getattr(traces, name), getattr(ref, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_non_hermitian_hamiltonian_trips_trace_drift():
+    """h = 5i sigma_1 (x) I: rho(t) = e^{5 sigma_1 t} rho e^{-5 sigma_1 t} keeps its trace
+    only through cancelling entries of size e^{10 t}, which roundoff cannot hold."""
+    n_trunc = 4
+    ops = build_operators([1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, n_trunc)
+    pump = 5j * np.kron(PAULI.matrices()[0], np.eye(n_trunc + 1))
+    state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc)
+    with pytest.raises(RuntimeError, match="trace drift"):
+        evolve(state, replace(ops, h_total=pump),
+               FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=3.0))

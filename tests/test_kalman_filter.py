@@ -208,6 +208,21 @@ def test_run_filter_ensemble_rejects_dz_shape_mismatch():
                                   run_filter_ensemble(model, ricc, grid, dz[:, :, None]))
 
 
+def test_run_filter_ensemble_keeps_requested_nodes():
+    """keep returns exactly the requested slices of the full run; bad keeps raise."""
+    model = specialize_plant_observer(PLANT, OBS)
+    reduced = build_augmented(PLANT, OBS)
+    ens = simulate_paths(reduced, SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3))
+    ricc = solve_riccati(model, ens.times)
+    full = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    for keep in ([0], [50], [4, 17, 50], np.arange(51)):
+        np.testing.assert_array_equal(
+            run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=keep), full[:, keep])
+    for bad in ([], [3, 3], [5, 2], [-1, 4], [51], [1.0, 2.0], [[1, 2]]):
+        with pytest.raises(ValueError, match="keep must be"):
+            run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=bad)
+
+
 def _scalar_records(n_paths, dt, t_final, seed):
     rng = np.random.default_rng(seed)
     n_steps = int(round(t_final / dt))

@@ -20,9 +20,8 @@ from .export import ensure_dir, write_json
 from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           expectations, joint_initial_state,
                           reduced_mean_trajectory, write_oracle_csv)
-from .kalman_filter import (LinearModel, run_filter_ensemble, solve_riccati,
-                            specialize_plant_observer, write_riccati_csv)
-from .model_builder import (build_augmented, closed_loop_transfer,
+from .kalman_filter import run_filter_ensemble, solve_riccati, write_riccati_csv
+from .model_builder import (LinearModel, build_augmented, closed_loop_transfer,
                             hurwitz_check, optimal_gain, output_bias,
                             steady_state_mean)
 from .sde_engine import SimConfig, ensemble_mean_cov, simulate_paths, time_grid, write_paths_csv
@@ -179,12 +178,11 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
     if self_test:
         return _filter_self_test(), None
 
-    model = specialize_plant_observer(config.plant, config.observer)
-    reduced = build_augmented(config.plant, config.observer)
+    model = build_augmented(config.plant, config.observer)
     sim = replace(config.sim, dt=config.filter.dt, t_final=config.filter.t_final)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
-    ens = simulate_paths(reduced, sim)
+    ens = simulate_paths(model, sim)
 
     n_paths = ens.z_p.size
     n_steps = grid.size - 1
@@ -230,6 +228,7 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
         "seed": sim.seed,
         "homodyne_row_K": model.D[0].tolist(),
         "sigma_star_terminal": ricc.sigma_star[-1].tolist(),
+        "sigma_star_min_eig": float(np.linalg.eigvalsh(ricc.sigma_star).min()),
         "mc_vs_riccati": table,
         "terminal_zp_errors": terminal_errors,
         "terminal_zp_error_variance": float(np.var(terminal_errors, ddof=1)),

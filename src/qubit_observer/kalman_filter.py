@@ -1,8 +1,8 @@
 """Minimum-variance unbiased estimation for linear models with homodyne output.
 
-Implements the general continuous-time filter for
+Implements the continuous-time filter for the constant-coefficient model
 
-    dx = A(t) x dt + B(t) dw,      dz = D (C(t) x dt + dw),
+    dx = A x dt + B dw,      dz = D (C x dt + dw),
 
 where the same noise vector enters state and measurement.  The optimal gain
 
@@ -15,10 +15,13 @@ for any noise and initial-condition distributions with matching first and
 second moments, Gaussian or not, which is exactly the regime of the
 two-point-distributed plant variable.
 
-Riccati integration is fixed-step classical RK4 with symmetrization after
-every step; positive semidefiniteness is monitored by the tests rather than
-projected.  Record-driven filter updates are Euler-Maruyama-consistent since
-dz is an increment stream.
+The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
+and the Riccati coefficients F, Q, R once.  Every covariance equation here
+is integrated by one fixed-step classical RK4 helper that symmetrizes after
+every step and aborts on non-finite values; positive semidefiniteness is
+not projected, and the ``filter`` report records the smallest eigenvalue of
+Sigma* over the grid.  Record-driven filter updates are
+Euler-Maruyama-consistent since dz is an increment stream.
 """
 
 from dataclasses import dataclass
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .export import write_csv
-from .model_builder import _COND_LIMIT, ObserverSpec, build_augmented
-from .spin_algebra import PlantSpec, _frozen
+from .model_builder import LinearModel
+from .spin_algebra import _frozen
 
 __all__ = [
     "LinearModel",
@@ -39,90 +42,12 @@ __all__ = [
     "run_filter_ensemble",
     "error_covariance_ode",
     "gain_interpolator",
-    "specialize_plant_observer",
     "write_riccati_csv",
 ]
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
-def _as_coeff(value, name: str):
-    """Normalize a constant matrix or callable t -> matrix to a callable."""
-    if callable(value):
-        return value
-    arr = np.asarray(value, dtype=float)
-
-    def const(_t: float, _arr=arr) -> np.ndarray:
-        return _arr
-
-    const.__name__ = f"const_{name}"
-    return const
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Coefficients and initial moments of a linear model with homodyne rows.
-
-    A, B, C may be constant arrays or callables of time; D is the constant
-    (m/2) x m homodyne selection with D D^T invertible.  m must be even.
-    """
-
-    A: object
-    B: object
-    C: object
-    D: np.ndarray
-    x0_mean: np.ndarray
-    sigma0: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.D, dtype=float)
-        x0 = np.asarray(self.x0_mean, dtype=float)
-        s0 = np.asarray(self.sigma0, dtype=float)
-        if d.ndim != 2:
-            raise ValueError("D must be a matrix")
-        p, m = d.shape
-        if m != 2 * p:
-            raise ValueError("D must be (m/2) x m with m even")
-        if np.linalg.cond(d @ d.T) > _COND_LIMIT:
-            raise ValueError("D D^T is singular or ill-conditioned")
-        if x0.ndim != 1:
-            raise ValueError("x0_mean must be a vector")
-        n = x0.size
-        if s0.shape != (n, n) or not np.allclose(s0, s0.T, atol=1e-10):
-            raise ValueError("sigma0 must be n x n symmetric")
-        if np.linalg.eigvalsh(_sym(s0)).min() < -1e-10:
-            raise ValueError("sigma0 must be positive semidefinite")
-        object.__setattr__(self, "A", _as_coeff(self.A, "A"))
-        object.__setattr__(self, "B", _as_coeff(self.B, "B"))
-        object.__setattr__(self, "C", _as_coeff(self.C, "C"))
-        object.__setattr__(self, "D", _frozen(d))
-        object.__setattr__(self, "x0_mean", _frozen(x0))
-        object.__setattr__(self, "sigma0", _frozen(_sym(s0)))
-        a0 = np.asarray(self.A(0.0), dtype=float)
-        b0 = np.asarray(self.B(0.0), dtype=float)
-        c0 = np.asarray(self.C(0.0), dtype=float)
-        if a0.shape != (n, n) or b0.shape != (n, m) or c0.shape != (m, n):
-            raise ValueError(
-                f"coefficient shapes must be A {n}x{n}, B {n}x{m}, C {m}x{n}; "
-                f"got {a0.shape}, {b0.shape}, {c0.shape}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.x0_mean.size
-
-    @property
-    def m(self) -> int:
-        return self.D.shape[1]
-
-    def coeffs_at(self, t: float) -> tuple:
-        return (
-            np.asarray(self.A(t), dtype=float),
-            np.asarray(self.B(t), dtype=float),
-            np.asarray(self.C(t), dtype=float),
-        )
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -139,13 +64,6 @@ class RiccatiSolution:
         object.__setattr__(self, "gains", _frozen(np.asarray(self.gains, dtype=float)))
 
 
-def _ddt_inv(d: np.ndarray) -> np.ndarray:
-    s = d @ d.T
-    if np.linalg.cond(s) > _COND_LIMIT:
-        raise ValueError("D D^T is singular or ill-conditioned")
-    return np.linalg.inv(s)
-
-
 def unbiased_drift(a, g, d, c) -> np.ndarray:
     """Filter drift A - G D C forced by the unbiasedness requirement."""
     a = np.asarray(a, dtype=float)
@@ -157,41 +75,20 @@ def unbiased_drift(a, g, d, c) -> np.ndarray:
     return a - g @ (d @ c)
 
 
-def kalman_gain(sigma, b, c, d) -> np.ndarray:
-    """Optimal gain (Sigma C^T D^T + B D^T)(D D^T)^{-1}, Sigma symmetrized first."""
-    sigma = _sym(np.asarray(sigma, dtype=float))
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    return (sigma @ c.T @ d.T + b @ d.T) @ _ddt_inv(d)
+def kalman_gain(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
+    """Optimal gain (Sigma C^T D^T + B D^T)(D D^T)^{-1}; Sigma may be a stack."""
+    return sigma @ model.gain_slope + model.gain_offset
 
 
-def riccati_rhs(sigma, a, b, c, d) -> np.ndarray:
-    """Four-term covariance derivative of the optimal filter, symmetrized."""
-    sigma = _sym(np.asarray(sigma, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    s_inv = _ddt_inv(d)
-    bdt = b @ d.T
-    dc = d @ c
-    drift = a - bdt @ s_inv @ dc
-    rhs = (
-        drift @ sigma
-        + sigma @ drift.T
-        - sigma @ c.T @ d.T @ s_inv @ dc @ sigma
-        + b @ b.T
-        - bdt @ s_inv @ (d @ b.T)
-    )
-    return _sym(rhs)
+def riccati_rhs(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
+    """Covariance derivative F Sigma + Sigma F^T - Sigma Q Sigma + R, symmetrized."""
+    return _sym(model.F @ sigma + sigma @ model.F.T - sigma @ model.Q @ sigma + model.R)
 
 
-def _lyapunov_rhs(sigma, a, b, c, d, g) -> np.ndarray:
-    drift = a - g @ (d @ c)
-    residual_b = b - g @ d
-    rhs = drift @ sigma + sigma @ drift.T + residual_b @ residual_b.T
-    return _sym(rhs)
+def _lyapunov_rhs(model: LinearModel, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    drift = model.A - g @ model.DC
+    residual_b = model.B - g @ model.D
+    return _sym(drift @ sigma + sigma @ drift.T + residual_b @ residual_b.T)
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -201,6 +98,28 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
+    """Classical RK4 of dy/dt = rhs(t, y) from y0 over the grid.
+
+    y is a matrix or a stack of matrices, symmetrized after every step.
+    Returns the trajectory, one y per node; raises RuntimeError with the
+    step and time if the iteration produces non-finite values.
+    """
+    out = np.empty((grid.size,) + y0.shape)
+    out[0] = y = y0
+    for k in range(grid.size - 1):
+        t, h = grid[k], grid[k + 1] - grid[k]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = _sym(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if not np.isfinite(y).all():
+            raise RuntimeError(f"{what} integration diverged at step {k} (t = {t:.6g})")
+        out[k + 1] = y
+    return out
+
+
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     """Integrate the covariance Riccati equation with RK4 on the given grid.
 
@@ -208,30 +127,8 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     Aborts with a step diagnostic if the iteration produces non-finite values.
     """
     grid = _check_grid(grid)
-    n = model.n
-    d = model.D
-    sigma = model.sigma0.copy()
-    n_t = grid.size
-    sig_out = np.empty((n_t, n, n))
-    gain_out = np.empty((n_t, n, d.shape[0]))
-    a0, b0, c0 = model.coeffs_at(grid[0])
-    sig_out[0] = sigma
-    gain_out[0] = kalman_gain(sigma, b0, c0, d)
-    for k in range(n_t - 1):
-        t, h = grid[k], grid[k + 1] - grid[k]
-        a1, b1, c1 = model.coeffs_at(t)
-        a2, b2, c2 = model.coeffs_at(t + 0.5 * h)
-        a3, b3, c3 = model.coeffs_at(t + h)
-        k1 = riccati_rhs(sigma, a1, b1, c1, d)
-        k2 = riccati_rhs(sigma + 0.5 * h * k1, a2, b2, c2, d)
-        k3 = riccati_rhs(sigma + 0.5 * h * k2, a2, b2, c2, d)
-        k4 = riccati_rhs(sigma + h * k3, a3, b3, c3, d)
-        sigma = _sym(sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(sigma).all():
-            raise RuntimeError(f"Riccati integration diverged at step {k} (t = {t:.6g})")
-        sig_out[k + 1] = sigma
-        gain_out[k + 1] = kalman_gain(sigma, b3, c3, d)
-    return RiccatiSolution(times=grid, sigma_star=sig_out, gains=gain_out)
+    sigma = _rk4(lambda _t, s: riccati_rhs(model, s), model.sigma0, grid, "Riccati")
+    return RiccatiSolution(times=grid, sigma_star=sigma, gains=kalman_gain(model, sigma))
 
 
 def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
@@ -274,9 +171,8 @@ def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
         out[:, slot[0], :] = x
     for k in range(n_steps):
         h = times[k + 1] - times[k]
-        a, _, c = model.coeffs_at(times[k])
         g = riccati.gains[k]
-        step_map = eye + h * unbiased_drift(a, g, model.D, c)
+        step_map = eye + h * (model.A - g @ model.DC)
         x = x @ step_map.T + dz[:, k, :] @ g.T
         if slot[k + 1] >= 0:
             out[:, slot[k + 1], :] = x
@@ -293,49 +189,19 @@ def error_covariance_ode(model: LinearModel, gain, grid) -> tuple:
     (times, covariance trajectory).
     """
     grid = _check_grid(grid)
-    d = model.D
-    n_t = grid.size
-    out = np.empty((n_t, model.n, model.n))
-    sigma = model.sigma0.copy()
-    out[0] = sigma
-
     if gain is None:
-        sigma_star = model.sigma0.copy()
+        def pair_rhs(_t, pair):
+            sigma, sigma_star = pair
+            return np.stack([_lyapunov_rhs(model, sigma, kalman_gain(model, sigma_star)),
+                             riccati_rhs(model, sigma_star)])
 
-        def pair_rhs(t, sig, sig_star):
-            a, b, c = model.coeffs_at(t)
-            g = kalman_gain(sig_star, b, c, d)
-            return _lyapunov_rhs(sig, a, b, c, d, g), riccati_rhs(sig_star, a, b, c, d)
+        pairs = _rk4(pair_rhs, np.stack([model.sigma0, model.sigma0]), grid, "covariance")
+        return grid, pairs[:, 0]
 
-        for k in range(n_t - 1):
-            t, h = grid[k], grid[k + 1] - grid[k]
-            l1, r1 = pair_rhs(t, sigma, sigma_star)
-            l2, r2 = pair_rhs(t + 0.5 * h, sigma + 0.5 * h * l1, sigma_star + 0.5 * h * r1)
-            l3, r3 = pair_rhs(t + 0.5 * h, sigma + 0.5 * h * l2, sigma_star + 0.5 * h * r2)
-            l4, r4 = pair_rhs(t + h, sigma + h * l3, sigma_star + h * r3)
-            sigma = _sym(sigma + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
-            sigma_star = _sym(sigma_star + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
-            if not np.isfinite(sigma).all():
-                raise RuntimeError(f"covariance integration diverged at step {k}")
-            out[k + 1] = sigma
-        return grid, out
+    def rhs(t, sigma):
+        return _lyapunov_rhs(model, sigma, np.asarray(gain(t), dtype=float))
 
-    for k in range(n_t - 1):
-        t, h = grid[k], grid[k + 1] - grid[k]
-
-        def rhs(tq, sig):
-            a, b, c = model.coeffs_at(tq)
-            return _lyapunov_rhs(sig, a, b, c, d, np.asarray(gain(tq), dtype=float))
-
-        k1 = rhs(t, sigma)
-        k2 = rhs(t + 0.5 * h, sigma + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, sigma + 0.5 * h * k2)
-        k4 = rhs(t + h, sigma + h * k3)
-        sigma = _sym(sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(sigma).all():
-            raise RuntimeError(f"covariance integration diverged at step {k}")
-        out[k + 1] = sigma
-    return grid, out
+    return grid, _rk4(rhs, model.sigma0, grid, "covariance")
 
 
 def gain_interpolator(riccati: RiccatiSolution):
@@ -356,13 +222,6 @@ def gain_interpolator(riccati: RiccatiSolution):
     return gain
 
 
-def specialize_plant_observer(plant: PlantSpec, observer: ObserverSpec) -> LinearModel:
-    """LinearModel for the plant-observer system: reduced matrices, D = K, block moments."""
-    reduced = build_augmented(plant, observer)
-    return LinearModel(A=reduced.A, B=reduced.B, C=reduced.C, D=reduced.D,
-                       x0_mean=reduced.x0_mean, sigma0=reduced.sigma0)
-
-
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:
     """CSV of the covariance upper triangle and gain columns over time."""
     n = riccati.sigma_star.shape[1]
@@ -379,21 +238,3 @@ def write_riccati_csv(path, riccati: RiccatiSolution) -> None:
             yield row
 
     write_csv(path, header, rows())
-
-
-def write_estimates_csv(path, times, x_hat) -> None:
-    """CSV of estimate trajectories; (n_t, n) for one run or (n_paths, n_t, n)."""
-    times = np.asarray(times, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.ndim == 2:
-        x_hat = x_hat[None, :, :]
-    n = x_hat.shape[2]
-    header = ["path_id", "t"] + [f"x_hat_{i + 1}" for i in range(n)]
-
-    def rows():
-        for pid in range(x_hat.shape[0]):
-            for k, t in enumerate(times):
-                yield [pid, t] + [x_hat[pid, k, i] for i in range(n)]
-
-    write_csv(path, header, rows())
-

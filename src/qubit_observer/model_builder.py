@@ -1,10 +1,12 @@
 """Observer construction and the reduced plant-observer linear model.
 
 Builds the damped-oscillator observer from its Hamiltonian/coupling data,
-assembles the 3-state linear model (conserved plant variable + two observer
-quadratures), computes the steady-state observer mean, the output bias
-vector e, and the homodyne quadrature row K that maximizes signal-to-noise,
-and checks the all-pass and Hurwitz properties of the noise channel.
+defines the constant-coefficient linear model that the sampler and the
+filter share, assembles its 3-state reduced form (conserved plant variable
++ two observer quadratures), computes the steady-state observer mean, the
+output bias vector e, and the homodyne quadrature row K that maximizes
+signal-to-noise, and checks the all-pass and Hurwitz properties of the
+noise channel.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,7 @@ from .spin_algebra import PlantSpec, _frozen, qubit_moments
 
 __all__ = [
     "ObserverSpec",
+    "LinearModel",
     "AugmentedModel",
     "symplectic_j",
     "observer_drift",
@@ -113,12 +116,18 @@ def realizability_matrices(r_o, w_o) -> tuple:
 
 
 @dataclass(frozen=True)
-class AugmentedModel:
-    """Reduced linear model: conserved scalar + observer quadratures.
+class LinearModel:
+    """Constant coefficients and initial moments of a linear model with homodyne rows.
 
-    State ordering is (z_p, x_o1, x_o2).  The first row of A and B and the
-    first column of C vanish, so z_p is conserved and enters the record only
-    through the observer.  D is the homodyne row K.
+        dx = A x dt + B dw,      dz = D (C x dt + dw).
+
+    D is the (m/2) x m homodyne selection with D D^T invertible; m must be
+    even.  The coefficients the filter needs are derived once, with
+    gain_slope = (D C)^T (D D^T)^{-1} and gain_offset = B D^T (D D^T)^{-1}:
+    the optimal gain is Sigma gain_slope + gain_offset, and the Riccati
+    equation reads dSigma/dt = F Sigma + Sigma F^T - Sigma Q Sigma + R with
+
+        F = A - gain_offset D C,  Q = gain_slope D C,  R = B B^T - gain_offset D B^T.
     """
 
     A: np.ndarray
@@ -127,31 +136,80 @@ class AugmentedModel:
     D: np.ndarray
     x0_mean: np.ndarray
     sigma0: np.ndarray
+    DC: np.ndarray = field(init=False, repr=False)
+    gain_slope: np.ndarray = field(init=False, repr=False)
+    gain_offset: np.ndarray = field(init=False, repr=False)
+    F: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
+    R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        D = np.asarray(self.D, dtype=float)
+        a = np.asarray(self.A, dtype=float)
+        b = np.asarray(self.B, dtype=float)
+        c = np.asarray(self.C, dtype=float)
+        d = np.asarray(self.D, dtype=float)
         x0 = np.asarray(self.x0_mean, dtype=float)
         s0 = np.asarray(self.sigma0, dtype=float)
-        if A.shape != (3, 3) or B.shape != (3, 2) or C.shape != (2, 3) or D.shape != (1, 2):
-            raise ValueError("augmented model has shapes A 3x3, B 3x2, C 2x3, D 1x2")
-        if np.any(A[0, :]) or np.any(B[0, :]):
-            raise ValueError("first row of A and B must vanish (conserved plant variable)")
-        if np.any(C[:, 0]):
-            raise ValueError("first column of C must vanish")
-        if x0.shape != (3,):
-            raise ValueError("x0_mean must be a 3-vector")
-        if s0.shape != (3, 3) or not np.allclose(s0, s0.T, atol=1e-12):
-            raise ValueError("sigma0 must be 3x3 symmetric")
-        if np.any(s0[0, 1:]) or np.any(s0[1:, 0]):
-            raise ValueError("sigma0 must be block diagonal in (z_p, x_o)")
-        if np.linalg.eigvalsh(0.5 * (s0 + s0.T)).min() < -1e-10:
+        if d.ndim != 2:
+            raise ValueError("D must be a matrix")
+        p, m = d.shape
+        if m != 2 * p:
+            raise ValueError("D must be (m/2) x m with m even")
+        ddt = d @ d.T
+        if np.linalg.cond(ddt) > _COND_LIMIT:
+            raise ValueError("D D^T is singular or ill-conditioned")
+        if x0.ndim != 1:
+            raise ValueError("x0_mean must be a vector")
+        n = x0.size
+        if s0.shape != (n, n) or not np.allclose(s0, s0.T, atol=1e-10):
+            raise ValueError("sigma0 must be n x n symmetric")
+        s0 = 0.5 * (s0 + s0.T)
+        if np.linalg.eigvalsh(s0).min() < -1e-10:
             raise ValueError("sigma0 must be positive semidefinite")
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D),
-                          ("x0_mean", x0), ("sigma0", s0)):
+        if a.shape != (n, n) or b.shape != (n, m) or c.shape != (m, n):
+            raise ValueError(
+                f"coefficient shapes must be A {n}x{n}, B {n}x{m}, C {m}x{n}; "
+                f"got {a.shape}, {b.shape}, {c.shape}"
+            )
+        ddt_inv = np.linalg.inv(ddt)
+        dc = d @ c
+        gain_slope = dc.T @ ddt_inv
+        gain_offset = b @ d.T @ ddt_inv
+        for name, arr in (("A", a), ("B", b), ("C", c), ("D", d),
+                          ("x0_mean", x0), ("sigma0", s0), ("DC", dc),
+                          ("gain_slope", gain_slope), ("gain_offset", gain_offset),
+                          ("F", a - gain_offset @ dc), ("Q", gain_slope @ dc),
+                          ("R", b @ b.T - gain_offset @ (d @ b.T))):
             object.__setattr__(self, name, _frozen(arr))
+
+    @property
+    def n(self) -> int:
+        return self.x0_mean.size
+
+    @property
+    def m(self) -> int:
+        return self.D.shape[1]
+
+
+@dataclass(frozen=True)
+class AugmentedModel(LinearModel):
+    """Reduced linear model: conserved scalar + observer quadratures.
+
+    State ordering is (z_p, x_o1, x_o2).  The first row of A and B and the
+    first column of C vanish, so z_p is conserved and enters the record only
+    through the observer.  D is the homodyne row K.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n != 3 or self.m != 2:
+            raise ValueError("augmented model has shapes A 3x3, B 3x2, C 2x3, D 1x2")
+        if np.any(self.A[0, :]) or np.any(self.B[0, :]):
+            raise ValueError("first row of A and B must vanish (conserved plant variable)")
+        if np.any(self.C[:, 0]):
+            raise ValueError("first column of C must vanish")
+        if np.any(self.sigma0[0, 1:]):
+            raise ValueError("sigma0 must be block diagonal in (z_p, x_o)")
 
 
 def build_augmented(plant: PlantSpec, observer: ObserverSpec) -> AugmentedModel:

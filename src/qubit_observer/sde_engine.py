@@ -220,7 +220,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
     # Live subsystem: observer quadratures plus the integrated record.
-    dc = (model.D @ model.C)[0]
+    dc = model.DC[0]
     a_live = np.zeros((3, 3))
     a_live[:2, :2] = model.A[1:, 1:]
     a_live[2, :2] = dc[1:]

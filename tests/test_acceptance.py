@@ -17,8 +17,7 @@ from qubit_observer.fock_oracle import (FockConfig, build_operators, evolve,
                                         reduced_mean_trajectory)
 from qubit_observer.kalman_filter import (error_covariance_ode,
                                           gain_interpolator, run_filter_ensemble,
-                                          solve_riccati,
-                                          specialize_plant_observer)
+                                          solve_riccati)
 from qubit_observer.model_builder import (ObserverSpec, build_augmented,
                                           closed_loop_transfer, hurwitz_check,
                                           optimal_gain, output_bias)
@@ -186,11 +185,10 @@ def test_criterion_6_filter_statistical_suite():
     start = time.perf_counter()
     n_paths = 2500
     sim = SimConfig(dt=0.004, t_final=2.0, n_paths=n_paths, seed=2718)
-    model = specialize_plant_observer(DEFAULT_PLANT, DEFAULT_OBSERVER)
-    reduced = build_augmented(DEFAULT_PLANT, DEFAULT_OBSERVER)
+    model = build_augmented(DEFAULT_PLANT, DEFAULT_OBSERVER)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
-    ens = simulate_paths(reduced, sim)
+    ens = simulate_paths(model, sim)
     x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
 
     n_steps = grid.size - 1

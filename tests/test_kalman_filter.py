@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qubit_observer.kalman_filter import (LinearModel, error_covariance_ode,
                                           gain_interpolator, kalman_gain,
                                           riccati_rhs, run_filter_ensemble,
-                                          solve_riccati,
-                                          specialize_plant_observer,
-                                          unbiased_drift, write_estimates_csv,
+                                          solve_riccati, unbiased_drift,
                                           write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
 from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
@@ -27,6 +26,33 @@ def scalar_regression_model():
                        x0_mean=np.zeros(1), sigma0=np.eye(1))
 
 
+def constant_model(a, b, c, d):
+    """Model with the given coefficients and unit initial covariance."""
+    n = np.shape(a)[0]
+    return LinearModel(A=a, B=b, C=c, D=d, x0_mean=np.zeros(n), sigma0=np.eye(n))
+
+
+def hamiltonian_riccati(model, grid):
+    """Exact Sigma*(t) = Y X^{-1} with [X; Y] = expm(H t) [I; Sigma0].
+
+    H = [[-F^T, Q], [R, F]] is built from the raw A, B, C, D (Davison & Maki,
+    IEEE TAC 18(1), 1973), independently of the model's derived coefficients.
+    """
+    a, b, c, d = model.A, model.B, model.C, model.D
+    s_inv = np.linalg.inv(d @ d.T)
+    f = a - b @ d.T @ s_inv @ d @ c
+    q = c.T @ d.T @ s_inv @ d @ c
+    r = b @ b.T - b @ d.T @ s_inv @ d @ b.T
+    n = model.n
+    ham = np.block([[-f.T, q], [r, f]])
+    start = np.vstack([np.eye(n), model.sigma0])
+    out = np.empty((len(grid), n, n))
+    for k, t in enumerate(grid):
+        xy = expm(ham * t) @ start
+        out[k] = np.linalg.solve(xy[:n].T, xy[n:].T).T
+    return out
+
+
 def test_linear_model_validation():
     with pytest.raises(ValueError):  # odd noise dimension
         LinearModel(A=np.zeros((1, 1)), B=np.zeros((1, 3)), C=np.zeros((3, 1)),
@@ -41,6 +67,10 @@ def test_linear_model_validation():
     with pytest.raises(ValueError):  # coefficient shape mismatch
         LinearModel(A=np.zeros((2, 1)), B=np.zeros((1, 2)), C=np.zeros((2, 1)),
                     D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(1), sigma0=np.eye(1))
+    with pytest.raises(TypeError):  # coefficients are constant matrices, not callables
+        LinearModel(A=lambda t: np.zeros((1, 1)), B=np.zeros((1, 2)),
+                    C=np.array([[1.0], [0.0]]), D=np.array([[1.0, 0.0]]),
+                    x0_mean=np.zeros(1), sigma0=np.eye(1))
 
 
 def test_unbiased_drift_cases():
@@ -52,11 +82,11 @@ def test_unbiased_drift_cases():
     f = unbiased_drift(np.zeros((1, 1)), g, np.array([[1.0, 0.0]]),
                        np.array([[1.0], [0.0]]))
     np.testing.assert_allclose(f, [[-0.7]], atol=ATOL)
-    model = specialize_plant_observer(PLANT, OBS)
-    gain = kalman_gain(np.eye(3), model.B(0.0), model.C(0.0), model.D)
-    direct = model.A(0.0) - gain @ model.D @ model.C(0.0)
+    model = build_augmented(PLANT, OBS)
+    gain = kalman_gain(model, np.eye(3))
+    direct = model.A - gain @ model.D @ model.C
     np.testing.assert_allclose(
-        unbiased_drift(model.A(0.0), gain, model.D, model.C(0.0)), direct, atol=ATOL)
+        unbiased_drift(model.A, gain, model.D, model.C), direct, atol=ATOL)
 
 
 def test_unbiased_drift_dimension_mismatch():
@@ -66,11 +96,10 @@ def test_unbiased_drift_dimension_mismatch():
 
 
 def test_kalman_gain_plant_observer_cases():
-    model = specialize_plant_observer(PLANT, OBS)
-    b, c, d = model.B(0.0), model.C(0.0), model.D
-    np.testing.assert_allclose(kalman_gain(np.eye(3), b, c, d),
+    model = build_augmented(PLANT, OBS)
+    np.testing.assert_allclose(kalman_gain(model, np.eye(3)),
                                np.zeros((3, 1)), atol=ATOL)
-    np.testing.assert_allclose(kalman_gain(2.0 * np.eye(3), b, c, d),
+    np.testing.assert_allclose(kalman_gain(model, 2.0 * np.eye(3)),
                                np.array([[0.0], [-2.0], [-2.0]]), atol=ATOL)
 
 
@@ -81,15 +110,15 @@ def test_kalman_gain_orthonormal_reduction():
     c = rng.normal(size=(2, 3))
     sigma = rng.normal(size=(3, 3))
     sigma = sigma @ sigma.T
+    model = constant_model(np.zeros((3, 3)), np.zeros((3, 2)), c, d)
     np.testing.assert_allclose(
-        kalman_gain(sigma, np.zeros((3, 2)), c, d), sigma @ c.T @ d.T, atol=1e-10)
+        kalman_gain(model, sigma), sigma @ c.T @ d.T, atol=1e-10)
 
 
 def test_riccati_rhs_scalar_regression():
     model = scalar_regression_model()
     for s in (0.2, 1.0, 3.0):
-        rhs = riccati_rhs(np.array([[s]]), model.A(0.0), model.B(0.0),
-                          model.C(0.0), model.D)
+        rhs = riccati_rhs(model, np.array([[s]]))
         np.testing.assert_allclose(rhs, [[-s * s]], atol=ATOL)
 
 
@@ -101,13 +130,13 @@ def test_riccati_rhs_lyapunov_reduction():
     c = np.array([[1.0], [0.0]])
     s = np.array([[0.8]])
     np.testing.assert_allclose(
-        riccati_rhs(s, a, b, c, d), a @ s + s @ a.T + b @ b.T, atol=ATOL)
+        riccati_rhs(constant_model(a, b, c, d), s), a @ s + s @ a.T + b @ b.T, atol=ATOL)
 
 
 def test_riccati_rhs_matches_specialized_block_form():
     """General four-term rhs equals the specialized three-term block assembly."""
-    model = specialize_plant_observer(PLANT, OBS)
-    a, b, c, d = model.A(0.0), model.B(0.0), model.C(0.0), model.D
+    model = build_augmented(PLANT, OBS)
+    a, d = model.A, model.D
     kappa = OBS.kappa
     k_row = d
     proj = k_row.T @ np.linalg.inv(k_row @ k_row.T) @ k_row
@@ -123,7 +152,7 @@ def test_riccati_rhs_matches_specialized_block_form():
         s = s @ s.T
         expected = a_mod @ s + s @ a_mod.T - s @ q_mod @ s + r_mod
         np.testing.assert_allclose(
-            riccati_rhs(s, a, b, c, d), 0.5 * (expected + expected.T), atol=1e-10)
+            riccati_rhs(model, s), 0.5 * (expected + expected.T), atol=1e-10)
 
 
 def test_solve_riccati_scalar_closed_form():
@@ -156,7 +185,7 @@ def test_solve_riccati_fourth_order_convergence():
 def test_riccati_first_row_stays_zero_for_pinned_plant():
     """sigma_p0 = 0 is a fixed point of the first row/column."""
     plant = PlantSpec(r_p=np.zeros(3), c_p=[0.0, 0.0, 1.0], rho_p=np.diag([1.0, 0.0]))
-    model = specialize_plant_observer(plant, OBS)
+    model = build_augmented(plant, OBS)
     assert model.sigma0[0, 0] == 0.0
     ricc = solve_riccati(model, np.linspace(0.0, 2.0, 201))
     np.testing.assert_allclose(ricc.sigma_star[:, 0, :], 0.0, atol=1e-12)
@@ -164,11 +193,29 @@ def test_riccati_first_row_stays_zero_for_pinned_plant():
 
 
 def test_riccati_solution_symmetric_psd():
-    model = specialize_plant_observer(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     ricc = solve_riccati(model, np.linspace(0.0, 2.0, 401))
     sym_err = np.max(np.abs(ricc.sigma_star - np.transpose(ricc.sigma_star, (0, 2, 1))))
     assert sym_err == 0.0
     assert np.linalg.eigvalsh(ricc.sigma_star).min() > -1e-8
+
+
+def test_riccati_matches_exact_hamiltonian_solution():
+    """RK4 Riccati and the co-integrated optimal covariance on the filter grid
+    against the exact solution of the constant Riccati equation."""
+    model = build_augmented(PLANT, OBS)
+    grid = time_grid(SimConfig(dt=0.005, t_final=5.0, n_paths=1, seed=0))
+    exact = hamiltonian_riccati(model, grid)
+    assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-8
+    _, cov = error_covariance_ode(model, None, grid)
+    assert np.max(np.abs(cov - exact)) < 1e-8
+
+
+def test_hamiltonian_solution_scalar_closed_form():
+    """The exact solution itself reproduces 1/(1+t) for scalar regression."""
+    grid = np.arange(0, 10001) * 1e-3
+    exact = hamiltonian_riccati(scalar_regression_model(), grid)
+    assert np.max(np.abs(exact[:, 0, 0] - 1.0 / (1.0 + grid))) < 1e-14
 
 
 def test_run_filter_homogeneous_flow():
@@ -210,9 +257,8 @@ def test_run_filter_ensemble_rejects_dz_shape_mismatch():
 
 def test_run_filter_ensemble_keeps_requested_nodes():
     """keep returns exactly the requested slices of the full run; bad keeps raise."""
-    model = specialize_plant_observer(PLANT, OBS)
-    reduced = build_augmented(PLANT, OBS)
-    ens = simulate_paths(reduced, SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3))
+    model = build_augmented(PLANT, OBS)
+    ens = simulate_paths(model, SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3))
     ricc = solve_riccati(model, ens.times)
     full = run_filter_ensemble(model, ricc, ens.times, ens.dz)
     for keep in ([0], [50], [4, 17, 50], np.arange(51)):
@@ -252,25 +298,24 @@ def test_scalar_regression_monte_carlo():
 
 def test_run_filter_matches_ensemble_version():
     """The vectorized filter equals a plain per-record loop of its update rule."""
-    model = specialize_plant_observer(PLANT, OBS)
-    reduced = build_augmented(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.01, t_final=0.5, n_paths=8, seed=44)
-    ens = simulate_paths(reduced, config)
+    ens = simulate_paths(model, config)
     ricc = solve_riccati(model, ens.times)
     batch = run_filter_ensemble(model, ricc, ens.times, ens.dz)
     for i, dz in enumerate(ens.dz):
         x_hat = model.x0_mean.copy()
         np.testing.assert_array_equal(batch[i, 0], x_hat)
         for k in range(dz.size):
-            a, _, c = model.coeffs_at(ens.times[k])
             g = ricc.gains[k]
             h = ens.times[k + 1] - ens.times[k]
-            x_hat = x_hat + (unbiased_drift(a, g, model.D, c) @ x_hat) * h + g[:, 0] * dz[k]
+            x_hat = (x_hat + (unbiased_drift(model.A, g, model.D, model.C) @ x_hat) * h
+                     + g[:, 0] * dz[k])
             np.testing.assert_allclose(batch[i, k + 1], x_hat, atol=1e-12)
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():
-    model = specialize_plant_observer(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     grid = np.linspace(0.0, 2.0, 401)
     ricc = solve_riccati(model, grid)
     _, cov = error_covariance_ode(model, None, grid)
@@ -290,7 +335,7 @@ def test_error_covariance_pure_diffusion():
 
 
 def test_error_covariance_perturbed_gains_are_worse():
-    model = specialize_plant_observer(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     grid = np.linspace(0.0, 2.0, 401)
     ricc = solve_riccati(model, grid)
     base_gain = gain_interpolator(ricc)
@@ -303,8 +348,8 @@ def test_error_covariance_perturbed_gains_are_worse():
         assert np.trace(cov[-1]) >= trace_star - 1e-9
 
 
-def test_specialize_plant_observer_moments_and_row():
-    model = specialize_plant_observer(PLANT, OBS)
+def test_plant_observer_model_moments_and_row():
+    model = build_augmented(PLANT, OBS)
     np.testing.assert_allclose(model.sigma0, np.diag([1.0, 1.0, 1.0]), atol=ATOL)
     np.testing.assert_allclose(model.D, [[-0.5, -0.5]], atol=ATOL)
     np.testing.assert_allclose(model.x0_mean, [0.0, 0.0, 0.0], atol=ATOL)
@@ -312,7 +357,7 @@ def test_specialize_plant_observer_moments_and_row():
 
 def test_specialized_gain_reduction_identity():
     """Gain reduces to (Sigma - I) [0; sqrt(k) I] K^T (K K^T)^{-1} for this model."""
-    model = specialize_plant_observer(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     k_row = model.D
     lift = np.zeros((3, 2))
     lift[1:, :] = math.sqrt(OBS.kappa) * np.eye(2)
@@ -321,34 +366,16 @@ def test_specialized_gain_reduction_identity():
         s = rng.normal(size=(3, 3))
         s = s @ s.T
         reduced = (s - np.eye(3)) @ lift @ k_row.T @ np.linalg.inv(k_row @ k_row.T)
-        np.testing.assert_allclose(
-            kalman_gain(s, model.B(0.0), model.C(0.0), k_row), reduced, atol=1e-10)
-
-
-def test_time_varying_coefficients_supported():
-    """Callable A(t) reduces to the constant case when evaluated on a schedule."""
-    def a_of_t(t):
-        return np.array([[-0.2 * (1.0 + 0.0 * t)]])
-
-    model = LinearModel(A=a_of_t, B=np.zeros((1, 2)), C=np.array([[1.0], [0.0]]),
-                        D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(1),
-                        sigma0=np.eye(1))
-    const = LinearModel(A=np.array([[-0.2]]), B=np.zeros((1, 2)),
-                        C=np.array([[1.0], [0.0]]), D=np.array([[1.0, 0.0]]),
-                        x0_mean=np.zeros(1), sigma0=np.eye(1))
-    grid = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(solve_riccati(model, grid).sigma_star,
-                               solve_riccati(const, grid).sigma_star, atol=1e-14)
+        np.testing.assert_allclose(kalman_gain(model, s), reduced, atol=1e-10)
 
 
 def test_filter_unbiased_and_covariance_consistent_quick():
     """Short Monte Carlo: bias and error covariance track the Riccati solution."""
-    model = specialize_plant_observer(PLANT, OBS)
-    reduced = build_augmented(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.005, t_final=1.0, n_paths=600, seed=71)
     grid = time_grid(config)
     ricc = solve_riccati(model, grid)
-    ens = simulate_paths(reduced, config)
+    ens = simulate_paths(model, config)
     x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
     n = config.n_paths
     for idx in (40, 100, 200):
@@ -365,24 +392,10 @@ def test_filter_unbiased_and_covariance_consistent_quick():
 
 
 def test_riccati_csv_writer(tmp_path):
-    model = specialize_plant_observer(PLANT, OBS)
+    model = build_augmented(PLANT, OBS)
     ricc = solve_riccati(model, np.linspace(0.0, 0.1, 3))
     out = tmp_path / "riccati.csv"
     write_riccati_csv(out, ricc)
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("t,sigma_11,sigma_12")
     assert len(lines) == 4
-
-
-def test_estimates_csv_writer(tmp_path):
-    times = np.linspace(0.0, 0.2, 3)
-    x_hat = np.zeros((2, 3, 3))
-    x_hat[1, :, 0] = 1.0
-    out = tmp_path / "estimates.csv"
-    write_estimates_csv(out, times, x_hat)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path_id,t,x_hat_1,x_hat_2,x_hat_3"
-    assert len(lines) == 1 + 2 * 3
-    # single-run form
-    write_estimates_csv(out, times, x_hat[0])
-    assert len(out.read_text().strip().splitlines()) == 1 + 3

@@ -1,0 +1,75 @@
+"""Model and filter invariants over random valid observer and plant parameters."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubit_observer.kalman_filter import solve_riccati
+from qubit_observer.model_builder import (ObserverSpec, build_augmented,
+                                          closed_loop_transfer, hurwitz_check,
+                                          optimal_gain, output_bias,
+                                          steady_state_mean)
+from qubit_observer.spin_algebra import PAULI, PlantSpec
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+observers = st.builds(
+    lambda omega_o, kappa, radius, angle: ObserverSpec(
+        omega_o=omega_o, kappa=kappa, beta=radius * np.array([np.cos(angle), np.sin(angle)])),
+    st.floats(0.0, 5.0), st.floats(0.2, 10.0), st.floats(0.1, 3.0),
+    st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def plants(draw):
+    """Qubit with readout row (1, 0, 0) in a random state inside the Bloch ball."""
+    bloch = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    bloch /= max(1.0, float(np.linalg.norm(bloch)))
+    rho = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", bloch, PAULI.matrices()))
+    return PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=rho)
+
+
+@SETTINGS
+@given(observers)
+def test_gain_constraint(obs):
+    e = output_bias(obs)
+    assert abs(float((optimal_gain(e) @ e)[0]) - 1.0) <= 1e-14
+
+
+@SETTINGS
+@given(observers, st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+def test_noise_channel_is_all_pass(obs, omegas):
+    for w in omegas + [2.0 * obs.omega_o]:
+        t_jw = closed_loop_transfer(obs, 1j * w)
+        residual = np.linalg.norm(t_jw @ t_jw.conj().T - np.eye(2), ord=np.inf)
+        assert residual <= 1e-10, (w, residual)
+
+
+@SETTINGS
+@given(observers)
+def test_drift_eigenvalues(obs):
+    is_hurwitz, eigs = hurwitz_check(obs)
+    expected = -0.5 * obs.kappa + np.array([-2j, 2j]) * obs.omega_o
+    assert is_hurwitz
+    assert np.max(np.abs(eigs - expected)) <= 1e-12
+
+
+@SETTINGS
+@given(observers, plants())
+def test_steady_state_mean_matches_direct_solve(obs, plant):
+    """The closed form equals the settled quadratures of the reduced model."""
+    model = build_augmented(plant, obs)
+    direct = -np.linalg.solve(model.A[1:, 1:], model.A[1:, 0])
+    settled = steady_state_mean(obs) @ obs.beta
+    assert np.max(np.abs(settled - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+@SETTINGS
+@given(observers, plants())
+def test_riccati_psd_and_plant_variance_non_increasing(obs, plant):
+    """Sigma* stays PSD, and its z_p entry cannot grow: its derivative is
+    -(Sigma Q Sigma)_zz with Q >= 0, as the first rows of F and R vanish."""
+    model = build_augmented(plant, obs)
+    sigma = solve_riccati(model, np.linspace(0.0, 1.0, 101)).sigma_star
+    assert np.linalg.eigvalsh(sigma).min() >= -1e-12
+    assert np.max(np.diff(sigma[:, 0, 0])) <= 0.0

@@ -246,7 +246,8 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
 def cmd_oracle(config: ExperimentConfig) -> tuple:
     """Master-equation oracle vs reduced linear model at the mean level."""
     plant, obs, fock = config.plant, config.observer, config.oracle
-    ops = build_operators(plant.c_p, obs.beta, obs.omega_o, obs.kappa, fock.n_trunc)
+    ops = build_operators(plant.r_p, plant.c_p, obs.beta, obs.omega_o, obs.kappa,
+                          fock.n_trunc)
     state = joint_initial_state(plant.rho_p, fock.n_trunc)
     initial = expectations(state.rho[None], ops)
     times, traces = evolve(state, ops, fock)

@@ -13,7 +13,7 @@ import numpy as np
 from .fock_oracle import FockConfig
 from .model_builder import ObserverSpec
 from .sde_engine import SimConfig
-from .spin_algebra import PlantSpec
+from .spin_algebra import PlantSpec, plant_generator
 
 __all__ = [
     "ConfigError",
@@ -130,6 +130,12 @@ def load_config(source) -> ExperimentConfig:
         "c_p": plant_raw["C_p"],
         "rho_p": _complex_matrix(plant_raw["rho_p"], "plant.rho_p"),
     })
+    generator = plant_generator(plant.r_p)
+    moved = float(np.linalg.norm(plant.c_p @ generator))
+    if moved > 1e-12 * np.linalg.norm(plant.c_p) * np.linalg.norm(generator):
+        raise ConfigError(f"plant.r_p: the plant Hamiltonian moves C_p . sigma "
+                          f"(|C_p^T G(r_p)| = {moved:.3e}); the tracked variable "
+                          "must be conserved")
 
     obs_raw = dict(raw["observer"])
     _check_keys(obs_raw, _SECTION_KEYS["observer"], "observer")

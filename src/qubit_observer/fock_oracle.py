@@ -132,18 +132,22 @@ def coherent_state(n_levels: int, alpha: complex) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def build_operators(c_p, beta, omega_o: float, kappa: float, n_trunc: int) -> OperatorSet:
+def build_operators(r_p, c_p, beta, omega_o: float, kappa: float,
+                    n_trunc: int) -> OperatorSet:
     """Assemble the joint Hamiltonian, decay operator and readout operators.
 
-    h_total = (c_p . sigma) (x) (beta . (q, p)) + I (x) (omega_o/2)(q^2 + p^2);
+    h_total = (r_p . sigma) (x) I + (c_p . sigma) (x) (beta . (q, p))
+              + I (x) (omega_o/2)(q^2 + p^2);
     the decay operator is sqrt(kappa) I (x) a; z_p = (c_p . sigma) (x) I.
     beta = 0 is accepted here (it just removes the coupling term) so the
-    closed-system limit can be exercised directly.
+    closed-system limit can be exercised directly, and so is any r_p, so the
+    oracle can show a plant Hamiltonian that moves z_p.
     """
+    r_p = np.asarray(r_p, dtype=float)
     c_p = np.asarray(c_p, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if c_p.shape != (3,) or beta.shape != (2,):
-        raise ValueError("c_p must be a 3-vector and beta a 2-vector")
+    if r_p.shape != (3,) or c_p.shape != (3,) or beta.shape != (2,):
+        raise ValueError("r_p and c_p must be 3-vectors and beta a 2-vector")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     n_levels = int(n_trunc) + 1
@@ -152,7 +156,8 @@ def build_operators(c_p, beta, omega_o: float, kappa: float, n_trunc: int) -> Op
     eye_q = np.eye(2, dtype=complex)
     eye_o = np.eye(n_levels, dtype=complex)
     spin = sum(ci * si for ci, si in zip(c_p, PAULI.matrices()))
-    h_total = np.kron(spin, beta[0] * q + beta[1] * p)
+    h_plant = sum(ri * si for ri, si in zip(r_p, PAULI.matrices()))
+    h_total = np.kron(h_plant, eye_o) + np.kron(spin, beta[0] * q + beta[1] * p)
     h_total = h_total + np.kron(eye_q, 0.5 * omega_o * (q @ q + p @ p))
     lindblad = np.sqrt(kappa) * np.kron(eye_q, a)
     return OperatorSet(

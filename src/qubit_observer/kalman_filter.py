@@ -35,7 +35,6 @@ from .spin_algebra import _frozen
 __all__ = [
     "LinearModel",
     "RiccatiSolution",
-    "unbiased_drift",
     "kalman_gain",
     "riccati_rhs",
     "solve_riccati",
@@ -62,17 +61,6 @@ class RiccatiSolution:
         object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=float)))
         object.__setattr__(self, "sigma_star", _frozen(np.asarray(self.sigma_star, dtype=float)))
         object.__setattr__(self, "gains", _frozen(np.asarray(self.gains, dtype=float)))
-
-
-def unbiased_drift(a, g, d, c) -> np.ndarray:
-    """Filter drift A - G D C forced by the unbiasedness requirement."""
-    a = np.asarray(a, dtype=float)
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.shape[0] != a.shape[1] or g.shape[0] != a.shape[0] or d.shape[1] != c.shape[0]:
-        raise ValueError("dimension mismatch in A - G D C")
-    return a - g @ (d @ c)
 
 
 def kalman_gain(model: LinearModel, sigma: np.ndarray) -> np.ndarray:

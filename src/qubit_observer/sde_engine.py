@@ -11,17 +11,18 @@ process exactly through the matrix exponential, so any step size yields the
 correct joint law; Euler-Maruyama is kept for convergence studies.  Within a
 step the same noise increment drives the state and the record, which is what
 makes the record informative for filtering; an independent-noise mode exists
-only as a deliberately wrong baseline for tests.
+only as a deliberately wrong baseline for tests.  All three are one linear
+recursion that differs only in its coefficients, driven by three sequential
+RNG streams (plant values, initial quadratures, noise) read in path order.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
-from .model_builder import AugmentedModel, ObserverSpec
-from .spin_algebra import PlantSpec, qubit_moments
+from .model_builder import AugmentedModel
 
 __all__ = [
     "SimConfig",
@@ -30,7 +31,6 @@ __all__ = [
     "time_grid",
     "exact_lti_step",
     "two_point_law",
-    "sample_initial",
     "simulate_paths",
     "ensemble_mean_cov",
     "write_paths_csv",
@@ -173,22 +173,6 @@ def two_point_law(mean: float, variance: float) -> tuple:
     return support, p_plus
 
 
-def sample_initial(plant: PlantSpec, observer: ObserverSpec, rng) -> tuple:
-    """Draw (z_p, x_o) initial values matching the quantum moments.
-
-    z_p takes the values +-|c_p| with probabilities fixed by the mean; x_o is
-    Gaussian with the observer's initial mean and covariance.
-    """
-    mean, _ = qubit_moments(plant)
-    support = float(np.linalg.norm(plant.c_p))
-    if abs(mean) > support * (1.0 + 1e-12):
-        raise ValueError("mean exceeds the spectral bound |c_p|; density matrix inconsistent")
-    p_plus = min(max(0.5 * (1.0 + mean / support), 0.0), 1.0)
-    z_p = support if rng.random() < p_plus else -support
-    x_o = observer.x0_mean + _psd_factor(observer.sigma0) @ rng.standard_normal(2)
-    return z_p, x_o
-
-
 def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     if np.isfinite(x).all():
         return
@@ -203,20 +187,28 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
 def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     """Sample trajectories and homodyne records of the reduced model.
 
-    Paths are sampled _CHUNK at a time straight into the ensemble arrays.
-    Each path owns an RNG substream derived from (seed, path index), and
-    every matrix product spans at least two paths, so a path's values are
-    bitwise the same whatever the ensemble size, and rerunning with the same
-    configuration is bitwise reproducible.  The conserved plant value never
-    enters the propagated state, so it is constant by construction on every
-    path.
+    The live state s = (x_o, integrated record) follows one linear recursion
+
+        s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
+
+    with (T, drift, L) = (exp(a dt), exact drift, chol(noise_cov)) from
+    exact_lti_step, or (I + a dt, u dt, sqrt(dt) b) for Euler-Maruyama, whose
+    independent-noise baseline uses sqrt(dt) blockdiag(B_o, D) instead of b.
+    SeedSequence(seed).spawn(3) gives three generators, read in path order:
+    one uniform per path for z_p, two normals per path for x_o(0), and
+    (n_steps, n_noise) normals per path for eta.  Paths are sampled _CHUNK at
+    a time and stepped in blocks of _CHECK_EVERY steps; every matrix product
+    spans at least two paths, so a path's values are bitwise the same whatever
+    the ensemble size, and reruns are bitwise reproducible.  The conserved
+    plant value never enters the propagated state, so it is constant by
+    construction on every path.
     """
     n_paths = config.n_paths
     n_steps = config.n_steps
     dt = config.dt
     times = time_grid(config)
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
-    mean_o = model.x0_mean[1:]
+    mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
     # Live subsystem: observer quadratures plus the integrated record.
@@ -226,59 +218,57 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     a_live[2, :2] = dc[1:]
     u_live = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
     b_live = np.vstack([model.B[1:, :], model.D])
-
-    exact = config.scheme == "exact_lti"
-    shared = config.record_noise == "shared"
-    if exact:
-        transition, drift_unit, noise_cov = exact_lti_step(a_live, b_live, dt, u=u_live)
+    if config.scheme == "exact_lti":
+        transition, drift, noise_cov = exact_lti_step(a_live, b_live, dt, u=u_live)
         noise_factor = _psd_factor(noise_cov)
-        n_noise = 3
     else:
-        drift_unit = u_live
-        sqdt = math.sqrt(dt)
-        a_oo, b_oo, d_row = a_live[:2, :2], model.B[1:, :], model.D[0]
-        n_noise = 2 if shared else 4
+        transition = np.eye(3) + a_live * dt
+        drift = u_live * dt
+        if config.record_noise == "independent":
+            b_live = block_diag(model.B[1:, :], model.D)
+        noise_factor = math.sqrt(dt) * b_live
+    n_noise = noise_factor.shape[1]
 
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, n_steps + 1, 2))
     dz = np.empty((n_paths, n_steps))
-    children = np.random.SeedSequence(config.seed).spawn(n_paths)
+    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
+                                np.random.SeedSequence(config.seed).spawn(3))
+    # A one-column product goes through BLAS's matrix-vector kernel, which
+    # rounds differently from the matrix-matrix one; a lone path is therefore
+    # padded with an idle column whose draws are zero.
+    eta = np.zeros((max(min(n_paths, _CHUNK), 2), n_steps, n_noise))
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         ids = range(start, stop)
         nc = stop - start
-        # A one-column product goes through BLAS's matrix-vector kernel, which
-        # rounds differently from the matrix-matrix one; a lone path is
-        # therefore padded with an idle all-zero column that stays zero.
         width = max(nc, 2)
         z_vals = np.zeros(width)
-        state = np.zeros((3, width))
-        eta = np.zeros((n_steps, n_noise, width))
-        for j, i in enumerate(ids):
-            rng = np.random.default_rng(children[i])
-            z_vals[j] = support if rng.random() < p_plus else -support
-            state[:2, j] = mean_o + factor_o @ rng.standard_normal(2)
-            eta[:, :, j] = rng.standard_normal((n_steps, n_noise))
+        z_vals[:nc] = np.where(z_rng.random(nc) < p_plus, support, -support)
+        x0 = np.zeros((width, 2))
+        x0_rng.standard_normal(out=x0[:nc])
+        eta[nc:width] = 0.0
+        noise_rng.standard_normal(out=eta[:nc])
+        forcing = drift[:, None] * z_vals
+        block = np.empty((_CHECK_EVERY + 1, 3, width))
+        noise = np.empty((_CHECK_EVERY, 3, width))
+        block[0, :2] = mean_o + factor_o @ x0.T
+        block[0, 2] = 0.0
         z_p[start:stop] = z_vals[:nc]
-        x_o[start:stop, 0] = state[:2, :nc].T
+        x_o[start:stop, 0] = block[0, :2, :nc].T
 
-        forcing = drift_unit[:, None] * z_vals[None, :]
-        for k in range(n_steps):
-            if exact:
-                new = transition @ state + forcing + noise_factor @ eta[k]
-            else:
-                dw = sqdt * eta[k, :2]
-                dw_rec = dw if shared else sqdt * eta[k, 2:4]
-                dz_k = (dc[1:] @ state[:2] + forcing[2]) * dt + d_row @ dw_rec
-                new = np.empty_like(state)
-                new[:2] = state[:2] + (a_oo @ state[:2] + forcing[:2]) * dt + b_oo @ dw
-                new[2] = state[2] + dz_k
-            x_o[start:stop, k + 1] = new[:2, :nc].T
-            dz[start:stop, k] = new[2, :nc] - state[2, :nc]
-            state = new
-            if (k + 1) % _CHECK_EVERY == 0:
-                _finiteness_check(state, ids, k)
-        _finiteness_check(state, ids, n_steps)
+        for b0 in range(0, n_steps, _CHECK_EVERY):
+            n = min(_CHECK_EVERY, n_steps - b0)
+            np.matmul(noise_factor, eta[:width, b0:b0 + n].transpose(1, 2, 0), out=noise[:n])
+            noise[:n] += forcing
+            for j in range(n):
+                np.matmul(transition, block[j], out=block[j + 1])
+                block[j + 1] += noise[j]
+            x_o[start:stop, b0 + 1:b0 + n + 1] = block[1:n + 1, :2, :nc].transpose(2, 0, 1)
+            np.subtract(block[1:n + 1, 2, :nc].T, block[:n, 2, :nc].T,
+                        out=dz[start:stop, b0:b0 + n])
+            _finiteness_check(block[n, :, :nc], ids, b0 + n)
+            block[0] = block[n]
 
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)

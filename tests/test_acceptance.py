@@ -85,7 +85,7 @@ def test_criterion_2_qnd_invariance():
             exact_zero = exact_zero and component == 0.0
 
     kappa = 4.0
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, kappa, 20)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, kappa, 20)
     comm_h = np.abs(ops.z_p @ ops.h_total - ops.h_total @ ops.z_p).max()
     comm_l = np.abs(ops.z_p @ ops.lindblad - ops.lindblad @ ops.z_p).max()
     state = joint_initial_state(EIGENSTATE_RHO, 20)
@@ -232,7 +232,7 @@ def test_criterion_7_surrogate_oracle_agreement():
     start = time.perf_counter()
     plant = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=EIGENSTATE_RHO)
     obs = DEFAULT_OBSERVER
-    ops = build_operators(plant.c_p, obs.beta, obs.omega_o, obs.kappa, 20)
+    ops = build_operators(plant.r_p, plant.c_p, obs.beta, obs.omega_o, obs.kappa, 20)
     state = joint_initial_state(plant.rho_p, 20)
     config = FockConfig(n_trunc=20, dt=1e-3, t_final=2.5, store_every=10)
     times, traces = evolve(state, ops, config)

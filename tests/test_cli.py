@@ -115,6 +115,31 @@ def test_invalid_beta_exits_with_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_plant_hamiltonian_that_moves_zp_exits_with_config_error(tmp_path, capsys):
+    cfg = small_config()
+    cfg["plant"]["r_p"] = [0.0, 3.0, 0.0]
+    with pytest.raises(ConfigError, match="plant.r_p"):
+        load_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "plant.r_p" in capsys.readouterr().err
+    cfg["plant"]["r_p"] = [2.0, 0.0, 0.0]  # parallel to C_p: conserves z_p
+    assert np.array_equal(load_config(cfg).plant.r_p, [2.0, 0.0, 0.0])
+
+
+def test_oracle_evolves_the_plant_hamiltonian():
+    """build_operators takes any r_p: one that rotates z_p = sigma_1 fails the
+    QND gate, one parallel to C_p leaves the eigenstate's z_p in place."""
+    cfg = small_config()
+    cfg["plant"]["rho_p"] = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+    config = load_config(cfg)
+    for r_p, qnd in (([0.0, 3.0, 0.0], False), ([2.0, 0.0, 0.0], True)):
+        plant = replace(config.plant, r_p=np.array(r_p))
+        report, _ = cli.cmd_oracle(replace(config, plant=plant))
+        assert report["checks"]["qnd_invariance"]["passed"] is qnd, r_p
+        assert report["passed"] is qnd, r_p
+
+
 def test_threads_flag_is_rejected(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     for command in ("analyze", "simulate", "filter", "oracle"):
@@ -181,9 +206,9 @@ def test_filter_monte_carlo_run(tmp_path):
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
-@pytest.mark.parametrize("seed", [80, 116])
+@pytest.mark.parametrize("seed", [124, 146])
 def test_filter_gate_passes_seeds_with_largest_z(seed):
-    """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.01, 4.14) pass
+    """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.00, 4.20) pass
     once the limit keeps the family-wise rate of a single 4-sigma test."""
     config = load_config(DEFAULT_CONFIG)
     report, _ = cli.cmd_filter(replace(config, sim=replace(config.sim, seed=seed)))

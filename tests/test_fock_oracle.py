@@ -30,19 +30,19 @@ def test_quadrature_commutator_below_truncation():
 
 def test_coupling_operator_solves_quadrature_relation():
     """L + L^dag = sqrt(k) q and (L - L^dag)/i = sqrt(k) p, elementwise."""
-    ops = build_operators([1.0, 0.0, 0.0], [0.3, -0.4], 1.0, 4.0, 8)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.3, -0.4], 1.0, 4.0, 8)
     lind = np.asarray(ops.lindblad)
     np.testing.assert_allclose(lind + lind.conj().T, 2.0 * ops.q, atol=1e-12)
     np.testing.assert_allclose((lind - lind.conj().T) / 1j, 2.0 * ops.p, atol=1e-12)
 
 
 def test_hamiltonian_vanishes_without_coupling_or_detuning():
-    ops = build_operators([1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, 6)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, 6)
     np.testing.assert_array_equal(ops.h_total, np.zeros_like(ops.h_total))
 
 
 def test_qnd_commutators_vanish_exactly():
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 10)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 10)
     h_comm = ops.z_p @ ops.h_total - ops.h_total @ ops.z_p
     l_comm = ops.z_p @ ops.lindblad - ops.lindblad @ ops.z_p
     assert np.abs(h_comm).max() <= 1e-12
@@ -70,7 +70,7 @@ def test_lossy_cavity_decay_of_coherent_state():
     """<a>(t) = alpha exp(-kappa t / 2) for the undriven damped cavity."""
     kappa = 4.0
     n_trunc = 12
-    ops = build_operators([1.0, 0.0, 0.0], [0.0, 0.0], 0.0, kappa, n_trunc)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, kappa, n_trunc)
     state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc, alpha=0.5)
     times, traces = evolve(state, ops, FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=1.0))
     mean_a = 0.5 * (traces.exp_q + 1j * traces.exp_p)  # q + i p = 2a
@@ -78,7 +78,7 @@ def test_lossy_cavity_decay_of_coherent_state():
 
 
 def test_trace_preserved_long_run():
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 10)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 10)
     state = joint_initial_state(MIXED, 10)
     times, traces = evolve(state, ops, FockConfig(n_trunc=10, dt=1e-3, t_final=5.0,
                                                   store_every=100))
@@ -87,7 +87,7 @@ def test_trace_preserved_long_run():
 
 def test_zp_expectation_constant_for_pinned_state():
     """sigma_3 eigenstate with c_p = e_3 keeps the readout at exactly one."""
-    ops = build_operators([0.0, 0.0, 1.0], [1.0, 0.0], 1.0, 4.0, 14)
+    ops = build_operators(np.zeros(3), [0.0, 0.0, 1.0], [1.0, 0.0], 1.0, 4.0, 14)
     state = joint_initial_state(np.diag([1.0, 0.0]), 14)
     times, traces = evolve(state, ops, FockConfig(n_trunc=14, dt=1e-3, t_final=1.0,
                                                   store_every=20))
@@ -96,7 +96,7 @@ def test_zp_expectation_constant_for_pinned_state():
 
 
 def test_quadrature_means_stay_zero_for_mixed_qubit():
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 12)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 12)
     state = joint_initial_state(MIXED, 12)
     _, traces = evolve(state, ops, FockConfig(n_trunc=12, dt=1e-3, t_final=1.0,
                                               store_every=20))
@@ -106,7 +106,7 @@ def test_quadrature_means_stay_zero_for_mixed_qubit():
 
 def test_quadrature_means_follow_reduced_model():
     """Eigenstate driving reproduces the linear mean ODE within 1e-4."""
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 20)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 20)
     state = joint_initial_state(EIGENSTATE, 20)
     times, traces = evolve(state, ops, FockConfig(n_trunc=20, dt=1e-3, t_final=2.0,
                                                   store_every=10))
@@ -122,7 +122,7 @@ def test_quadrature_means_follow_reduced_model():
 
 def test_truncation_guard_raises():
     """Strong drive at low truncation must surface a clean leakage error."""
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 0.0, 0.5, 4)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 0.0, 0.5, 4)
     state = joint_initial_state(EIGENSTATE, 4)
     with pytest.raises(FockTruncationError):
         evolve(state, ops, FockConfig(n_trunc=4, dt=1e-3, t_final=5.0))
@@ -146,7 +146,7 @@ def test_joint_state_validation():
 
 
 def test_expectations_rejects_corrupted_state():
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 4)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 4)
     dim = 2 * 5
     rho = np.zeros((1, dim, dim), dtype=complex)
     rho[0, 0, 0] = 0.5
@@ -157,7 +157,7 @@ def test_expectations_rejects_corrupted_state():
 
 
 def test_oracle_csv(tmp_path):
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 8)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.0], 1.0, 4.0, 8)
     state = joint_initial_state(MIXED, 8)
     times, traces = evolve(state, ops, FockConfig(n_trunc=8, dt=1e-2, t_final=0.1))
     out = tmp_path / "oracle.csv"
@@ -194,7 +194,7 @@ def _reference_traces(ops, state, times, propagate):
 def test_evolve_matches_dense_exponential():
     """vec/kron ordering pinned against expm of a generator built entrywise."""
     n_trunc = 5
-    ops = build_operators([0.6, 0.0, 0.8], [0.7, -0.3], 1.3, 2.0, n_trunc)
+    ops = build_operators(np.zeros(3), [0.6, 0.0, 0.8], [0.7, -0.3], 1.3, 2.0, n_trunc)
     state = joint_initial_state(EIGENSTATE, n_trunc, alpha=0.4 + 0.2j)
     gen = _dense_superoperator(ops)
     np.testing.assert_allclose(liouvillian(ops).toarray(), gen, atol=1e-14)
@@ -209,7 +209,7 @@ def test_evolve_matches_dense_exponential():
 def test_evolve_blocks_and_tail_match_single_shot():
     """More stored nodes than one block, and n_steps not a multiple of store_every."""
     n_trunc = 5
-    ops = build_operators([1.0, 0.0, 0.0], [1.0, 0.5], 1.0, 4.0, n_trunc)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.5], 1.0, 4.0, n_trunc)
     state = joint_initial_state(EIGENSTATE, n_trunc)
     config = FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.63, store_every=2,
                         leakage_threshold=1e-2)
@@ -229,7 +229,7 @@ def test_non_hermitian_hamiltonian_trips_trace_drift():
     """h = 5i sigma_1 (x) I: rho(t) = e^{5 sigma_1 t} rho e^{-5 sigma_1 t} keeps its trace
     only through cancelling entries of size e^{10 t}, which roundoff cannot hold."""
     n_trunc = 4
-    ops = build_operators([1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, n_trunc)
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, n_trunc)
     pump = 5j * np.kron(PAULI.matrices()[0], np.eye(n_trunc + 1))
     state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc)
     with pytest.raises(RuntimeError, match="trace drift"):

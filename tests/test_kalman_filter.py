@@ -7,8 +7,7 @@ from scipy.linalg import expm
 from qubit_observer.kalman_filter import (LinearModel, error_covariance_ode,
                                           gain_interpolator, kalman_gain,
                                           riccati_rhs, run_filter_ensemble,
-                                          solve_riccati, unbiased_drift,
-                                          write_riccati_csv)
+                                          solve_riccati, write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
 from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PlantSpec
@@ -71,28 +70,6 @@ def test_linear_model_validation():
         LinearModel(A=lambda t: np.zeros((1, 1)), B=np.zeros((1, 2)),
                     C=np.array([[1.0], [0.0]]), D=np.array([[1.0, 0.0]]),
                     x0_mean=np.zeros(1), sigma0=np.eye(1))
-
-
-def test_unbiased_drift_cases():
-    a = np.diag([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(
-        unbiased_drift(a, np.zeros((3, 1)), np.array([[1.0, 0.0]]), np.zeros((2, 3))), a)
-    # scalar case: n = 1, C = (1, 0)^T, D = (1, 0), G = g gives F = -g
-    g = np.array([[0.7]])
-    f = unbiased_drift(np.zeros((1, 1)), g, np.array([[1.0, 0.0]]),
-                       np.array([[1.0], [0.0]]))
-    np.testing.assert_allclose(f, [[-0.7]], atol=ATOL)
-    model = build_augmented(PLANT, OBS)
-    gain = kalman_gain(model, np.eye(3))
-    direct = model.A - gain @ model.D @ model.C
-    np.testing.assert_allclose(
-        unbiased_drift(model.A, gain, model.D, model.C), direct, atol=ATOL)
-
-
-def test_unbiased_drift_dimension_mismatch():
-    with pytest.raises(ValueError):
-        unbiased_drift(np.zeros((2, 2)), np.zeros((3, 1)), np.array([[1.0, 0.0]]),
-                       np.zeros((2, 2)))
 
 
 def test_kalman_gain_plant_observer_cases():
@@ -309,7 +286,7 @@ def test_run_filter_matches_ensemble_version():
         for k in range(dz.size):
             g = ricc.gains[k]
             h = ens.times[k + 1] - ens.times[k]
-            x_hat = (x_hat + (unbiased_drift(model.A, g, model.D, model.C) @ x_hat) * h
+            x_hat = (x_hat + ((model.A - g @ model.D @ model.C) @ x_hat) * h
                      + g[:, 0] * dz[k])
             np.testing.assert_allclose(batch[i, k + 1], x_hat, atol=1e-12)
 

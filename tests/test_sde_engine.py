@@ -7,9 +7,9 @@ import pytest
 from qubit_observer.model_builder import (AugmentedModel, ObserverSpec,
                                           build_augmented, steady_state_mean)
 from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
-                                       exact_lti_step, sample_initial,
-                                       simulate_paths, time_grid,
-                                       two_point_law, write_paths_csv)
+                                       exact_lti_step, simulate_paths,
+                                       time_grid, two_point_law,
+                                       write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
 
 MIXED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=np.eye(2) / 2)
@@ -101,19 +101,19 @@ def test_two_point_law():
         two_point_law(0.0, -1e-6)
 
 
-def test_sample_initial_deterministic_case():
+def test_paths_pinned_plant_gives_unit_zp():
     plant = PlantSpec(r_p=np.zeros(3), c_p=[0.0, 0.0, 1.0], rho_p=np.diag([1.0, 0.0]))
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        z_p, _ = sample_initial(plant, OBS, rng)
-        assert z_p == 1.0
+    ens = simulate_paths(build_augmented(plant, OBS),
+                         SimConfig(dt=0.1, t_final=0.2, n_paths=50, seed=0))
+    assert np.all(ens.z_p == 1.0)
 
 
-def test_sample_initial_reproduces_moments():
-    """Empirical mean/variance of 1e5 draws within 4 standard errors."""
-    rng = np.random.default_rng(99)
+def test_paths_reproduce_zp_moments():
+    """Empirical mean/variance of z_p over 1e5 paths within 4 standard errors."""
     n = 100_000
-    draws = np.array([sample_initial(MIXED, OBS, rng)[0] for _ in range(n)])
+    dt = 0.1
+    draws = simulate_paths(build_augmented(MIXED, OBS),
+                           SimConfig(dt=dt, t_final=2 * dt, n_paths=n, seed=99)).z_p
     se_mean = 1.0 / math.sqrt(n)
     assert abs(draws.mean() - 0.0) < 4 * se_mean
     se_var = math.sqrt(2.0 / n)
@@ -203,6 +203,74 @@ def test_paths_independent_of_ensemble_size(scheme):
         for name in ("z_p", "x_o", "dz"):
             np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[:n],
                                           err_msg=f"{name}, n_paths={n}")
+
+
+def _reference_paths(model, config, transition, drift, factor):
+    """Plain per-path, per-step loop over the three documented streams."""
+    support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
+    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
+                                np.random.SeedSequence(config.seed).spawn(3))
+    factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
+    n_steps = config.n_steps
+    z_p = np.empty(config.n_paths)
+    x_o = np.empty((config.n_paths, n_steps + 1, 2))
+    dz = np.empty((config.n_paths, n_steps))
+    for i in range(config.n_paths):
+        z_p[i] = support if z_rng.random() < p_plus else -support
+        state = np.append(model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2), 0.0)
+        eta = noise_rng.standard_normal((n_steps, factor.shape[1]))
+        x_o[i, 0] = state[:2]
+        for k in range(n_steps):
+            new = transition @ state + drift * z_p[i] + factor @ eta[k]
+            x_o[i, k + 1] = new[:2]
+            dz[i, k] = new[2] - state[2]
+            state = new
+    return z_p, x_o, dz
+
+
+@pytest.mark.parametrize("scheme", ["exact_lti", "euler_maruyama", "independent"])
+def test_sampler_matches_reference_recursion(scheme):
+    """simulate_paths is the recursion s' = T s + drift z_p + L eta on the stream
+    contract; 257 paths and 130 steps cross a chunk and two block boundaries."""
+    plant = PlantSpec(r_p=np.zeros(3), c_p=[0.0, 0.0, 1.0], rho_p=np.diag([0.8, 0.2]))
+    observer = ObserverSpec(omega_o=1.0, kappa=4.0, beta=np.array([0.6, 0.8]),
+                            x0_mean=[0.3, -0.2], sigma0=[[1.0, 0.2], [0.2, 0.5]])
+    model = build_augmented(plant, observer)
+    dt = 0.02
+    config = SimConfig(dt=dt, t_final=2.6, n_paths=257, seed=17,
+                       scheme="exact_lti" if scheme == "exact_lti" else "euler_maruyama",
+                       record_noise="independent" if scheme == "independent" else "shared")
+    dc = (model.D @ model.C)[0]
+    a = np.zeros((3, 3))
+    a[:2, :2] = model.A[1:, 1:]
+    a[2, :2] = dc[1:]
+    u = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
+    b = np.vstack([model.B[1:], model.D])
+    if scheme == "exact_lti":
+        transition, drift, cov = exact_lti_step(a, b, dt, u=u)
+        factor = np.linalg.cholesky(cov)
+    else:
+        transition, drift = np.eye(3) + a * dt, u * dt
+        if scheme == "independent":
+            b = np.zeros((3, 4))
+            b[:2, :2] = model.B[1:]
+            b[2, 2:] = model.D[0]
+        factor = math.sqrt(dt) * b
+    z_p, x_o, dz = _reference_paths(model, config, transition, drift, factor)
+    ens = simulate_paths(model, config)
+    assert set(np.unique(z_p)) == {-1.0, 1.0}
+    np.testing.assert_array_equal(ens.z_p, z_p)
+    np.testing.assert_allclose(ens.x_o, x_o, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(ens.dz, dz, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unstable_euler_run_raises():
+    """dt = 1.5 at kappa = 4 makes I + a dt expand by sqrt(13) per step."""
+    model = build_augmented(PINNED, OBS)
+    config = SimConfig(dt=1.5, t_final=1500.0, n_paths=3, seed=0, scheme="euler_maruyama")
+    with pytest.raises(RuntimeError, match="non-finite state"):
+        simulate_paths(model, config)
 
 
 def test_euler_scheme_runs_and_shares_noise():

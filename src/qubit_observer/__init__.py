@@ -12,13 +12,11 @@ from .kalman_filter import (RiccatiSolution, error_covariance_ode, kalman_gain,
                             riccati_rhs, run_filter_ensemble, solve_riccati)
 from .model_builder import (AugmentedModel, LinearModel, ObserverSpec,
                             build_augmented, closed_loop_transfer, hurwitz_check,
-                            observer_drift, optimal_gain, output_bias,
-                            realizability_matrices, steady_state_mean,
-                            symplectic_j)
+                            optimal_gain, output_bias, realizability_matrices,
+                            steady_state_mean, symplectic_j)
 from .sde_engine import (Ensemble, SimConfig, exact_lti_step, simulate_paths,
                          time_grid, two_point_law)
-from .spin_algebra import (PAULI, PauliBasis, PlantSpec, ThetaMatrix,
-                           commutator_oracle, pauli_product, plant_generator,
+from .spin_algebra import (PAULI, PauliBasis, PlantSpec, plant_generator,
                            qubit_moments, theta)
 
 __version__ = "0.1.0"

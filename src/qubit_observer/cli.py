@@ -109,7 +109,6 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
         "command": "simulate",
         "n_paths": int(z_true.size),
         "t_final": float(ens.times[-1]),
-        "scheme": config.sim.scheme,
         "seed": config.sim.seed,
         "groups": {},
         "checks": {},

@@ -70,14 +70,13 @@ class ExperimentConfig:
 _SECTION_KEYS = {
     "plant": {"r_p", "C_p", "rho_p"},
     "observer": {"omega_o", "kappa", "beta", "x0_mean", "sigma0"},
-    "sim": {"dt", "t_final", "n_paths", "seed", "scheme", "record_noise"},
+    "sim": {"dt", "t_final", "n_paths", "seed"},
     "filter": {"dt", "t_final"},
     "oracle": {"n_trunc", "dt", "t_final", "leakage_threshold", "store_every"},
     "outputs": {"directory", "formats"},
 }
 
-_SIM_DEFAULTS = {"dt": 0.01, "t_final": 10.0, "n_paths": 2000, "seed": 0,
-                 "scheme": "exact_lti", "record_noise": "shared"}
+_SIM_DEFAULTS = {"dt": 0.01, "t_final": 10.0, "n_paths": 2000, "seed": 0}
 
 
 def _check_keys(section: dict, allowed, path: str) -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "solve_riccati",
     "run_filter_ensemble",
     "error_covariance_ode",
-    "gain_interpolator",
     "write_riccati_csv",
 ]
 
@@ -190,24 +189,6 @@ def error_covariance_ode(model: LinearModel, gain, grid) -> tuple:
         return _lyapunov_rhs(model, sigma, np.asarray(gain(t), dtype=float))
 
     return grid, _rk4(rhs, model.sigma0, grid, "covariance")
-
-
-def gain_interpolator(riccati: RiccatiSolution):
-    """Entrywise-linear interpolant of the stored gain schedule, clamped at the ends."""
-    times = riccati.times
-    gains = riccati.gains
-
-    def gain(t: float) -> np.ndarray:
-        if t <= times[0]:
-            return gains[0]
-        if t >= times[-1]:
-            return gains[-1]
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[idx], times[idx + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * gains[idx] + w * gains[idx + 1]
-
-    return gain
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:

@@ -20,7 +20,6 @@ __all__ = [
     "LinearModel",
     "AugmentedModel",
     "symplectic_j",
-    "observer_drift",
     "realizability_matrices",
     "build_augmented",
     "steady_state_mean",
@@ -74,6 +73,9 @@ class ObserverSpec:
             raise ValueError("beta must be nonzero (zero coupling leaves nothing to measure)")
         if x0.shape != (2,):
             raise ValueError("x0_mean must be a real 2-vector")
+        for name, arr in (("beta", beta), ("x0_mean", x0), ("sigma0", s0)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if s0.shape != (2, 2) or not np.allclose(s0, s0.T, atol=1e-12):
             raise ValueError("sigma0 must be 2x2 symmetric")
         if np.linalg.eigvalsh(0.5 * (s0 + s0.T)).min() < -1e-12:
@@ -83,11 +85,6 @@ class ObserverSpec:
         object.__setattr__(self, "beta", _frozen(beta))
         object.__setattr__(self, "x0_mean", _frozen(x0))
         object.__setattr__(self, "sigma0", _frozen(0.5 * (s0 + s0.T)))
-
-
-def observer_drift(observer: ObserverSpec) -> np.ndarray:
-    """Drift matrix -(kappa/2) I + 2 omega_o J of the observer quadratures."""
-    return -0.5 * observer.kappa * np.eye(2) + 2.0 * observer.omega_o * _J
 
 
 def realizability_matrices(r_o, w_o) -> tuple:
@@ -113,6 +110,16 @@ def realizability_matrices(r_o, w_o) -> tuple:
     b_o = _J @ w_o.T @ _J
     c_o = w_o.copy()
     return a_o, b_o, c_o
+
+
+def _observer_blocks(observer: ObserverSpec) -> tuple:
+    """(a_o, b_o, c_o) of the observer: r_o = omega_o I, w_o = sqrt(kappa) I.
+
+    These are a_o = -(kappa/2) I + 2 omega_o J, b_o = -sqrt(kappa) I and
+    c_o = sqrt(kappa) I.
+    """
+    eye = np.eye(2)
+    return realizability_matrices(observer.omega_o * eye, np.sqrt(observer.kappa) * eye)
 
 
 @dataclass(frozen=True)
@@ -215,19 +222,20 @@ class AugmentedModel(LinearModel):
 def build_augmented(plant: PlantSpec, observer: ObserverSpec) -> AugmentedModel:
     """Assemble the reduced plant-observer model with the optimal homodyne row.
 
-    A couples z_p into the quadratures through 2 J beta; B = [0; -sqrt(kappa) I]
-    and C = [0  sqrt(kappa) I] carry the shared input noise; D = K.  Initial
-    moments come from the qubit density matrix and the observer defaults.
+    A couples z_p into the quadratures through 2 J beta; the observer blocks
+    a_o, b_o = -sqrt(kappa) I and c_o = sqrt(kappa) I come from
+    realizability_matrices, and b_o, c_o carry the shared input noise; D = K.
+    Initial moments come from the qubit density matrix and the observer
+    defaults.
     """
-    sk = np.sqrt(observer.kappa)
-    a_tilde = observer_drift(observer)
+    a_o, b_o, c_o = _observer_blocks(observer)
     A = np.zeros((3, 3))
     A[1:, 0] = 2.0 * _J @ observer.beta
-    A[1:, 1:] = a_tilde
+    A[1:, 1:] = a_o
     B = np.zeros((3, 2))
-    B[1:, :] = -sk * np.eye(2)
+    B[1:, :] = b_o
     C = np.zeros((2, 3))
-    C[:, 1:] = sk * np.eye(2)
+    C[:, 1:] = c_o
     D = optimal_gain(output_bias(observer))
     mean, variance = qubit_moments(plant)
     x0 = np.concatenate(([mean], observer.x0_mean))
@@ -245,22 +253,22 @@ def steady_state_mean(observer: ObserverSpec) -> np.ndarray:
         M = 4 / (kappa^2 + 16 omega_o^2) * [[kappa, 4 omega_o],
                                             [-4 omega_o, kappa]] @ J.
 
-    Cross-checked against -2 Atilde^{-1} J beta before returning.
+    Cross-checked against -2 a_o^{-1} J beta before returning.
     """
     kappa, omega_o = observer.kappa, observer.omega_o
     M = (4.0 / (kappa**2 + 16.0 * omega_o**2)) * np.array(
         [[kappa, 4.0 * omega_o], [-4.0 * omega_o, kappa]]
     ) @ _J
-    direct = -2.0 * np.linalg.solve(observer_drift(observer), _J @ observer.beta)
+    direct = -2.0 * np.linalg.solve(_observer_blocks(observer)[0], _J @ observer.beta)
     if np.max(np.abs(M @ observer.beta - direct)) > 1e-12:
         raise RuntimeError("steady-state mean closed form disagrees with direct solve")
     return M
 
 
 def output_bias(observer: ObserverSpec) -> np.ndarray:
-    """Bias vector e = -2 sqrt(kappa) Atilde^{-1} J beta of the output field."""
-    a_tilde = observer_drift(observer)
-    return -2.0 * np.sqrt(observer.kappa) * np.linalg.solve(a_tilde, _J @ observer.beta)
+    """Bias vector e = -2 sqrt(kappa) a_o^{-1} J beta of the output field."""
+    a_o = _observer_blocks(observer)[0]
+    return -2.0 * np.sqrt(observer.kappa) * np.linalg.solve(a_o, _J @ observer.beta)
 
 
 def optimal_gain(e) -> np.ndarray:
@@ -279,13 +287,13 @@ def optimal_gain(e) -> np.ndarray:
 
 
 def closed_loop_transfer(observer: ObserverSpec, s: complex) -> np.ndarray:
-    """Input-output map T(s) = I - kappa (s I - Atilde)^{-1} of the noise channel.
+    """Input-output map T(s) = I - kappa (s I - a_o)^{-1} of the noise channel.
 
     This is the map from input noise to the settled output field including the
     direct feedthrough, and it is all-pass: T(jw) T(jw)^dag = I for all real w.
     """
-    a_tilde = observer_drift(observer)
-    resolvent_arg = complex(s) * np.eye(2) - a_tilde
+    a_o = _observer_blocks(observer)[0]
+    resolvent_arg = complex(s) * np.eye(2) - a_o
     if np.linalg.cond(resolvent_arg) > _COND_LIMIT:
         raise ValueError(f"resolvent singular at s = {s}")
     return np.eye(2) - observer.kappa * np.linalg.inv(resolvent_arg)
@@ -297,6 +305,6 @@ def hurwitz_check(observer: ObserverSpec) -> tuple:
     The drift -(kappa/2) I + 2 omega_o J has eigenvalues -kappa/2 +- 2i omega_o,
     so the check passes for every valid observer.
     """
-    eigs = np.linalg.eigvals(observer_drift(observer).astype(complex))
+    eigs = np.linalg.eigvals(_observer_blocks(observer)[0].astype(complex))
     eigs = eigs[np.argsort(eigs.imag, kind="stable")]
     return bool(np.all(eigs.real < 0.0)), eigs

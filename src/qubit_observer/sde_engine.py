@@ -6,28 +6,25 @@ ordinary SDE: the plant value is drawn from the two-point law on the spectrum
 {+|c_p|, -|c_p|} that reproduces its quantum mean and variance exactly, and
 the observer quadratures are driven by unit-intensity Wiener increments.
 
-Two schemes are provided.  The default discretizes the joint (state, record)
-process exactly through the matrix exponential, so any step size yields the
-correct joint law; Euler-Maruyama is kept for convergence studies.  Within a
-step the same noise increment drives the state and the record, which is what
-makes the record informative for filtering; an independent-noise mode exists
-only as a deliberately wrong baseline for tests.  All three are one linear
-recursion that differs only in its coefficients, driven by three sequential
-RNG streams (plant values, initial quadratures, noise) read in path order.
+The joint (state, record) process is discretized exactly through the matrix
+exponential, so any step size yields the correct joint law.  Within a step
+the same noise increment drives the state and the record, which is what
+makes the record informative for filtering.  The sampler is one linear
+recursion driven by three sequential RNG streams (plant values, initial
+quadratures, noise) read in path order.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .model_builder import AugmentedModel
 
 __all__ = [
     "SimConfig",
     "Ensemble",
-    "SCHEMES",
     "time_grid",
     "exact_lti_step",
     "two_point_law",
@@ -36,22 +33,18 @@ __all__ = [
     "write_paths_csv",
 ]
 
-SCHEMES = ("exact_lti", "euler_maruyama")
-_NOISE_MODES = ("shared", "independent")
 _CHUNK = 256
 _CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation grid, ensemble size, seed and scheme selection."""
+    """Simulation grid, ensemble size and seed."""
 
     dt: float
     t_final: float
     n_paths: int
     seed: int
-    scheme: str = "exact_lti"
-    record_noise: str = "shared"
 
     def __post_init__(self):
         dt = float(self.dt)
@@ -68,12 +61,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.record_noise not in _NOISE_MODES:
-            raise ValueError(f"record_noise must be one of {_NOISE_MODES}")
-        if self.record_noise == "independent" and self.scheme != "euler_maruyama":
-            raise ValueError("independent record noise is only supported with euler_maruyama")
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t_final", t_final)
         object.__setattr__(self, "n_paths", n_paths)
@@ -180,7 +167,7 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     j = int(bad[0, -1])
     raise RuntimeError(
         f"path {path_ids[j]} produced a non-finite state near step {step}; "
-        "reduce dt or check the model"
+        "the model's dynamics are unstable"
     )
 
 
@@ -192,8 +179,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
     with (T, drift, L) = (exp(a dt), exact drift, chol(noise_cov)) from
-    exact_lti_step, or (I + a dt, u dt, sqrt(dt) b) for Euler-Maruyama, whose
-    independent-noise baseline uses sqrt(dt) blockdiag(B_o, D) instead of b.
+    exact_lti_step, so every step has the exact joint law of the model.
     SeedSequence(seed).spawn(3) gives three generators, read in path order:
     one uniform per path for z_p, two normals per path for x_o(0), and
     (n_steps, n_noise) normals per path for eta.  Paths are sampled _CHUNK at
@@ -205,7 +191,6 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     """
     n_paths = config.n_paths
     n_steps = config.n_steps
-    dt = config.dt
     times = time_grid(config)
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
@@ -218,15 +203,8 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     a_live[2, :2] = dc[1:]
     u_live = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
     b_live = np.vstack([model.B[1:, :], model.D])
-    if config.scheme == "exact_lti":
-        transition, drift, noise_cov = exact_lti_step(a_live, b_live, dt, u=u_live)
-        noise_factor = _psd_factor(noise_cov)
-    else:
-        transition = np.eye(3) + a_live * dt
-        drift = u_live * dt
-        if config.record_noise == "independent":
-            b_live = block_diag(model.B[1:, :], model.D)
-        noise_factor = math.sqrt(dt) * b_live
+    transition, drift, noise_cov = exact_lti_step(a_live, b_live, config.dt, u=u_live)
+    noise_factor = _psd_factor(noise_cov)
     n_noise = noise_factor.shape[1]
 
     z_p = np.empty(n_paths)

@@ -13,14 +13,10 @@ import numpy as np
 
 __all__ = [
     "PauliBasis",
-    "ThetaMatrix",
     "PlantSpec",
     "PAULI",
-    "EPSILON",
     "theta",
-    "pauli_product",
     "plant_generator",
-    "commutator_oracle",
     "qubit_moments",
 ]
 
@@ -31,13 +27,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
-
-# Levi-Civita symbol, 0-based: EPSILON[i, j, k] = eps_{i+1, j+1, k+1}.
-EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPSILON[_i, _j, _k] = 1.0
-    EPSILON[_k, _j, _i] = -1.0
-EPSILON = _frozen(EPSILON)
 
 _SIGMA1 = _frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 _SIGMA2 = _frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
@@ -72,87 +61,18 @@ class PauliBasis:
 PAULI = PauliBasis()
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
-    """3x3 skew-symmetric matrix produced by :func:`theta`."""
+def theta(beta) -> np.ndarray:
+    """Skew map of a 3-vector: theta(b) @ g equals the cross product g x b.
 
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("ThetaMatrix must be 3x3")
-        if not np.array_equal(m.T, -m):
-            raise ValueError("ThetaMatrix must be skew-symmetric")
-        object.__setattr__(self, "m", _frozen(m))
-
-
-def theta(beta) -> ThetaMatrix:
-    """Skew map of a 3-vector: theta(b).m @ g equals the cross product g x b.
-
-    Rows are (0, b3, -b2), (-b3, 0, b1), (b2, -b1, 0).
+    Rows are (0, b3, -b2), (-b3, 0, b1), (b2, -b1, 0); the result is read-only.
     """
     b1, b2, b3 = (float(x) for x in np.asarray(beta, dtype=float))
-    return ThetaMatrix(
-        np.array(
-            [
-                [0.0, b3, -b2],
-                [-b3, 0.0, b1],
-                [b2, -b1, 0.0],
-            ]
-        )
-    )
-
-
-def pauli_product(i: int, j: int) -> np.ndarray:
-    """Product sigma_i sigma_j via delta_ij I + i sum_k eps_ijk sigma_k.
-
-    Indices are 1-based.  Direct 2x2 multiplication serves as the independent
-    oracle in the tests.
-    """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"Pauli indices must be in 1..3, got ({i}, {j})")
-    out = np.zeros((2, 2), dtype=complex)
-    if i == j:
-        out += np.eye(2)
-    for k in range(3):
-        eps = EPSILON[i - 1, j - 1, k]
-        if eps != 0.0:
-            out += 1j * eps * PAULI.matrices()[k]
-    return out
+    return _frozen([[0.0, b3, -b2], [-b3, 0.0, b1], [b2, -b1, 0.0]])
 
 
 def plant_generator(r_p) -> np.ndarray:
     """Drift matrix of the spin vector under the Hamiltonian r_p . sigma."""
-    return -2.0 * theta(r_p).m
-
-
-def commutator_oracle(r_p) -> np.ndarray:
-    """Brute-force counterpart of :func:`plant_generator`.
-
-    Expands -i[sigma_i, sum_j r_j sigma_j] by explicit 2x2 arithmetic and
-    extracts Pauli-basis coefficients with (1/2) tr(sigma_k M).  Raises if a
-    commutator picks up an identity component, which would signal a bug.
-    """
-    r = np.asarray(r_p, dtype=float)
-    sigmas = PAULI.matrices()
-    ham = sum(rj * sj for rj, sj in zip(r, sigmas))
-    out = np.zeros((3, 3))
-    for i, si in enumerate(sigmas):
-        m = -1j * (si @ ham - ham @ si)
-        ident = 0.5 * np.trace(m)
-        if abs(ident) > 1e-12:
-            raise ArithmeticError(
-                f"commutator of sigma_{i + 1} has identity component {ident}"
-            )
-        for k, sk in enumerate(sigmas):
-            coeff = 0.5 * np.trace(sk @ m)
-            if abs(coeff.imag) > 1e-12:
-                raise ArithmeticError(
-                    f"non-real Pauli coefficient {coeff} at ({i + 1}, {k + 1})"
-                )
-            out[i, k] = coeff.real
-    return out
+    return -2.0 * theta(r_p)
 
 
 @dataclass(frozen=True)
@@ -176,6 +96,9 @@ class PlantSpec:
             raise ValueError("r_p must be a real 3-vector")
         if c.shape != (3,):
             raise ValueError("c_p must be a real 3-vector")
+        for name, arr in (("r_p", r), ("c_p", c), ("rho_p", rho)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if not np.any(c):
             raise ValueError("c_p must be nonzero (zero row makes the tracked variable trivial)")
         if rho.shape != (2, 2):

@@ -21,8 +21,7 @@ def small_config(**overrides):
             "rho_p": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
         },
         "observer": {"omega_o": 0.0, "kappa": 4.0, "beta": [1.0, 0.0]},
-        "sim": {"dt": 0.05, "t_final": 4.0, "n_paths": 60, "seed": 9,
-                "scheme": "exact_lti"},
+        "sim": {"dt": 0.05, "t_final": 4.0, "n_paths": 60, "seed": 9},
         "filter": {"dt": 0.01, "t_final": 1.0},
         "oracle": {"n_trunc": 10, "dt": 0.001, "t_final": 0.4, "store_every": 10},
         "outputs": {"directory": "out", "formats": ["csv", "json"]},
@@ -113,6 +112,37 @@ def test_invalid_beta_exits_with_config_error(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("plant", "r_p", [NAN, 0.0, 0.0]),
+    ("plant", "C_p", [NAN, 0.0, 0.0]),
+    ("plant", "rho_p", [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]),
+    ("observer", "beta", [1.0, NAN]),
+    ("observer", "x0_mean", [NAN, 0.0]),
+    ("observer", "x0_mean", [INF, 0.0]),
+    ("observer", "sigma0", [[1.0, 0.0], [0.0, INF]]),
+], ids=["r_p", "C_p", "rho_p", "beta", "x0_mean-nan", "x0_mean-inf", "sigma0"])
+def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, key, value):
+    """JSON admits NaN and Infinity; the specs reject them with the section path."""
+    cfg = small_config()
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {section}: " in err and "must be finite" in err
+
+
+def test_removed_sim_scheme_key_exits_with_config_error(tmp_path, capsys):
+    cfg = small_config()
+    cfg["sim"]["scheme"] = "exact_lti"
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "sim: unknown keys ['scheme']" in capsys.readouterr().err
 
 
 def test_plant_hamiltonian_that_moves_zp_exits_with_config_error(tmp_path, capsys):

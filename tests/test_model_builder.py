@@ -7,7 +7,6 @@ from qubit_observer.model_builder import (
     build_augmented,
     closed_loop_transfer,
     hurwitz_check,
-    observer_drift,
     optimal_gain,
     output_bias,
     realizability_matrices,
@@ -76,7 +75,9 @@ def test_realizability_matches_reduced_dynamics():
         o = obs(omega_o=omega_o, kappa=kappa)
         a_o, b_o, c_o = realizability_matrices(
             omega_o * np.eye(2), np.sqrt(kappa) * np.eye(2))
-        np.testing.assert_allclose(a_o, observer_drift(o), atol=ATOL)
+        closed_form = -0.5 * kappa * np.eye(2) + 2.0 * omega_o * symplectic_j()
+        np.testing.assert_allclose(a_o, closed_form, atol=ATOL)
+        np.testing.assert_allclose(build_augmented(PLANT, o).A[1:, 1:], closed_form, atol=ATOL)
         np.testing.assert_allclose(b_o, -np.sqrt(kappa) * np.eye(2), atol=ATOL)
         np.testing.assert_allclose(c_o, np.sqrt(kappa) * np.eye(2), atol=ATOL)
 

@@ -11,6 +11,7 @@ from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
                                        time_grid, two_point_law,
                                        write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
+from reference import live_system
 
 MIXED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=np.eye(2) / 2)
 PINNED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0],
@@ -27,10 +28,6 @@ def test_sim_config_validation():
         SimConfig(dt=1e-9, t_final=1e3, n_paths=1, seed=0)  # step guard
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, t_final=1.0, n_paths=0, seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_final=1.0, n_paths=1, seed=0, scheme="heun")
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_final=1.0, n_paths=1, seed=0, record_noise="independent")
 
 
 def test_exact_lti_step_trivial():
@@ -181,7 +178,8 @@ def test_record_variance_matches_gain_norm():
     assert abs(ratio - 1.0) < 0.03
 
 
-@pytest.mark.parametrize("scheme", ["exact_lti", "euler_maruyama"])
+# The "scheme" id names the sampler's discretization; only the exact one exists.
+@pytest.mark.parametrize("scheme", ["exact_lti"])
 def test_paths_independent_of_ensemble_size(scheme):
     """A path's sample is bitwise the same whatever n_paths, and reruns repeat it.
 
@@ -192,7 +190,7 @@ def test_paths_independent_of_ensemble_size(scheme):
 
     def run(n_paths):
         return simulate_paths(model, SimConfig(dt=0.02, t_final=1.0, n_paths=n_paths,
-                                               seed=123, scheme=scheme))
+                                               seed=123))
 
     full = run(600)
     again = run(600)
@@ -228,7 +226,7 @@ def _reference_paths(model, config, transition, drift, factor):
     return z_p, x_o, dz
 
 
-@pytest.mark.parametrize("scheme", ["exact_lti", "euler_maruyama", "independent"])
+@pytest.mark.parametrize("scheme", ["exact_lti"])  # id as above
 def test_sampler_matches_reference_recursion(scheme):
     """simulate_paths is the recursion s' = T s + drift z_p + L eta on the stream
     contract; 257 paths and 130 steps cross a chunk and two block boundaries."""
@@ -237,25 +235,10 @@ def test_sampler_matches_reference_recursion(scheme):
                             x0_mean=[0.3, -0.2], sigma0=[[1.0, 0.2], [0.2, 0.5]])
     model = build_augmented(plant, observer)
     dt = 0.02
-    config = SimConfig(dt=dt, t_final=2.6, n_paths=257, seed=17,
-                       scheme="exact_lti" if scheme == "exact_lti" else "euler_maruyama",
-                       record_noise="independent" if scheme == "independent" else "shared")
-    dc = (model.D @ model.C)[0]
-    a = np.zeros((3, 3))
-    a[:2, :2] = model.A[1:, 1:]
-    a[2, :2] = dc[1:]
-    u = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
-    b = np.vstack([model.B[1:], model.D])
-    if scheme == "exact_lti":
-        transition, drift, cov = exact_lti_step(a, b, dt, u=u)
-        factor = np.linalg.cholesky(cov)
-    else:
-        transition, drift = np.eye(3) + a * dt, u * dt
-        if scheme == "independent":
-            b = np.zeros((3, 4))
-            b[:2, :2] = model.B[1:]
-            b[2, 2:] = model.D[0]
-        factor = math.sqrt(dt) * b
+    config = SimConfig(dt=dt, t_final=2.6, n_paths=257, seed=17)
+    a, b, u = live_system(model)
+    transition, drift, cov = exact_lti_step(a, b, dt, u=u)
+    factor = np.linalg.cholesky(cov)
     z_p, x_o, dz = _reference_paths(model, config, transition, drift, factor)
     ens = simulate_paths(model, config)
     assert set(np.unique(z_p)) == {-1.0, 1.0}
@@ -265,19 +248,23 @@ def test_sampler_matches_reference_recursion(scheme):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_unstable_euler_run_raises():
-    """dt = 1.5 at kappa = 4 makes I + a dt expand by sqrt(13) per step."""
+def test_unstable_run_raises():
+    """A drift block of +2 I grows the state by e^(2 dt) per step until it
+    overflows; the finiteness check turns that into a RuntimeError."""
     model = build_augmented(PINNED, OBS)
-    config = SimConfig(dt=1.5, t_final=1500.0, n_paths=3, seed=0, scheme="euler_maruyama")
+    a = model.A.copy()
+    a[1:, 1:] = 2.0 * np.eye(2)
+    unstable = AugmentedModel(A=a, B=model.B, C=model.C, D=model.D,
+                              x0_mean=model.x0_mean, sigma0=model.sigma0)
+    config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
     with pytest.raises(RuntimeError, match="non-finite state"):
-        simulate_paths(model, config)
+        simulate_paths(unstable, config)
 
 
-def test_euler_scheme_runs_and_shares_noise():
-    """With shared noise the EM record is correlated with the state increments."""
+def test_record_shares_noise_with_state():
+    """The record is correlated with the state increments through the shared noise."""
     model = build_augmented(PINNED, OBS)
-    config = SimConfig(dt=0.001, t_final=0.5, n_paths=50, seed=3,
-                       scheme="euler_maruyama")
+    config = SimConfig(dt=0.001, t_final=0.5, n_paths=50, seed=3)
     ens = simulate_paths(model, config)
     corrs = []
     for x_o, dz in zip(ens.x_o, ens.dz):
@@ -285,15 +272,6 @@ def test_euler_scheme_runs_and_shares_noise():
         corrs.append(np.corrcoef(dx, dz)[0, 1])
     # dz = ... + K dw while dx_o = ... - sqrt(kappa) dw, so -K.dx_o ~ +sqrt(k) K dw
     assert np.mean(corrs) > 0.9
-
-    independent = SimConfig(dt=0.001, t_final=0.5, n_paths=50, seed=3,
-                            scheme="euler_maruyama", record_noise="independent")
-    ens_ind = simulate_paths(model, independent)
-    corrs_ind = []
-    for x_o, dz in zip(ens_ind.x_o, ens_ind.dz):
-        dx = np.diff(x_o, axis=0) @ model.D[0] * -1.0
-        corrs_ind.append(np.corrcoef(dx, dz)[0, 1])
-    assert abs(np.mean(corrs_ind)) < 0.2
 
 
 def test_ensemble_mean_cov_order_insensitive():

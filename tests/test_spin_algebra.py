@@ -2,38 +2,40 @@ import numpy as np
 import pytest
 
 from qubit_observer.spin_algebra import (
-    EPSILON,
     PAULI,
     PlantSpec,
-    ThetaMatrix,
-    commutator_oracle,
-    pauli_product,
     plant_generator,
     qubit_moments,
     theta,
 )
+from reference import EPSILON, commutator_oracle
 
 ATOL = 1e-12
 N_RANDOM = 1000
 
 
+def pauli_product(i, j):
+    """sigma_i sigma_j by the rule delta_ij I + i sum_k eps_ijk sigma_k, 1-based."""
+    out = np.eye(2, dtype=complex) if i == j else np.zeros((2, 2), dtype=complex)
+    for k in range(3):
+        out += 1j * EPSILON[i - 1, j - 1, k] * PAULI.matrices()[k]
+    return out
+
+
 def test_theta_unit_vector():
     expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-    np.testing.assert_array_equal(theta([1.0, 0.0, 0.0]).m, expected)
+    skew = theta([1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(skew, expected)
+    assert not skew.flags.writeable
 
 
 def test_theta_zero_vector():
-    np.testing.assert_array_equal(theta(np.zeros(3)).m, np.zeros((3, 3)))
+    np.testing.assert_array_equal(theta(np.zeros(3)), np.zeros((3, 3)))
 
 
 def test_theta_annihilates_its_argument():
     beta = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(theta(beta).m @ beta, np.zeros(3), atol=ATOL)
-
-
-def test_theta_matrix_rejects_non_skew():
-    with pytest.raises(ValueError):
-        ThetaMatrix(np.eye(3))
+    np.testing.assert_allclose(theta(beta) @ beta, np.zeros(3), atol=ATOL)
 
 
 def test_theta_identities_random():
@@ -43,18 +45,20 @@ def test_theta_identities_random():
     for _ in range(N_RANDOM):
         b = rng.uniform(-1.0, 1.0, 3)
         g = rng.uniform(-1.0, 1.0, 3)
-        tb, tg = theta(b).m, theta(g).m
+        tb, tg = theta(b), theta(g)
+        np.testing.assert_array_equal(tb.T, -tb)
         np.testing.assert_allclose(tb @ g, -(tg @ b), atol=ATOL)
         np.testing.assert_allclose(tb @ b, np.zeros(3), atol=ATOL)
         np.testing.assert_allclose(tb @ tg, np.outer(g, b) - np.dot(b, g) * eye, atol=ATOL)
         np.testing.assert_allclose(
-            theta(tb @ g).m, tb @ tg - tg @ tb, atol=ATOL,
+            theta(tb @ g), tb @ tg - tg @ tb, atol=ATOL,
             err_msg="composition identity failed",
         )
 
 
 @pytest.mark.parametrize("i,j", [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 def test_pauli_product_matches_direct_multiplication(i, j):
+    """The shipped Pauli matrices obey the Levi-Civita product rule."""
     sigmas = PAULI.matrices()
     direct = sigmas[i - 1] @ sigmas[j - 1]
     np.testing.assert_allclose(pauli_product(i, j), direct, atol=ATOL)
@@ -64,13 +68,6 @@ def test_pauli_product_examples():
     np.testing.assert_allclose(pauli_product(1, 1), np.eye(2), atol=ATOL)
     np.testing.assert_allclose(pauli_product(1, 2), 1j * PAULI.sigma3, atol=ATOL)
     np.testing.assert_allclose(pauli_product(2, 1), -1j * PAULI.sigma3, atol=ATOL)
-
-
-def test_pauli_product_rejects_bad_index():
-    with pytest.raises(ValueError):
-        pauli_product(0, 1)
-    with pytest.raises(ValueError):
-        pauli_product(1, 4)
 
 
 def test_pauli_commutation_relations():

@@ -66,11 +66,9 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
                          -0.5 * obs.kappa + 2j * obs.omega_o])
     eig_err = float(np.max(np.abs(eigs - expected)))
     omega_grid = np.round(np.arange(0.0, 50.0 + 1e-9, 0.1), 10)
-    residual = 0.0
-    for w in omega_grid:
-        t_jw = closed_loop_transfer(obs, 1j * w)
-        residual = max(residual, float(np.linalg.norm(
-            t_jw @ t_jw.conj().T - np.eye(2), ord=np.inf)))
+    t_jw = closed_loop_transfer(obs, 1j * omega_grid)
+    gram = t_jw @ np.swapaxes(t_jw.conj(), -1, -2) - np.eye(2)
+    residual = float(np.max(np.abs(gram).sum(axis=-1)))
     ke = float((gain @ e)[0])
 
     report = {

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock_oracle import FockConfig
 from .model_builder import ObserverSpec
-from .sde_engine import SimConfig
+from .sde_engine import SimConfig, _checked_grid
 from .spin_algebra import PlantSpec, plant_generator
 
 __all__ = [
@@ -30,18 +30,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Grid for the Riccati solve and the record-driven filter run."""
+    """Grid for the Riccati solve and the record-driven filter run; the
+    sampler runs on it too, so it is held to SimConfig's grid rule."""
 
     dt: float = 0.005
     t_final: float = 2.0
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError("dt must be positive")
-        if not (self.t_final > self.dt):
-            raise ValueError("t_final must exceed dt")
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_final", float(self.t_final))
+        dt, t_final = _checked_grid(self.dt, self.t_final)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_final", t_final)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def _complex_matrix(raw, path: str) -> np.ndarray:
 def _build(section_name: str, ctor, kwargs):
     try:
         return ctor(**kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section_name}: {exc}") from None
 
 

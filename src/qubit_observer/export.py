@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON writers.
 
-Every float is rendered with 17 significant digits so that rerunning a
-command with the same configuration and seed produces byte-identical
-artifacts on any IEEE-754 platform.
+Every float is rendered with 17 significant digits (FLOAT_FMT) so that
+rerunning a command with the same configuration and seed produces
+byte-identical artifacts on any IEEE-754 platform.  This module owns that
+format: paths.csv, riccati.csv and oracle.csv all go through write_csv.
 """
 
 import json
@@ -14,27 +15,26 @@ import numpy as np
 FLOAT_FMT = ".17g"
 
 
-def format_value(x) -> str:
-    """Render a scalar for CSV output."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value in output: {x!r}")
-        return format(x, FLOAT_FMT)
-    return str(x)
+def write_csv(path, header, blocks) -> None:
+    """Write 2-D float blocks, in order, under a comma-separated header.
 
-
-def write_csv(path, header, rows) -> None:
-    """Write rows of scalars under a comma-separated header."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    Every row is rendered by one printf format: one FLOAT_FMT field per
+    header column, comma-separated, LF line ends.  Each block is checked
+    before it is written; a non-finite value raises ValueError and removes
+    the partly written file.  Blocks may come from a generator, so a caller
+    can stream a large table.
+    """
+    row_fmt = ",".join(["%" + FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            finite = np.isfinite(block)
+            if not finite.all():
+                fh.close()
+                os.remove(path)
+                raise ValueError(f"non-finite value in output: {float(block[~finite][0])!r}")
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _json_fragment(obj, indent, out):

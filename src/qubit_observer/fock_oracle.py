@@ -64,6 +64,10 @@ class FockConfig:
             raise ValueError("dt must be positive")
         if not (self.t_final > 0.0 and np.isfinite(self.t_final)):
             raise ValueError("t_final must be positive")
+        if self.t_final / self.dt > 1e8:
+            raise ValueError("t_final/dt exceeds the 1e8 step guard")
+        if not (self.leakage_threshold > 0.0 and np.isfinite(self.leakage_threshold)):
+            raise ValueError("leakage_threshold must be finite and positive")
         if int(self.store_every) < 1:
             raise ValueError("store_every must be >= 1")
         object.__setattr__(self, "n_trunc", int(self.n_trunc))
@@ -177,15 +181,6 @@ def joint_initial_state(rho_p, n_trunc: int, alpha: complex = 0.0) -> JointState
     return JointState(np.kron(rho_p, np.outer(vec, vec.conj())))
 
 
-def _drift_and_leakage(rhos: np.ndarray, n_trunc: int) -> tuple:
-    """Per node of an (n, d, d) block: |tr rho - 1| and the population of the
-    top two Fock levels, summed over the qubit."""
-    n_levels = n_trunc + 1
-    diag = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-    top = [n_levels - 1, n_levels - 2, 2 * n_levels - 1, 2 * n_levels - 2]
-    return np.abs(diag.sum(axis=1) - 1.0), diag[:, top].sum(axis=1)
-
-
 def liouvillian(ops: OperatorSet):
     """Sparse generator of vec(rho)' for column-stacked vec(rho).
 
@@ -217,10 +212,11 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     final step.  vec(rho) is carried from node to node by the action of the
     exponential of the sparse joint Liouvillian (scipy's expm_multiply,
     Al-Mohy & Higham 2011), in blocks of at most _BLOCK nodes.  Each block is
-    hermitized and checked at every node: a trace drift above 1e-8 per unit
-    time raises RuntimeError, leakage into the top two Fock levels above the
-    configured threshold raises FockTruncationError.  The block is then
-    reduced to expectation traces and its last state starts the next block.
+    hermitized and reduced to expectation traces, whose health entries are
+    checked at every node: a trace drift above 1e-8 per unit time raises
+    RuntimeError, leakage into the top two Fock levels above the configured
+    threshold raises FockTruncationError.  The block's last state starts the
+    next block.
     Returns (times, traces) over the stored nodes, the first being state.rho.
     """
     from scipy.sparse.linalg import expm_multiply
@@ -248,7 +244,8 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
                              num=count + 1, endpoint=True)[1:]
         rhos = vecs.reshape(count, dim, dim).transpose(0, 2, 1)
         rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
-        drift, leak = _drift_and_leakage(rhos, ops.n_trunc)
+        part = expectations(rhos, ops)
+        drift, leak = part.trace_drift, part.leakage
         for k in range(count):
             t_now = times[node + k]
             if not drift[k] <= 1e-8 * max(t_now, 1.0):
@@ -261,7 +258,7 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
                     f"Fock leakage {leak[k]:.3e} exceeds {config.leakage_threshold:.1e} "
                     f"at t = {t_now:.6g}; increase n_trunc"
                 )
-        parts.append(expectations(rhos, ops))
+        parts.append(part)
         vec = rhos[-1].reshape(-1, order="F")
         node += count
     return times, ExpectationTraces(**{
@@ -281,35 +278,32 @@ class ExpectationTraces:
     trace_drift: np.ndarray
 
 
-def _real_trace(rho: np.ndarray, op: np.ndarray, label: str) -> float:
-    val = complex(np.einsum("ij,ji->", rho, op))
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"expectation of {label} has imaginary part {val.imag:.3e}")
-    return val.real
-
-
 def expectations(rho_series: np.ndarray, ops: OperatorSet) -> ExpectationTraces:
     """Expectation traces tr(rho X) for the plant combination and quadratures,
-    plus the leakage and |tr rho - 1| of every density matrix in the series."""
+    plus the leakage into the top two Fock levels (summed over the qubit) and
+    |tr rho - 1| of every density matrix in the series."""
     # einsum, not @: a threaded BLAS product here leaves OpenBLAS workers
     # spinning through evolve's propagation, doubling its CPU time
     zp2 = np.einsum("ij,jk->ik", ops.z_p, ops.z_p)
-    n_t = rho_series.shape[0]
-    out = {name: np.empty(n_t) for name in ("zp", "zp2", "q", "p")}
-    for k in range(n_t):
-        rho = rho_series[k]
-        out["zp"][k] = _real_trace(rho, ops.z_p, "z_p")
-        out["zp2"][k] = _real_trace(rho, zp2, "z_p^2")
-        out["q"][k] = _real_trace(rho, ops.q, "q")
-        out["p"][k] = _real_trace(rho, ops.p, "p")
-    drift, leak = _drift_and_leakage(rho_series, ops.n_trunc)
+
+    def real_trace(op, label):
+        vals = np.einsum("kij,ji->k", rho_series, op)
+        bad = np.abs(vals.imag) > 1e-9
+        if bad.any():
+            raise ValueError(f"expectation of {label} has imaginary part "
+                             f"{vals.imag[bad][0]:.3e}")
+        return _frozen(vals.real)
+
+    n_levels = ops.n_trunc + 1
+    diag = np.real(np.diagonal(rho_series, axis1=1, axis2=2))
+    top = [n_levels - 1, n_levels - 2, 2 * n_levels - 1, 2 * n_levels - 2]
     return ExpectationTraces(
-        exp_zp=_frozen(out["zp"]),
-        exp_zp_sq=_frozen(out["zp2"]),
-        exp_q=_frozen(out["q"]),
-        exp_p=_frozen(out["p"]),
-        leakage=_frozen(leak),
-        trace_drift=_frozen(drift),
+        exp_zp=real_trace(ops.z_p, "z_p"),
+        exp_zp_sq=real_trace(zp2, "z_p^2"),
+        exp_q=real_trace(ops.q, "q"),
+        exp_p=real_trace(ops.p, "p"),
+        leakage=_frozen(diag[:, top].sum(axis=1)),
+        trace_drift=_frozen(np.abs(diag.sum(axis=1) - 1.0)),
     )
 
 
@@ -345,10 +339,6 @@ def reduced_mean_trajectory(omega_o: float, kappa: float, beta, z_bar: float,
 
 
 def write_oracle_csv(path, times, traces: ExpectationTraces) -> None:
-    """CSV columns t, exp_zp, exp_q, exp_p, leakage."""
-    def rows():
-        for k, t in enumerate(times):
-            yield (t, traces.exp_zp[k], traces.exp_q[k], traces.exp_p[k],
-                   traces.leakage[k])
-
-    write_csv(path, ("t", "exp_zp", "exp_q", "exp_p", "leakage"), rows())
+    """CSV columns t, exp_zp, exp_q, exp_p, leakage, as one block."""
+    write_csv(path, ("t", "exp_zp", "exp_q", "exp_p", "leakage"), [np.column_stack([
+        times, traces.exp_zp, traces.exp_q, traces.exp_p, traces.leakage])])

@@ -21,7 +21,8 @@ is integrated by one fixed-step classical RK4 helper that symmetrizes after
 every step and aborts on non-finite values; positive semidefiniteness is
 not projected, and the ``filter`` report records the smallest eigenvalue of
 Sigma* over the grid.  Record-driven filter updates are
-Euler-Maruyama-consistent since dz is an increment stream.
+Euler-Maruyama-consistent since dz is an increment stream.  riccati.csv is
+rendered as one block by export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -192,18 +193,13 @@ def error_covariance_ode(model: LinearModel, gain, grid) -> tuple:
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:
-    """CSV of the covariance upper triangle and gain columns over time."""
-    n = riccati.sigma_star.shape[1]
-    p = riccati.gains.shape[2]
+    """CSV of t, the upper triangle of Sigma* (row by row) and the gain
+    entries (row by row) at every node, as one block through export.write_csv."""
+    n_t, n, p = riccati.gains.shape
+    upper = np.triu_indices(n)
     header = ["t"]
-    header += [f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
+    header += [f"sigma_{i + 1}{j + 1}" for i, j in zip(*upper)]
     header += [f"gain_{i + 1}_{l + 1}" for i in range(n) for l in range(p)]
-
-    def rows():
-        for k, t in enumerate(riccati.times):
-            row = [t]
-            row += [riccati.sigma_star[k, i, j] for i in range(n) for j in range(i, n)]
-            row += [riccati.gains[k, i, l] for i in range(n) for l in range(p)]
-            yield row
-
-    write_csv(path, header, rows())
+    write_csv(path, header, [np.column_stack([
+        riccati.times, riccati.sigma_star[:, upper[0], upper[1]],
+        riccati.gains.reshape(n_t, n * p)])])

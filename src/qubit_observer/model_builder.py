@@ -286,16 +286,19 @@ def optimal_gain(e) -> np.ndarray:
     return (e / nrm2).reshape(1, 2)
 
 
-def closed_loop_transfer(observer: ObserverSpec, s: complex) -> np.ndarray:
+def closed_loop_transfer(observer: ObserverSpec, s) -> np.ndarray:
     """Input-output map T(s) = I - kappa (s I - a_o)^{-1} of the noise channel.
 
     This is the map from input noise to the settled output field including the
     direct feedthrough, and it is all-pass: T(jw) T(jw)^dag = I for all real w.
+    ``s`` may be an array; the result then has shape s.shape + (2, 2).
     """
+    s = np.asarray(s, dtype=complex)
     a_o = _observer_blocks(observer)[0]
-    resolvent_arg = complex(s) * np.eye(2) - a_o
-    if np.linalg.cond(resolvent_arg) > _COND_LIMIT:
-        raise ValueError(f"resolvent singular at s = {s}")
+    resolvent_arg = s[..., None, None] * np.eye(2) - a_o
+    singular = np.linalg.cond(resolvent_arg) > _COND_LIMIT
+    if np.any(singular):
+        raise ValueError(f"resolvent singular at s = {s[singular].flat[0]}")
     return np.eye(2) - observer.kappa * np.linalg.inv(resolvent_arg)
 
 

@@ -9,8 +9,13 @@ from pathlib import Path
 from qubit_observer import cli
 from qubit_observer.cli import main
 from qubit_observer.config import ConfigError, load_config
-from qubit_observer.kalman_filter import RiccatiSolution
-from qubit_observer.export import dumps_json, format_value
+from qubit_observer.export import dumps_json, write_csv
+from qubit_observer.fock_oracle import ExpectationTraces, write_oracle_csv
+from qubit_observer.kalman_filter import RiccatiSolution, write_riccati_csv
+from qubit_observer.sde_engine import Ensemble, write_paths_csv
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def small_config(**overrides):
@@ -36,12 +41,50 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
-def test_format_value_is_deterministic():
-    assert format_value(0.1) == "0.10000000000000001"
-    assert format_value(1) == "1"
-    assert format_value(True) == "true"
-    with pytest.raises(ValueError):
-        format_value(float("nan"))
+def _reference_lines(header, rows):
+    return [",".join(header)] + [",".join(format(float(v), ".17g") for v in row)
+                                 for row in rows]
+
+
+def test_csv_writers_match_cell_by_cell_reference(tmp_path):
+    """riccati.csv, oracle.csv and paths.csv equal a per-cell 17-digit rendering,
+    LF-terminated; a block holding NaN raises."""
+    rng = np.random.default_rng(11)
+    times = np.arange(4) * 0.1
+    sigma = rng.normal(size=(4, 3, 3))
+    sigma[0, 0, 1], sigma[1, 1, 1], sigma[2, 1, 2] = -0.0, 5e-324, 1e300
+    gains = rng.normal(size=(4, 3, 2))
+    out = tmp_path / "riccati.csv"
+    write_riccati_csv(out, RiccatiSolution(times=times, sigma_star=sigma, gains=gains))
+    header = (["t"] + [f"sigma_{i + 1}{j + 1}" for i in range(3) for j in range(i, 3)]
+              + [f"gain_{i + 1}_{l + 1}" for i in range(3) for l in range(2)])
+    rows = [[times[k]] + [sigma[k, i, j] for i in range(3) for j in range(i, 3)]
+            + [gains[k, i, l] for i in range(3) for l in range(2)] for k in range(4)]
+    assert out.read_bytes() == ("\n".join(_reference_lines(header, rows)) + "\n").encode()
+
+    cols = rng.normal(size=(5, 4))
+    traces = ExpectationTraces(exp_zp=cols[0], exp_zp_sq=cols[0] ** 2, exp_q=cols[1],
+                               exp_p=cols[2], leakage=cols[3], trace_drift=cols[3])
+    out = tmp_path / "oracle.csv"
+    write_oracle_csv(out, times, traces)
+    rows = [[times[k], cols[0, k], cols[1, k], cols[2, k], cols[3, k]] for k in range(4)]
+    assert out.read_text().splitlines() == _reference_lines(
+        ["t", "exp_zp", "exp_q", "exp_p", "leakage"], rows)
+
+    ens = Ensemble(times=times, z_p=np.array([1.0, -1.0, 1.0]),
+                   x_o=rng.normal(size=(3, 4, 2)), dz=rng.normal(size=(3, 3)))
+    out = tmp_path / "paths.csv"
+    write_paths_csv(out, ens)
+    rows = [[pid, times[k], ens.dz[pid, k] if k < 3 else 0.0, *ens.x_o[pid, k], ens.z_p[pid]]
+            for pid in range(3) for k in range(4)]
+    lines = out.read_text().splitlines()
+    assert lines == _reference_lines(
+        ["path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"], rows)
+    assert [line.split(",")[0] for line in lines[1::4]] == ["0", "1", "2"]
+
+    with pytest.raises(ValueError, match="non-finite value in output: nan"):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [np.ones((2, 2)), [[1.0, NAN]]])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_dumps_json_roundtrip():
@@ -114,10 +157,6 @@ def test_invalid_beta_exits_with_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-NAN = float("nan")
-INF = float("inf")
-
-
 @pytest.mark.parametrize("section,key,value", [
     ("plant", "r_p", [NAN, 0.0, 0.0]),
     ("plant", "C_p", [NAN, 0.0, 0.0]),
@@ -135,6 +174,45 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: {section}: " in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("filter", "t_final", INF),
+    ("filter", "t_final", 1e12),
+    ("filter", "dt", 1e-9),
+    ("filter", "dt", "x"),
+    ("sim", "n_paths", INF),
+    ("sim", "n_paths", [1]),
+    ("sim", "seed", INF),
+    ("sim", "dt", None),
+    ("oracle", "n_trunc", INF),
+    ("oracle", "n_trunc", None),
+    ("oracle", "store_every", INF),
+    ("oracle", "leakage_threshold", NAN),
+    ("oracle", "leakage_threshold", INF),
+    ("oracle", "leakage_threshold", -1.0),
+    ("outputs", "formats", 5),
+], ids=["filter.t_final-inf", "filter.t_final-1e12", "filter.dt-1e-9", "filter.dt-str",
+        "sim.n_paths-inf", "sim.n_paths-list", "sim.seed-inf", "sim.dt-null",
+        "oracle.n_trunc-inf", "oracle.n_trunc-null", "oracle.store_every-inf",
+        "oracle.leakage_threshold-nan", "oracle.leakage_threshold-inf",
+        "oracle.leakage_threshold-negative", "outputs.formats-int"])
+def test_bad_config_value_exits_with_config_error(tmp_path, capsys, section, key, value):
+    """Out-of-range, non-finite and mistyped values stop at load with exit 2."""
+    cfg = small_config()
+    cfg[section][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section}: ") and "Traceback" not in err
+
+
+def test_oracle_step_guard_rejects_at_load():
+    """A 2.5e12-step oracle grid is refused before any state is built."""
+    cfg = small_config()
+    cfg["oracle"] = {"dt": 1e-12, "t_final": 2.5}
+    with pytest.raises(ConfigError, match=r"^oracle: t_final/dt exceeds the 1e8 step guard"):
+        load_config(cfg)
 
 
 def test_removed_sim_scheme_key_exits_with_config_error(tmp_path, capsys):

@@ -205,6 +205,19 @@ def test_closed_loop_transfer_rejects_eigenvalue():
     o = obs()
     with pytest.raises(ValueError):
         closed_loop_transfer(o, -2.0 + 2.0j)
+    with pytest.raises(ValueError, match=r"s = \(-2\+2j\)"):
+        closed_loop_transfer(o, np.array([1j, -2.0 + 2.0j, 3j]))
+
+
+def test_closed_loop_transfer_batches_frequencies():
+    """An array of s gives the stack of the scalar results, bit for bit."""
+    o = obs(omega_o=1.3, kappa=2.7)
+    s = 1j * np.linspace(0.0, 50.0, 41).reshape(41, 1)
+    stack = closed_loop_transfer(o, s)
+    assert stack.shape == (41, 1, 2, 2)
+    assert np.array_equal(stack, np.array([[closed_loop_transfer(o, x) for x in row]
+                                           for row in s]))
+    assert closed_loop_transfer(o, 0.5j).shape == (2, 2)
 
 
 def test_hurwitz_check_examples():

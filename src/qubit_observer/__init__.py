@@ -16,7 +16,6 @@ from .model_builder import (AugmentedModel, LinearModel, ObserverSpec,
                             steady_state_mean, symplectic_j)
 from .sde_engine import (Ensemble, SimConfig, exact_lti_step, simulate_paths,
                          time_grid, two_point_law)
-from .spin_algebra import (PAULI, PauliBasis, PlantSpec, plant_generator,
-                           qubit_moments, theta)
+from .spin_algebra import PAULI, PlantSpec, plant_generator, qubit_moments, theta
 
 __version__ = "0.1.0"

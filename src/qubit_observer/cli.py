@@ -45,6 +45,18 @@ def _family_limit(n_tests: int) -> float:
     return -unit.inv_cdf(unit.cdf(-ZSCORE_LIMIT) / n_tests)
 
 
+def _covariance_z(x, cov, reference):
+    """z-scores of the empirical covariance cov of the n rows of x against
+    reference: entry (i, j) over the standard error std(x_i x_j, ddof=1)/sqrt(n),
+    floored at 1e-300.  The products are reduced along a contiguous last axis,
+    so each entry's rounding is that of the 1-d std of its column product."""
+    n, d = x.shape
+    cols = np.ascontiguousarray(x.T)
+    products = (cols[:, None, :] * cols[None, :, :]).reshape(d * d, n)
+    se = np.maximum(np.std(products, axis=1, ddof=1) / math.sqrt(n), 1e-300)
+    return (cov - reference) / se.reshape(d, d)
+
+
 def _check(report: dict, name: str, passed: bool, detail) -> None:
     report["checks"][name] = {"passed": bool(passed), "detail": detail}
 
@@ -133,12 +145,7 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
     n = centered.shape[0]
     if n >= 2:
         _, cov = ensemble_mean_cov(centered)
-        cov_z = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                products = centered[:, i] * centered[:, j]
-                se = max(float(np.std(products, ddof=1) / math.sqrt(n)), 1e-300)
-                cov_z[i, j] = (cov[i, j] - (1.0 if i == j else 0.0)) / se
+        cov_z = _covariance_z(centered, cov, np.eye(2))
         z_limit = max(z_limit, float(np.max(np.abs(cov_z))))
         report["centered_terminal_covariance"] = cov.tolist()
         report["covariance_z_scores"] = cov_z.tolist()
@@ -197,13 +204,7 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
         se_mean = np.maximum(np.sqrt(np.diag(cov) / n_paths), 1e-300)
         bias_z = mean / se_mean
         sigma_ref = ricc.sigma_star[idx]
-        cov_z = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                products = err[:, i] * err[:, j]
-                se = float(np.std(products, ddof=1) / math.sqrt(n_paths))
-                se = max(se, 1e-300)
-                cov_z[i, j] = (cov[i, j] - sigma_ref[i, j]) / se
+        cov_z = _covariance_z(err, cov, sigma_ref)
         max_bias_z = max(max_bias_z, float(np.max(np.abs(bias_z))))
         # cov_z is symmetric: each distinct entry is one test
         max_cov_z = max(max_cov_z, float(np.max(np.abs(cov_z[np.triu_indices(3)]))))

@@ -1,19 +1,20 @@
 """Experiment configuration: JSON schema, strict validation, field-path errors.
 
+Each JSON section is the dataclass that holds it: its keys, defaults and
+required keys are that dataclass's fields, and its validation runs on load.
 Complex matrix entries are written as [re, im] pairs.  Unknown keys are
-rejected so a typo cannot silently fall back to a default, and every
-module-level invariant is re-validated on load.
+rejected so a typo cannot silently fall back to a default.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .fock_oracle import FockConfig
 from .model_builder import ObserverSpec
-from .sde_engine import SimConfig, _checked_grid
-from .spin_algebra import PlantSpec, plant_generator
+from .sde_engine import SimConfig
+from .spin_algebra import PlantSpec, _checked_grid, plant_generator
 
 __all__ = [
     "ConfigError",
@@ -48,6 +49,10 @@ class OutputSettings:
     formats: tuple = ("csv", "json")
 
     def __post_init__(self):
+        if not isinstance(self.directory, str):
+            raise ValueError("directory must be a string")
+        if not isinstance(self.formats, (list, tuple)):
+            raise ValueError("formats must be a list")
         formats = tuple(self.formats)
         for fmt in formats:
             if fmt not in ("csv", "json"):
@@ -59,28 +64,14 @@ class OutputSettings:
 class ExperimentConfig:
     plant: PlantSpec
     observer: ObserverSpec
-    sim: SimConfig
-    filter: FilterSettings
-    oracle: FockConfig
-    outputs: OutputSettings
+    sim: SimConfig = field(default_factory=SimConfig)
+    filter: FilterSettings = field(default_factory=FilterSettings)
+    oracle: FockConfig = field(default_factory=FockConfig)
+    outputs: OutputSettings = field(default_factory=OutputSettings)
 
 
-_SECTION_KEYS = {
-    "plant": {"r_p", "C_p", "rho_p"},
-    "observer": {"omega_o", "kappa", "beta", "x0_mean", "sigma0"},
-    "sim": {"dt", "t_final", "n_paths", "seed"},
-    "filter": {"dt", "t_final"},
-    "oracle": {"n_trunc", "dt", "t_final", "leakage_threshold", "store_every"},
-    "outputs": {"directory", "formats"},
-}
-
-_SIM_DEFAULTS = {"dt": 0.01, "t_final": 10.0, "n_paths": 2000, "seed": 0}
-
-
-def _check_keys(section: dict, allowed, path: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+# Field name -> JSON key, where the two differ.
+_JSON_KEY = {"c_p": "C_p"}
 
 
 def _complex_matrix(raw, path: str) -> np.ndarray:
@@ -93,11 +84,32 @@ def _complex_matrix(raw, path: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _build(section_name: str, ctor, kwargs):
+def _section(name: str, cls, raw):
+    """Build the dataclass cls from the JSON object raw; errors start with name.
+
+    The keys are cls's fields (spelled as in _JSON_KEY), the fields without a
+    default are required, and a field whose type is a dataclass is a nested
+    section named by its key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected an object")
+    spec = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(raw) - set(spec)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for key, f in spec.items():
+        if key in raw:
+            kwargs[f.name] = (_section(key, f.type, raw[key]) if is_dataclass(f.type)
+                              else raw[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{name}: missing key {key!r}")
+    if "rho_p" in kwargs:
+        kwargs["rho_p"] = _complex_matrix(kwargs["rho_p"], f"{name}.rho_p")
     try:
-        return ctor(**kwargs)
+        return cls(**kwargs)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{section_name}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_config(source) -> ExperimentConfig:
@@ -110,53 +122,12 @@ def load_config(source) -> ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{source}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    _check_keys(raw, _SECTION_KEYS, "top level")
-    for required in ("plant", "observer"):
-        if required not in raw:
-            raise ConfigError(f"top level: missing required section {required!r}")
-
-    plant_raw = dict(raw["plant"])
-    _check_keys(plant_raw, _SECTION_KEYS["plant"], "plant")
-    for key in ("r_p", "C_p", "rho_p"):
-        if key not in plant_raw:
-            raise ConfigError(f"plant: missing key {key!r}")
-    plant = _build("plant", PlantSpec, {
-        "r_p": plant_raw["r_p"],
-        "c_p": plant_raw["C_p"],
-        "rho_p": _complex_matrix(plant_raw["rho_p"], "plant.rho_p"),
-    })
+    config = _section("top level", ExperimentConfig, raw)
+    plant = config.plant
     generator = plant_generator(plant.r_p)
     moved = float(np.linalg.norm(plant.c_p @ generator))
     if moved > 1e-12 * np.linalg.norm(plant.c_p) * np.linalg.norm(generator):
         raise ConfigError(f"plant.r_p: the plant Hamiltonian moves C_p . sigma "
                           f"(|C_p^T G(r_p)| = {moved:.3e}); the tracked variable "
                           "must be conserved")
-
-    obs_raw = dict(raw["observer"])
-    _check_keys(obs_raw, _SECTION_KEYS["observer"], "observer")
-    for key in ("omega_o", "kappa", "beta"):
-        if key not in obs_raw:
-            raise ConfigError(f"observer: missing key {key!r}")
-    observer = _build("observer", ObserverSpec, obs_raw)
-
-    sim_raw = dict(_SIM_DEFAULTS)
-    sim_raw.update(raw.get("sim", {}))
-    _check_keys(sim_raw, _SECTION_KEYS["sim"], "sim")
-    sim = _build("sim", SimConfig, sim_raw)
-
-    filt_raw = dict(raw.get("filter", {}))
-    _check_keys(filt_raw, _SECTION_KEYS["filter"], "filter")
-    filt = _build("filter", FilterSettings, filt_raw)
-
-    oracle_raw = dict(raw.get("oracle", {}))
-    _check_keys(oracle_raw, _SECTION_KEYS["oracle"], "oracle")
-    oracle = _build("oracle", FockConfig, oracle_raw)
-
-    out_raw = dict(raw.get("outputs", {}))
-    _check_keys(out_raw, _SECTION_KEYS["outputs"], "outputs")
-    outputs = _build("outputs", OutputSettings, out_raw)
-
-    return ExperimentConfig(plant=plant, observer=observer, sim=sim,
-                            filter=filt, oracle=oracle, outputs=outputs)
+    return config

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .export import write_csv
-from .spin_algebra import PAULI, _frozen
+from .spin_algebra import PAULI, _checked_grid, _frozen, _integer
 
 __all__ = [
     "FockConfig",
@@ -58,27 +58,24 @@ class FockConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if int(self.n_trunc) < 4:
+        n_trunc = _integer("n_trunc", self.n_trunc)
+        if n_trunc < 4:
             raise ValueError("n_trunc must be >= 4")
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ValueError("dt must be positive")
-        if not (self.t_final > 0.0 and np.isfinite(self.t_final)):
-            raise ValueError("t_final must be positive")
-        if self.t_final / self.dt > 1e8:
-            raise ValueError("t_final/dt exceeds the 1e8 step guard")
+        dt, t_final = _checked_grid(self.dt, self.t_final)
         if not (self.leakage_threshold > 0.0 and np.isfinite(self.leakage_threshold)):
             raise ValueError("leakage_threshold must be finite and positive")
-        if int(self.store_every) < 1:
+        store_every = _integer("store_every", self.store_every)
+        if store_every < 1:
             raise ValueError("store_every must be >= 1")
-        object.__setattr__(self, "n_trunc", int(self.n_trunc))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_final", float(self.t_final))
+        object.__setattr__(self, "n_trunc", n_trunc)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_final", t_final)
         object.__setattr__(self, "leakage_threshold", float(self.leakage_threshold))
-        object.__setattr__(self, "store_every", int(self.store_every))
+        object.__setattr__(self, "store_every", store_every)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)
@@ -159,8 +156,8 @@ def build_operators(r_p, c_p, beta, omega_o: float, kappa: float,
     q, p = quadratures(n_levels)
     eye_q = np.eye(2, dtype=complex)
     eye_o = np.eye(n_levels, dtype=complex)
-    spin = sum(ci * si for ci, si in zip(c_p, PAULI.matrices()))
-    h_plant = sum(ri * si for ri, si in zip(r_p, PAULI.matrices()))
+    spin = sum(ci * si for ci, si in zip(c_p, PAULI))
+    h_plant = sum(ri * si for ri, si in zip(r_p, PAULI))
     h_total = np.kron(h_plant, eye_o) + np.kron(spin, beta[0] * q + beta[1] * p)
     h_total = h_total + np.kron(eye_q, 0.5 * omega_o * (q @ q + p @ p))
     lindblad = np.sqrt(kappa) * np.kron(eye_q, a)

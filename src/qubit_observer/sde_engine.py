@@ -22,6 +22,7 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import AugmentedModel
+from .spin_algebra import _checked_grid, _integer
 
 __all__ = [
     "SimConfig",
@@ -38,33 +39,19 @@ _CHUNK = 256
 _CHECK_EVERY = 64
 
 
-def _checked_grid(dt, t_final) -> tuple:
-    """(dt, t_final) as floats; ValueError unless 0 < dt < t_final < inf and
-    the grid has at most 1e8 steps.  The sim and filter grids share this rule."""
-    dt = float(dt)
-    t_final = float(t_final)
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive")
-    if not (np.isfinite(t_final) and t_final > dt):
-        raise ValueError("t_final must be finite and exceed dt")
-    if t_final / dt > 1e8:
-        raise ValueError("t_final/dt exceeds the 1e8 step guard")
-    return dt, t_final
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation grid, ensemble size and seed."""
 
-    dt: float
-    t_final: float
-    n_paths: int
-    seed: int
+    dt: float = 0.01
+    t_final: float = 10.0
+    n_paths: int = 2000
+    seed: int = 0
 
     def __post_init__(self):
         dt, t_final = _checked_grid(self.dt, self.t_final)
-        n_paths = int(self.n_paths)
-        seed = int(self.seed)
+        n_paths = _integer("n_paths", self.n_paths)
+        seed = _integer("seed", self.seed)
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= seed < 2**64:
@@ -76,7 +63,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,15 @@ Pauli matrices, the skew-symmetric map that encodes their commutators, the
 drift generator induced by a Hamiltonian linear in the spin operators, and
 the first two moments of the measured spin combination for a given density
 matrix.  Everything here is finite 2x2 / 3x3 arithmetic with no approximation
-beyond floating point.
+beyond floating point.  It imports nothing from the package, so it also holds
+the field rules that the config, sampler and oracle dataclasses share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PauliBasis",
     "PlantSpec",
     "PAULI",
     "theta",
@@ -28,37 +28,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_SIGMA1 = _frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-_SIGMA2 = _frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
-_SIGMA3 = _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an int or an integral finite
+    float (bools excluded).  Every count and seed in a config obeys this rule."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer")
 
 
-@dataclass(frozen=True)
-class PauliBasis:
-    """The three 2x2 spin matrices at time zero."""
-
-    sigma1: np.ndarray = field(default_factory=lambda: _SIGMA1)
-    sigma2: np.ndarray = field(default_factory=lambda: _SIGMA2)
-    sigma3: np.ndarray = field(default_factory=lambda: _SIGMA3)
-
-    def __post_init__(self):
-        eye = np.eye(2)
-        for name, s in zip(("sigma1", "sigma2", "sigma3"), self.matrices()):
-            s = np.asarray(s, dtype=complex)
-            if s.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if not np.allclose(s, s.conj().T, atol=1e-14):
-                raise ValueError(f"{name} must be Hermitian")
-            if abs(np.trace(s)) > 1e-14:
-                raise ValueError(f"{name} must be traceless")
-            if not np.allclose(s @ s, eye, atol=1e-14):
-                raise ValueError(f"{name} must square to the identity")
-
-    def matrices(self) -> tuple:
-        return (self.sigma1, self.sigma2, self.sigma3)
+def _checked_grid(dt, t_final) -> tuple:
+    """(dt, t_final) as floats; ValueError unless 0 < dt < t_final < inf and
+    the grid has at most 1e8 steps.  The sim, filter and oracle grids share
+    this rule."""
+    dt = float(dt)
+    t_final = float(t_final)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive")
+    if not (np.isfinite(t_final) and t_final > dt):
+        raise ValueError("t_final must be finite and exceed dt")
+    if t_final / dt > 1e8:
+        raise ValueError("t_final/dt exceeds the 1e8 step guard")
+    return dt, t_final
 
 
-PAULI = PauliBasis()
+# The three 2x2 spin matrices at time zero, read-only.
+PAULI = (_frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+         _frozen(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
+         _frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)))
 
 
 def theta(beta) -> np.ndarray:
@@ -122,7 +120,7 @@ def qubit_moments(plant: PlantSpec) -> tuple:
     zero when rounding produces a value in (-1e-12, 0).
     """
     mean = 0.0
-    for ci, si in zip(plant.c_p, PAULI.matrices()):
+    for ci, si in zip(plant.c_p, PAULI):
         tr = np.trace(plant.rho_p @ si)
         mean += float(ci) * tr.real
     variance = float(np.dot(plant.c_p, plant.c_p)) - mean * mean

@@ -24,7 +24,7 @@ def commutator_oracle(r_p) -> np.ndarray:
     commutator picks up an identity component, which would signal a bug.
     """
     r = np.asarray(r_p, dtype=float)
-    sigmas = PAULI.matrices()
+    sigmas = PAULI
     ham = sum(rj * sj for rj, sj in zip(r, sigmas))
     out = np.zeros((3, 3))
     for i, si in enumerate(sigmas):

@@ -50,7 +50,7 @@ def test_criterion_1_algebraic_suite():
         worst = max(worst, np.abs(tb @ b).max())
         worst = max(worst, np.abs(tb @ tg - (np.outer(g, b) - np.dot(b, g) * eye3)).max())
         worst = max(worst, np.abs(theta(tb @ g) - (tb @ tg - tg @ tb)).max())
-    sigmas = PAULI.matrices()
+    sigmas = PAULI
     for i in range(3):
         for j in range(3):
             product = sigmas[i] @ sigmas[j]

@@ -8,11 +8,11 @@ from pathlib import Path
 
 from qubit_observer import cli
 from qubit_observer.cli import main
-from qubit_observer.config import ConfigError, load_config
+from qubit_observer.config import ConfigError, FilterSettings, OutputSettings, load_config
 from qubit_observer.export import dumps_json, write_csv
-from qubit_observer.fock_oracle import ExpectationTraces, write_oracle_csv
+from qubit_observer.fock_oracle import ExpectationTraces, FockConfig, write_oracle_csv
 from qubit_observer.kalman_filter import RiccatiSolution, write_riccati_csv
-from qubit_observer.sde_engine import Ensemble, write_paths_csv
+from qubit_observer.sde_engine import Ensemble, SimConfig, write_paths_csv
 
 NAN = float("nan")
 INF = float("inf")
@@ -85,6 +85,22 @@ def test_csv_writers_match_cell_by_cell_reference(tmp_path):
     with pytest.raises(ValueError, match="non-finite value in output: nan"):
         write_csv(tmp_path / "bad.csv", ("a", "b"), [np.ones((2, 2)), [[1.0, NAN]]])
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("n", [7, 999, 2000])
+def test_covariance_z_matches_per_entry_loop(n):
+    """The gates' covariance z-scores equal, bit for bit, the per-entry rule
+    (cov_ij - ref_ij) / max(std(x_i x_j, ddof=1) / sqrt(n), 1e-300)."""
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d) + rng.normal(size=d)
+        cov, ref = np.cov(x, rowvar=False), rng.normal(size=(d, d))
+        expected = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+                se = max(float(np.std(x[:, i] * x[:, j], ddof=1) / np.sqrt(n)), 1e-300)
+                expected[i, j] = (cov[i, j] - ref[i, j]) / se
+        assert np.array_equal(cli._covariance_z(x, cov, ref), expected)
 
 
 def test_dumps_json_roundtrip():
@@ -192,19 +208,54 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
     ("oracle", "leakage_threshold", INF),
     ("oracle", "leakage_threshold", -1.0),
     ("outputs", "formats", 5),
+    ("sim", "seed", 1.9),
+    ("sim", "n_paths", 2.5),
+    ("sim", "n_paths", True),
+    ("oracle", "n_trunc", 20.7),
+    ("oracle", "store_every", 1.5),
+    ("oracle", "t_final", 0.0004),
+    ("outputs", "formats", "csv"),
+    ("outputs", "directory", 5),
 ], ids=["filter.t_final-inf", "filter.t_final-1e12", "filter.dt-1e-9", "filter.dt-str",
         "sim.n_paths-inf", "sim.n_paths-list", "sim.seed-inf", "sim.dt-null",
         "oracle.n_trunc-inf", "oracle.n_trunc-null", "oracle.store_every-inf",
         "oracle.leakage_threshold-nan", "oracle.leakage_threshold-inf",
-        "oracle.leakage_threshold-negative", "outputs.formats-int"])
+        "oracle.leakage_threshold-negative", "outputs.formats-int",
+        "sim.seed-fraction", "sim.n_paths-fraction", "sim.n_paths-bool",
+        "oracle.n_trunc-fraction", "oracle.store_every-fraction",
+        "oracle.t_final-below-dt", "outputs.formats-str", "outputs.directory-int"])
 def test_bad_config_value_exits_with_config_error(tmp_path, capsys, section, key, value):
-    """Out-of-range, non-finite and mistyped values stop at load with exit 2."""
+    """Out-of-range, non-finite and mistyped values stop at load with exit 2;
+    an integer count, the seed and the outputs fields are named in the message."""
     cfg = small_config()
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {section}: ") and "Traceback" not in err
+    if key in ("n_paths", "seed", "n_trunc", "store_every", "formats", "directory"):
+        assert err.startswith(f"configuration error: {section}: {key} must be ")
+
+
+@pytest.mark.parametrize("section,value", [("sim", 5), ("oracle", "x"), ("outputs", None)])
+def test_section_that_is_not_an_object_exits_with_config_error(tmp_path, capsys,
+                                                                 section, value):
+    path = write_config(tmp_path, small_config(**{section: value}))
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section}: expected an object")
+    assert "Traceback" not in err
+
+
+def test_omitted_sections_load_documented_defaults():
+    cfg = small_config()
+    config = load_config({"plant": cfg["plant"], "observer": cfg["observer"]})
+    assert config.sim == SimConfig() == SimConfig(dt=0.01, t_final=10.0, n_paths=2000, seed=0)
+    assert config.filter == FilterSettings() == FilterSettings(dt=0.005, t_final=2.0)
+    assert config.oracle == FockConfig() == FockConfig(
+        n_trunc=20, dt=0.001, t_final=2.5, leakage_threshold=1e-6, store_every=1)
+    assert config.outputs == OutputSettings() == OutputSettings(
+        directory="out", formats=("csv", "json"))
 
 
 def test_oracle_step_guard_rejects_at_load():

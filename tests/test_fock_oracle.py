@@ -230,7 +230,7 @@ def test_non_hermitian_hamiltonian_trips_trace_drift():
     only through cancelling entries of size e^{10 t}, which roundoff cannot hold."""
     n_trunc = 4
     ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, n_trunc)
-    pump = 5j * np.kron(PAULI.matrices()[0], np.eye(n_trunc + 1))
+    pump = 5j * np.kron(PAULI[0], np.eye(n_trunc + 1))
     state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc)
     with pytest.raises(RuntimeError, match="trace drift"):
         evolve(state, replace(ops, h_total=pump),

@@ -25,7 +25,7 @@ def plants(draw):
     """Qubit with readout row (1, 0, 0) in a random state inside the Bloch ball."""
     bloch = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
     bloch /= max(1.0, float(np.linalg.norm(bloch)))
-    rho = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", bloch, PAULI.matrices()))
+    rho = 0.5 * (np.eye(2) + np.einsum("i,ijk->jk", bloch, PAULI))
     return PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=rho)
 
 

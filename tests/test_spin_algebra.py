@@ -18,7 +18,7 @@ def pauli_product(i, j):
     """sigma_i sigma_j by the rule delta_ij I + i sum_k eps_ijk sigma_k, 1-based."""
     out = np.eye(2, dtype=complex) if i == j else np.zeros((2, 2), dtype=complex)
     for k in range(3):
-        out += 1j * EPSILON[i - 1, j - 1, k] * PAULI.matrices()[k]
+        out += 1j * EPSILON[i - 1, j - 1, k] * PAULI[k]
     return out
 
 
@@ -59,20 +59,20 @@ def test_theta_identities_random():
 @pytest.mark.parametrize("i,j", [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 def test_pauli_product_matches_direct_multiplication(i, j):
     """The shipped Pauli matrices obey the Levi-Civita product rule."""
-    sigmas = PAULI.matrices()
+    sigmas = PAULI
     direct = sigmas[i - 1] @ sigmas[j - 1]
     np.testing.assert_allclose(pauli_product(i, j), direct, atol=ATOL)
 
 
 def test_pauli_product_examples():
     np.testing.assert_allclose(pauli_product(1, 1), np.eye(2), atol=ATOL)
-    np.testing.assert_allclose(pauli_product(1, 2), 1j * PAULI.sigma3, atol=ATOL)
-    np.testing.assert_allclose(pauli_product(2, 1), -1j * PAULI.sigma3, atol=ATOL)
+    np.testing.assert_allclose(pauli_product(1, 2), 1j * PAULI[2], atol=ATOL)
+    np.testing.assert_allclose(pauli_product(2, 1), -1j * PAULI[2], atol=ATOL)
 
 
 def test_pauli_commutation_relations():
     """sigma_i sigma_j - sigma_j sigma_i = 2i sum_k eps_ijk sigma_k as matrices."""
-    sigmas = PAULI.matrices()
+    sigmas = PAULI
     for i in range(3):
         for j in range(3):
             comm = sigmas[i] @ sigmas[j] - sigmas[j] @ sigmas[i]
@@ -115,7 +115,7 @@ def test_measured_combination_squares_to_norm():
     rng = np.random.default_rng(11)
     for _ in range(50):
         c = rng.uniform(-1.0, 1.0, 3)
-        z_op = sum(ci * si for ci, si in zip(c, PAULI.matrices()))
+        z_op = sum(ci * si for ci, si in zip(c, PAULI))
         np.testing.assert_allclose(z_op @ z_op, np.dot(c, c) * np.eye(2), atol=ATOL)
 
 

@@ -31,7 +31,7 @@ ENV_OUT_DIR = "QUBIT_OBSERVER_OUT_DIR"
 ALLPASS_TOL = 1e-10
 GAIN_CONSTRAINT_TOL = 1e-12
 ZSCORE_LIMIT = 4.0
-SELF_TEST_TOL = 1e-8
+SELF_TEST_TOL = 1e-12
 ORACLE_MEAN_TOL = 1e-4
 ORACLE_DRIFT_TOL = 1e-6
 

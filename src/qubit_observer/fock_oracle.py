@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .export import write_csv
-from .spin_algebra import PAULI, _checked_grid, _frozen, _integer
+from .spin_algebra import PAULI, _checked_grid, _frozen, _integer, _real
 
 __all__ = [
     "FockConfig",
@@ -62,15 +62,16 @@ class FockConfig:
         if n_trunc < 4:
             raise ValueError("n_trunc must be >= 4")
         dt, t_final = _checked_grid(self.dt, self.t_final)
-        if not (self.leakage_threshold > 0.0 and np.isfinite(self.leakage_threshold)):
-            raise ValueError("leakage_threshold must be finite and positive")
+        leakage_threshold = _real("leakage_threshold", self.leakage_threshold)
+        if leakage_threshold <= 0.0:
+            raise ValueError("leakage_threshold must be positive")
         store_every = _integer("store_every", self.store_every)
         if store_every < 1:
             raise ValueError("store_every must be >= 1")
         object.__setattr__(self, "n_trunc", n_trunc)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t_final", t_final)
-        object.__setattr__(self, "leakage_threshold", float(self.leakage_threshold))
+        object.__setattr__(self, "leakage_threshold", leakage_threshold)
         object.__setattr__(self, "store_every", store_every)
 
     @property

@@ -16,11 +16,13 @@ second moments, Gaussian or not, which is exactly the regime of the
 two-point-distributed plant variable.
 
 The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
-and the Riccati coefficients F, Q, R once.  Every covariance equation here
-is integrated by one fixed-step classical RK4 helper that symmetrizes after
-every step and aborts on non-finite values; positive semidefiniteness is
-not projected, and the ``filter`` report records the smallest eigenvalue of
-Sigma* over the grid.  Record-driven filter updates are
+and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
+by the linear-fractional map of the constant Hamiltonian matrix over each
+grid step; only error_covariance_ode, whose gain schedules may vary in
+time, is integrated by a fixed-step classical RK4 helper.  Both symmetrize
+after every step and abort on non-finite values; positive semidefiniteness
+is not projected, and the ``filter`` report records the smallest eigenvalue
+of Sigma* over the grid.  Record-driven filter updates are
 Euler-Maruyama-consistent since dz is an increment stream.  riccati.csv is
 rendered as one block by export.write_csv, like every CSV artifact.
 """
@@ -28,6 +30,7 @@ rendered as one block by export.write_csv, like every CSV artifact.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import LinearModel
@@ -86,7 +89,7 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
+def _rk4(rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Classical RK4 of dy/dt = rhs(t, y) from y0 over the grid.
 
     y is a matrix or a stack of matrices, symmetrized after every step.
@@ -103,20 +106,45 @@ def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
         k4 = rhs(t + h, y + h * k3)
         y = _sym(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not np.isfinite(y).all():
-            raise RuntimeError(f"{what} integration diverged at step {k} (t = {t:.6g})")
+            raise RuntimeError(f"covariance integration diverged at step {k} (t = {t:.6g})")
         out[k + 1] = y
     return out
 
 
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
-    """Integrate the covariance Riccati equation with RK4 on the given grid.
+    """Propagate the covariance Riccati equation exactly over the given grid.
 
+    With the constant Hamiltonian H = [[-F^T, Q], [R, F]], one step of length
+    h maps Sigma_k to Sigma_{k+1} = Y X^{-1}, where [X; Y] = expm(H h) [I; Sigma_k]
+    (Davison & Maki, IEEE TAC 18(1), 1973).  Restarting from Sigma_k at every
+    step keeps X near I; expm is formed once per distinct step length.
     Stores the symmetrized covariance and the optimal gain at every node.
-    Aborts with a step diagnostic if the iteration produces non-finite values.
+    Raises RuntimeError with the step and time if X is singular or the
+    covariance turns non-finite.
     """
     grid = _check_grid(grid)
-    sigma = _rk4(lambda _t, s: riccati_rhs(model, s), model.sigma0, grid, "Riccati")
-    return RiccatiSolution(times=grid, sigma_star=sigma, gains=kalman_gain(model, sigma))
+    n = model.n
+    ham = np.block([[-model.F.T, model.Q], [model.R, model.F]])
+    flows = {}
+    out = np.empty((grid.size, n, n))
+    out[0] = sigma = model.sigma0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in enumerate(np.diff(grid)):
+            phi = flows.get(h)
+            if phi is None:
+                phi = flows[h] = expm(ham * h)
+            xy = phi[:, :n] + phi[:, n:] @ sigma
+            try:
+                # Y X^{-1} is symmetric, so it is also the solution X^{-T} Y^T.
+                sigma = _sym(np.linalg.solve(xy[:n].T, xy[n:].T))
+                finite = np.isfinite(sigma).all()
+            except np.linalg.LinAlgError:
+                finite = False
+            if not finite:
+                raise RuntimeError(f"Riccati propagation diverged at step {k} "
+                                   f"(t = {grid[k]:.6g})")
+            out[k + 1] = sigma
+    return RiccatiSolution(times=grid, sigma_star=out, gains=kalman_gain(model, out))
 
 
 def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
@@ -183,13 +211,13 @@ def error_covariance_ode(model: LinearModel, gain, grid) -> tuple:
             return np.stack([_lyapunov_rhs(model, sigma, kalman_gain(model, sigma_star)),
                              riccati_rhs(model, sigma_star)])
 
-        pairs = _rk4(pair_rhs, np.stack([model.sigma0, model.sigma0]), grid, "covariance")
+        pairs = _rk4(pair_rhs, np.stack([model.sigma0, model.sigma0]), grid)
         return grid, pairs[:, 0]
 
     def rhs(t, sigma):
         return _lyapunov_rhs(model, sigma, np.asarray(gain(t), dtype=float))
 
-    return grid, _rk4(rhs, model.sigma0, grid, "covariance")
+    return grid, _rk4(rhs, model.sigma0, grid)
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import PlantSpec, _frozen, qubit_moments
+from .spin_algebra import PlantSpec, _frozen, _real, _reals, qubit_moments
 
 __all__ = [
     "ObserverSpec",
@@ -58,14 +58,14 @@ class ObserverSpec:
     sigma0: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
-        omega_o = float(self.omega_o)
-        kappa = float(self.kappa)
-        beta = np.asarray(self.beta, dtype=float)
-        x0 = np.asarray(self.x0_mean, dtype=float)
-        s0 = np.asarray(self.sigma0, dtype=float)
-        if not np.isfinite(kappa) or kappa <= 0.0:
+        omega_o = _real("omega_o", self.omega_o)
+        kappa = _real("kappa", self.kappa)
+        beta = _reals("beta", self.beta)
+        x0 = _reals("x0_mean", self.x0_mean)
+        s0 = _reals("sigma0", self.sigma0)
+        if kappa <= 0.0:
             raise ValueError("kappa must be positive")
-        if not np.isfinite(omega_o) or omega_o < 0.0:
+        if omega_o < 0.0:
             raise ValueError("omega_o must be >= 0")
         if beta.shape != (2,):
             raise ValueError("beta must be a real 2-vector")
@@ -73,9 +73,6 @@ class ObserverSpec:
             raise ValueError("beta must be nonzero (zero coupling leaves nothing to measure)")
         if x0.shape != (2,):
             raise ValueError("x0_mean must be a real 2-vector")
-        for name, arr in (("beta", beta), ("x0_mean", x0), ("sigma0", s0)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
         if s0.shape != (2, 2) or not np.allclose(s0, s0.T, atol=1e-12):
             raise ValueError("sigma0 must be 2x2 symmetric")
         if np.linalg.eigvalsh(0.5 * (s0 + s0.T)).min() < -1e-12:

@@ -8,6 +8,7 @@ beyond floating point.  It imports nothing from the package, so it also holds
 the field rules that the config, sampler and oracle dataclasses share.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,39 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer")
 
 
+def _real(name: str, value) -> float:
+    """value as a float; ValueError unless it is a finite int or float (bools,
+    strings and null excluded).  Every real-valued config field obeys this rule."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name} must be a finite number")
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array; each entry is held to _real under its indexed
+    name, such as beta[1] or sigma0[0][1]."""
+    entries = np.array(value, dtype=object)
+    out = np.empty(entries.shape)
+    for idx in np.ndindex(entries.shape):
+        out[idx] = _real(name + "".join(f"[{i}]" for i in idx), entries[idx])
+    return out
+
+
 def _checked_grid(dt, t_final) -> tuple:
-    """(dt, t_final) as floats; ValueError unless 0 < dt < t_final < inf and
-    the grid has at most 1e8 steps.  The sim, filter and oracle grids share
-    this rule."""
-    dt = float(dt)
-    t_final = float(t_final)
-    if not (np.isfinite(dt) and dt > 0.0):
+    """(dt, t_final) as floats; ValueError unless both obey _real, 0 < dt <
+    t_final and the grid has at most 1e8 steps.  The sim, filter and oracle
+    grids share this rule."""
+    dt = _real("dt", dt)
+    t_final = _real("t_final", t_final)
+    if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not (np.isfinite(t_final) and t_final > dt):
-        raise ValueError("t_final must be finite and exceed dt")
+    if t_final <= dt:
+        raise ValueError("t_final must exceed dt")
     if t_final / dt > 1e8:
         raise ValueError("t_final/dt exceeds the 1e8 step guard")
     return dt, t_final
@@ -87,16 +111,15 @@ class PlantSpec:
     rho_p: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r_p, dtype=float)
-        c = np.asarray(self.c_p, dtype=float)
+        r = _reals("r_p", self.r_p)
+        c = _reals("c_p", self.c_p)
         rho = np.asarray(self.rho_p, dtype=complex)
         if r.shape != (3,):
             raise ValueError("r_p must be a real 3-vector")
         if c.shape != (3,):
             raise ValueError("c_p must be a real 3-vector")
-        for name, arr in (("r_p", r), ("c_p", c), ("rho_p", rho)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
+        if not np.isfinite(rho).all():
+            raise ValueError("rho_p must be finite")
         if not np.any(c):
             raise ValueError("c_p must be nonzero (zero row makes the tracked variable trivial)")
         if rho.shape != (2, 2):

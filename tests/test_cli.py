@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,23 +174,34 @@ def test_invalid_beta_exits_with_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("plant", "r_p", [NAN, 0.0, 0.0]),
-    ("plant", "C_p", [NAN, 0.0, 0.0]),
-    ("plant", "rho_p", [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]]),
-    ("observer", "beta", [1.0, NAN]),
-    ("observer", "x0_mean", [NAN, 0.0]),
-    ("observer", "x0_mean", [INF, 0.0]),
-    ("observer", "sigma0", [[1.0, 0.0], [0.0, INF]]),
+@pytest.mark.parametrize("section,key,value,message", [
+    ("plant", "r_p", [NAN, 0.0, 0.0], "r_p[0] must be a finite number"),
+    ("plant", "C_p", [NAN, 0.0, 0.0], "c_p[0] must be a finite number"),
+    ("plant", "rho_p", [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [NAN, 0.0]]],
+     "rho_p must be finite"),
+    ("observer", "beta", [1.0, NAN], "beta[1] must be a finite number"),
+    ("observer", "x0_mean", [NAN, 0.0], "x0_mean[0] must be a finite number"),
+    ("observer", "x0_mean", [INF, 0.0], "x0_mean[0] must be a finite number"),
+    ("observer", "sigma0", [[1.0, 0.0], [0.0, INF]], "sigma0[1][1] must be a finite number"),
 ], ids=["r_p", "C_p", "rho_p", "beta", "x0_mean-nan", "x0_mean-inf", "sigma0"])
-def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, key, value):
-    """JSON admits NaN and Infinity; the specs reject them with the section path."""
+def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, key, value,
+                                                   message):
+    """JSON admits NaN and Infinity; the specs reject them with the field path,
+    down to the entry of a real-valued array."""
     cfg = small_config()
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"configuration error: {section}: " in err and "must be finite" in err
+    assert err.startswith(f"configuration error: {section}: {message}")
+
+
+def is_finite_float(value) -> bool:
+    """Whether value is a JSON number that converts to a finite float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -216,6 +228,12 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
     ("oracle", "t_final", 0.0004),
     ("outputs", "formats", "csv"),
     ("outputs", "directory", 5),
+    ("sim", "dt", True),
+    ("sim", "dt", "0.05"),
+    ("observer", "beta", "ab"),
+    ("observer", "kappa", True),
+    ("oracle", "leakage_threshold", "1e-6"),
+    ("observer", "kappa", 10**400),
 ], ids=["filter.t_final-inf", "filter.t_final-1e12", "filter.dt-1e-9", "filter.dt-str",
         "sim.n_paths-inf", "sim.n_paths-list", "sim.seed-inf", "sim.dt-null",
         "oracle.n_trunc-inf", "oracle.n_trunc-null", "oracle.store_every-inf",
@@ -223,10 +241,13 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
         "oracle.leakage_threshold-negative", "outputs.formats-int",
         "sim.seed-fraction", "sim.n_paths-fraction", "sim.n_paths-bool",
         "oracle.n_trunc-fraction", "oracle.store_every-fraction",
-        "oracle.t_final-below-dt", "outputs.formats-str", "outputs.directory-int"])
+        "oracle.t_final-below-dt", "outputs.formats-str", "outputs.directory-int",
+        "sim.dt-bool", "sim.dt-str", "observer.beta-str", "observer.kappa-bool",
+        "oracle.leakage_threshold-str", "observer.kappa-huge-int"])
 def test_bad_config_value_exits_with_config_error(tmp_path, capsys, section, key, value):
     """Out-of-range, non-finite and mistyped values stop at load with exit 2;
-    an integer count, the seed and the outputs fields are named in the message."""
+    an integer count, the seed, the outputs fields and a real-valued field
+    given anything but a finite number are named in the message."""
     cfg = small_config()
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)
@@ -235,6 +256,8 @@ def test_bad_config_value_exits_with_config_error(tmp_path, capsys, section, key
     assert err.startswith(f"configuration error: {section}: ") and "Traceback" not in err
     if key in ("n_paths", "seed", "n_trunc", "store_every", "formats", "directory"):
         assert err.startswith(f"configuration error: {section}: {key} must be ")
+    elif not is_finite_float(value):
+        assert err.startswith(f"configuration error: {section}: {key} must be a finite number")
 
 
 @pytest.mark.parametrize("section,value", [("sim", 5), ("oracle", "x"), ("outputs", None)])
@@ -346,7 +369,7 @@ def test_filter_self_test(tmp_path, capsys):
     assert main(["filter", "--config", path, "--out", str(out), "--self-test"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["mode"] == "self_test"
-    assert report["max_abs_deviation"] <= 1e-8
+    assert report["max_abs_deviation"] <= 1e-12
 
 
 def test_filter_monte_carlo_run(tmp_path):

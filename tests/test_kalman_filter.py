@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ def test_solve_riccati_scalar_closed_form():
     model = scalar_regression_model()
     grid = np.arange(0, 1001) * 1e-3
     ricc = solve_riccati(model, grid)
-    np.testing.assert_allclose(ricc.sigma_star[:, 0, 0], 1.0 / (1.0 + grid), atol=1e-8)
-    assert ricc.sigma_star[-1, 0, 0] == pytest.approx(0.5, abs=1e-8)
+    np.testing.assert_allclose(ricc.sigma_star[:, 0, 0], 1.0 / (1.0 + grid), atol=1e-11)
+    assert ricc.sigma_star[-1, 0, 0] == pytest.approx(0.5, abs=1e-11)
 
 
 def test_solve_riccati_zero_fixed_point():
@@ -154,15 +155,43 @@ def test_solve_riccati_zero_fixed_point():
     np.testing.assert_array_equal(ricc.sigma_star, np.zeros_like(ricc.sigma_star))
 
 
-def test_solve_riccati_fourth_order_convergence():
+def test_error_covariance_ode_fourth_order_convergence():
+    """The RK4 integrator's error falls 16-fold per halving of dt; the exact
+    Riccati propagator stays at roundoff on every one of these grids."""
     model = scalar_regression_model()
     errs = []
     for dt in (0.1, 0.05, 0.025):
         grid = np.arange(0, int(round(10.0 / dt)) + 1) * dt
-        ricc = solve_riccati(model, grid)
-        errs.append(np.max(np.abs(ricc.sigma_star[:, 0, 0] - 1.0 / (1.0 + grid))))
+        exact = 1.0 / (1.0 + grid)
+        _, cov = error_covariance_ode(model, None, grid)
+        errs.append(np.max(np.abs(cov[:, 0, 0] - exact)))
+        assert np.max(np.abs(solve_riccati(model, grid).sigma_star[:, 0, 0] - exact)) < 1e-11
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(ratios > 16.0 * 0.8) and np.all(ratios < 16.0 * 1.2)
+
+
+def test_solve_riccati_uneven_grid_matches_exact_solution():
+    """Every step of a sorted random grid is distinct, so every step forms its
+    own matrix exponential."""
+    model = build_augmented(PLANT, OBS)
+    inner = np.sort(np.random.default_rng(11).uniform(0.0, 5.0, 999))
+    grid = np.concatenate([[0.0], inner, [5.0]])
+    assert np.unique(np.diff(grid)).size == grid.size - 1
+    exact = hamiltonian_riccati(model, grid)
+    assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-11
+
+
+def test_solve_riccati_divergence_raises():
+    """dSigma/dt = 2000 Sigma + 1 (Q = 0 since D C = 0) overflows near t = 0.36;
+    the propagator stops with the step and time, without numpy warnings."""
+    model = LinearModel(A=np.array([[1e3]]), B=np.array([[1.0, 0.0]]),
+                        C=np.array([[1.0], [0.0]]), D=np.array([[0.0, 1.0]]),
+                        x0_mean=np.zeros(1), sigma0=np.eye(1))
+    assert not model.Q.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"diverged at step 3 \(t = 0\.3\)"):
+            solve_riccati(model, np.linspace(0.0, 1.0, 11))
 
 
 def test_riccati_first_row_stays_zero_for_pinned_plant():
@@ -184,12 +213,12 @@ def test_riccati_solution_symmetric_psd():
 
 
 def test_riccati_matches_exact_hamiltonian_solution():
-    """RK4 Riccati and the co-integrated optimal covariance on the filter grid
-    against the exact solution of the constant Riccati equation."""
+    """The propagated Riccati solution and the RK4 co-integrated optimal
+    covariance on the filter grid against the single-shot exact solution."""
     model = build_augmented(PLANT, OBS)
     grid = time_grid(SimConfig(dt=0.005, t_final=5.0, n_paths=1, seed=0))
     exact = hamiltonian_riccati(model, grid)
-    assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-8
+    assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-11
     _, cov = error_covariance_ode(model, None, grid)
     assert np.max(np.abs(cov - exact)) < 1e-8
 

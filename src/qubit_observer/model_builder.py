@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# Envelope of kappa and omega_o, from log-spaced sweeps of analyze and filter
+# on the shipped default config.  Past it the numerics break: kappa above
+# 1e150 overflows and below 1e-11 the resolvent is singular, analyze's
+# steady-state cross-check fails below kappa 5e-7 and its Hurwitz check fails
+# by roundoff from kappa or omega_o near 2e3, and at kappa or omega_o 1e3 the
+# sampler's gate fails or the filter's estimate overflows.  Inside it, on the
+# default grids, every command ends in its own verdict (the filter gate fails
+# below kappa 2e-3 and above omega_o 10).
+KAPPA_RANGE = (1e-4, 1e2)
+OMEGA_O_MAX = 1e2
 
 
 def symplectic_j() -> np.ndarray:
@@ -44,11 +54,13 @@ _J = symplectic_j()
 class ObserverSpec:
     """Damped-oscillator observer parameters.
 
-    omega_o : oscillator frequency (rad/s), >= 0.
-    kappa : field coupling rate (1/s), > 0.
+    omega_o : oscillator frequency (rad/s), in [0, OMEGA_O_MAX].
+    kappa : field coupling rate (1/s), in KAPPA_RANGE.
     beta : (2,) nonzero coupling direction.
     x0_mean, sigma0 : initial quadrature mean and symmetrized covariance;
-        default to the vacuum-consistent (0, 0) and identity.
+        default to the vacuum-consistent (0, 0) and identity.  sigma0 must
+        be a quantum state's: with [q, p] = 2i, sigma0 + iJ >= 0, which the
+        vacuum I meets on the boundary (Simon, Mukunda & Dutta 1994).
     """
 
     omega_o: float
@@ -63,10 +75,10 @@ class ObserverSpec:
         beta = _reals("beta", self.beta)
         x0 = _reals("x0_mean", self.x0_mean)
         s0 = _reals("sigma0", self.sigma0)
-        if kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if omega_o < 0.0:
-            raise ValueError("omega_o must be >= 0")
+        if not KAPPA_RANGE[0] <= kappa <= KAPPA_RANGE[1]:
+            raise ValueError("kappa must lie in [%g, %g]" % KAPPA_RANGE)
+        if not 0.0 <= omega_o <= OMEGA_O_MAX:
+            raise ValueError(f"omega_o must lie in [0, {OMEGA_O_MAX:g}]")
         if beta.shape != (2,):
             raise ValueError("beta must be a real 2-vector")
         if not np.any(beta):
@@ -75,13 +87,18 @@ class ObserverSpec:
             raise ValueError("x0_mean must be a real 2-vector")
         if s0.shape != (2, 2) or not np.allclose(s0, s0.T, atol=1e-12):
             raise ValueError("sigma0 must be 2x2 symmetric")
-        if np.linalg.eigvalsh(0.5 * (s0 + s0.T)).min() < -1e-12:
-            raise ValueError("sigma0 must be positive semidefinite")
+        s0 = 0.5 * (s0 + s0.T)
+        # A 2x2 Hermitian matrix is PSD iff its trace and determinant are >= 0,
+        # and det(sigma0 + iJ) = det sigma0 - 1; the tolerance covers roundoff.
+        diag = s0[0, 0] * s0[1, 1]
+        if s0[0, 0] + s0[1, 1] < 0.0 or diag - s0[0, 1] ** 2 < 1.0 - 1e-12 * max(1.0, diag):
+            raise ValueError("sigma0 must obey the uncertainty relation sigma0 + iJ >= 0 "
+                             "(the vacuum is the identity)")
         object.__setattr__(self, "omega_o", omega_o)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "beta", _frozen(beta))
         object.__setattr__(self, "x0_mean", _frozen(x0))
-        object.__setattr__(self, "sigma0", _frozen(0.5 * (s0 + s0.T)))
+        object.__setattr__(self, "sigma0", _frozen(s0))
 
 
 def realizability_matrices(r_o, w_o) -> tuple:

@@ -269,20 +269,40 @@ def ensemble_mean_cov(samples) -> tuple:
     return mean, cov
 
 
+class _PathBlocks:
+    """The rows of paths.csv as a sequence of (n_t, 6) blocks, one per path,
+    each built when it is indexed."""
+
+    def __init__(self, ens: Ensemble):
+        self.ens = ens
+
+    def __len__(self) -> int:
+        return self.ens.z_p.size
+
+    def __getitem__(self, pid: int) -> np.ndarray:
+        ens = self.ens
+        block = np.empty((ens.times.size, 6))
+        block[:, 0] = pid
+        block[:, 1] = ens.times
+        block[:-1, 2] = ens.dz[pid]
+        block[-1, 2] = 0.0
+        block[:, 3:5] = ens.x_o[pid]
+        block[:, 5] = ens.z_p[pid]
+        return block
+
+
 def write_paths_csv(path, ens: Ensemble) -> None:
     """Concatenated per-path CSV: path_id, t, dz, x_o_1, x_o_2, z_p_true.
 
     Row k of a path carries the state at t_k and the record increment over
     the step starting at t_k; the final row pads dz with 0.  The whole
     ensemble is checked for finite values first, so a bad path is named and
-    no file is created; the rows are then rendered by export.write_csv one
-    (n_t, 6) block per path, so memory does not grow with n_paths.
+    no file is created.  export.write_csv then renders a lazy view with one
+    block per path, so memory does not grow with n_paths: path_id and
+    z_p_true are formatted once per path and t once per worker, only dz and
+    x_o row by row, and the paths are split across the usable CPUs.
     """
     finite = np.isfinite(ens.x_o).all(axis=(1, 2)) & np.isfinite(ens.dz).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite value in path {int(np.argmin(finite))}")
-    n_t = ens.times.size
-    blocks = (np.column_stack([np.full(n_t, pid), ens.times, np.append(ens.dz[pid], 0.0),
-                               ens.x_o[pid], np.full(n_t, z)])
-              for pid, z in enumerate(ens.z_p))
-    write_csv(path, ("path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"), blocks)
+    write_csv(path, ("path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"), _PathBlocks(ens))

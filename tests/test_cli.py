@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +88,104 @@ def test_csv_writers_match_cell_by_cell_reference(tmp_path):
     with pytest.raises(ValueError, match="non-finite value in output: nan"):
         write_csv(tmp_path / "bad.csv", ("a", "b"), [np.ones((2, 2)), [[1.0, NAN]]])
     assert not (tmp_path / "bad.csv").exists()
+
+
+def _use_cpus(monkeypatch, n):
+    """Make write_csv see n usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)), raising=False)
+
+
+def test_paths_csv_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    """paths.csv from 1, 2 and 4 workers is the same file, and equals a plain
+    per-row rendering; the path ids, signed zeros and a time column that
+    changes between paths all survive the split."""
+    rng = np.random.default_rng(5)
+    times = np.arange(6) * 0.1
+    x_o = rng.normal(size=(7, 6, 2))
+    x_o[2, :, 0], x_o[3, :, 0] = 0.0, -0.0
+    x_o[4] = x_o[3]
+    dz = rng.normal(size=(7, 5))
+    dz[5] = -0.0
+    ens = Ensemble(times=times, z_p=np.array([1.0, -1.0, 1.0, 0.0, -0.0, 1.0, -1.0]),
+                   x_o=x_o, dz=dz)
+    rows = [[pid, times[k], dz[pid, k] if k < 5 else 0.0, *x_o[pid, k], ens.z_p[pid]]
+            for pid in range(7) for k in range(6)]
+    expected = ("\n".join(_reference_lines(
+        ["path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"], rows)) + "\n").encode()
+    for cpus in (1, 2, 4):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"paths_{cpus}.csv"
+        write_paths_csv(out, ens)
+        assert out.read_bytes() == expected, cpus
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "paths_1.csv", "paths_2.csv", "paths_4.csv"]
+
+
+def test_constant_column_with_signed_zeros_renders_per_row(tmp_path, monkeypatch):
+    """0.0 and -0.0 compare equal but render as 0 and -0: a column mixing them
+    is not constant, and a block repeating the previous one up to the sign of
+    a zero is not a repeat."""
+    a = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, 1.5], [0.0, -0.0, 1.5]])
+    b = np.array([[-0.0, -0.0, 1.5], [-0.0, -0.0, 1.5], [0.0, 0.0, 1.5]])
+    blocks = [a, a, b, a.copy()]
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"zeros_{cpus}.csv"
+        write_csv(out, ("u", "v", "w"), blocks)
+        rows = [row for block in blocks for row in block]
+        assert out.read_text().splitlines() == _reference_lines(("u", "v", "w"), rows)
+        assert out.read_text().splitlines()[1:4] == ["0,-0,1.5", "-0,-0,1.5", "0,-0,1.5"]
+
+
+class _FailingBlocks:
+    """Four blocks; indexing raises in the process named by ``fails`` once the
+    finiteness pass is over, and a worker that is not meant to fail sleeps."""
+
+    def __init__(self, fails):
+        self.fails = fails
+        self.parent = os.getpid()
+        self.checked = set()
+
+    def __len__(self):
+        return 4
+
+    def __getitem__(self, i):
+        in_parent = os.getpid() == self.parent
+        if in_parent and i not in self.checked:
+            self.checked.add(i)
+        elif (self.fails == "parent") == in_parent:
+            raise RuntimeError("block cannot be built")
+        elif not in_parent:
+            time.sleep(60)
+        return np.full((3, 2), float(i))
+
+
+@pytest.mark.parametrize("fails", ["worker", "parent"])
+def test_failed_render_removes_file_and_leaves_no_child(tmp_path, monkeypatch, fails):
+    """A worker that raises, or the parent's own range raising while a worker
+    runs, makes write_csv raise; the CSV is removed, no temporary file is
+    left and every child is reaped."""
+    _use_cpus(monkeypatch, 2)
+    out = tmp_path / "table.csv"
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker failed" if fails == "worker" else "cannot"):
+        write_csv(out, ("a", "b"), _FailingBlocks(fails))
+    assert time.perf_counter() - start < 30.0
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_single_block_tables_do_not_fork(tmp_path, monkeypatch):
+    """riccati.csv and oracle.csv are one block each, so write_csv never forks."""
+    _use_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_csv(tmp_path / "one.csv", ("a", "b"), [np.arange(6.0).reshape(3, 2)])
+    assert (tmp_path / "one.csv").read_text() == "a,b\n0,1\n2,3\n4,5\n"
 
 
 @pytest.mark.parametrize("n", [7, 999, 2000])
@@ -194,6 +294,36 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {section}: {message}")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("sigma0", [[0.01, 0.0], [0.0, 0.01]], "sigma0 must obey the uncertainty relation"),
+    ("sigma0", [[1.0, 0.2], [0.2, 0.5]], "sigma0 must obey the uncertainty relation"),
+    ("kappa", 1e300, "kappa must lie in [0.0001, 100]"),
+    ("kappa", 1e-300, "kappa must lie in [0.0001, 100]"),
+    ("omega_o", 1e3, "omega_o must lie in [0, 100]"),
+], ids=["sigma0-0.01I", "sigma0-det-below-1", "kappa-huge", "kappa-tiny",
+        "omega_o-huge"])
+def test_observer_outside_its_physical_or_numeric_range_exits_2_on_every_command(
+        tmp_path, capsys, key, value, message):
+    """A covariance breaking sigma0 + iJ >= 0, or a kappa or omega_o outside
+    the envelope where the model's numerics hold, stops every command at load
+    with the field, where it used to run or end in a traceback."""
+    cfg = small_config()
+    cfg["observer"][key] = value
+    path = write_config(tmp_path, cfg)
+    for command in ("analyze", "simulate", "filter", "oracle"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: observer: {message}"), command
+
+
+def test_observer_envelope_edges_and_squeezed_states_load():
+    for key, value in (("kappa", 1e-4), ("kappa", 1e2), ("omega_o", 0.0), ("omega_o", 1e2),
+                       ("sigma0", [[1e6, 0.0], [0.0, 1e-6]]), ("sigma0", [[2.0, 1.0], [1.0, 1.0]])):
+        cfg = small_config()
+        cfg["observer"][key] = value
+        assert np.array_equal(getattr(load_config(cfg).observer, key), value), key
 
 
 def is_finite_float(value) -> bool:

@@ -22,7 +22,7 @@ OBS = ObserverSpec(omega_o=1.0, kappa=4.0, beta=np.array([1.0, 0.0]))
 # Non-zero initial means and a correlated sigma0: the filter error is biased.
 BIASED_PLANT = PlantSpec(r_p=np.zeros(3), c_p=[0.0, 0.0, 1.0], rho_p=np.diag([0.8, 0.2]))
 BIASED_OBS = ObserverSpec(omega_o=1.0, kappa=4.0, beta=np.array([0.6, 0.8]),
-                          x0_mean=[0.3, -0.2], sigma0=[[1.0, 0.2], [0.2, 0.5]])
+                          x0_mean=[0.3, -0.2], sigma0=[[2.0, 0.2], [0.2, 0.6]])
 
 
 def scalar_regression_model():

@@ -232,7 +232,7 @@ def test_sampler_matches_reference_recursion(scheme):
     contract; 257 paths and 130 steps cross a chunk and two block boundaries."""
     plant = PlantSpec(r_p=np.zeros(3), c_p=[0.0, 0.0, 1.0], rho_p=np.diag([0.8, 0.2]))
     observer = ObserverSpec(omega_o=1.0, kappa=4.0, beta=np.array([0.6, 0.8]),
-                            x0_mean=[0.3, -0.2], sigma0=[[1.0, 0.2], [0.2, 0.5]])
+                            x0_mean=[0.3, -0.2], sigma0=[[2.0, 0.2], [0.2, 0.6]])
     model = build_augmented(plant, observer)
     dt = 0.02
     config = SimConfig(dt=dt, t_final=2.6, n_paths=257, seed=17)

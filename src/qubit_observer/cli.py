@@ -20,11 +20,13 @@ from .export import ensure_dir, write_json
 from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           expectations, joint_initial_state,
                           reduced_mean_trajectory, write_oracle_csv)
-from .kalman_filter import run_filter_ensemble, solve_riccati, write_riccati_csv
+from .kalman_filter import (run_filter_ensemble, solve_riccati, step_maps,
+                            write_riccati_csv)
 from .model_builder import (LinearModel, build_augmented, closed_loop_transfer,
                             hurwitz_check, optimal_gain, output_bias,
                             steady_state_mean)
 from .sde_engine import SimConfig, ensemble_mean_cov, simulate_paths, time_grid, write_paths_csv
+from .spin_algebra import qubit_moments
 
 ENV_OUT_DIR = "QUBIT_OBSERVER_OUT_DIR"
 
@@ -34,6 +36,8 @@ ZSCORE_LIMIT = 4.0
 SELF_TEST_TOL = 1e-12
 ORACLE_MEAN_TOL = 1e-4
 ORACLE_DRIFT_TOL = 1e-6
+# roundoff allowance on the unit spectral radius of the conserved z_p mode
+EULER_RADIUS_TOL = 1e-12
 
 
 def _family_limit(n_tests: int) -> float:
@@ -186,6 +190,14 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
     sim = replace(config.sim, dt=config.filter.dt, t_final=config.filter.t_final)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
+    radii = np.abs(np.linalg.eigvals(step_maps(model, ricc))).max(axis=1)
+    worst = int(np.argmax(radii))
+    if radii[worst] > 1.0 + EULER_RADIUS_TOL:
+        raise RuntimeError(
+            f"filter.dt = {sim.dt:g} is too coarse for the filter's explicit step: "
+            f"I + h (A - G D C) has spectral radius {radii[worst]:.6g} > 1 at "
+            f"t = {grid[worst]:.6g}, so the estimates would grow without bound; "
+            "reduce filter.dt")
     ens = simulate_paths(model, sim)
 
     n_paths = ens.z_p.size
@@ -242,16 +254,26 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
 
 
 def cmd_oracle(config: ExperimentConfig) -> tuple:
-    """Master-equation oracle vs reduced linear model at the mean level."""
+    """Master-equation oracle vs reduced linear model at the mean level.
+
+    The oscillator starts in the coherent state alpha = (x0_1 + i x0_2)/2,
+    whose covariance is I, and the reference from the configured moments, so
+    the first node checks the start.
+    """
     plant, obs, fock = config.plant, config.observer, config.oracle
+    if not np.array_equal(obs.sigma0, np.eye(2)):
+        raise ConfigError(f"observer.sigma0: the oracle starts a coherent state, whose "
+                          f"covariance is the identity; got {obs.sigma0.tolist()}")
     ops = build_operators(plant.r_p, plant.c_p, obs.beta, obs.omega_o, obs.kappa,
                           fock.n_trunc)
-    state = joint_initial_state(plant.rho_p, fock.n_trunc)
+    x0 = obs.x0_mean
+    state = joint_initial_state(plant.rho_p, fock.n_trunc, alpha=complex(x0[0], x0[1]) / 2)
     initial = expectations(state.rho[None], ops)
     times, traces = evolve(state, ops, fock)
-    reference = reduced_mean_trajectory(
-        obs.omega_o, obs.kappa, obs.beta, initial.exp_zp[0],
-        (initial.exp_q[0], initial.exp_p[0]), times)
+    # evolve's node spacing: store_every * dt, then the tail
+    steps = np.diff(np.rint(times / fock.dt)) * fock.dt
+    reference = reduced_mean_trajectory(obs.omega_o, obs.kappa, obs.beta,
+                                        qubit_moments(plant)[0], x0, steps)
     mean_dev = float(np.max(np.abs(
         np.column_stack([traces.exp_q, traces.exp_p]) - reference)))
     zp_drift = float(np.max(np.abs(traces.exp_zp - initial.exp_zp[0])))
@@ -345,6 +367,9 @@ def main(argv=None) -> int:
             report, (times, traces) = cmd_oracle(config)
             if want_csv:
                 write_oracle_csv(os.path.join(out_dir, "oracle.csv"), times, traces)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except FockTruncationError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 1

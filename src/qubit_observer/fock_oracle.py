@@ -15,9 +15,9 @@ coupling relation (L + L^dag, (L - L^dag)/i) = sqrt(kappa) (q, p).
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from .export import write_csv
+from .sde_engine import exact_lti_step
 from .spin_algebra import PAULI, _checked_grid, _frozen, _integer, _real
 
 __all__ = [
@@ -306,33 +306,30 @@ def expectations(rho_series: np.ndarray, ops: OperatorSet) -> ExpectationTraces:
 
 
 def reduced_mean_trajectory(omega_o: float, kappa: float, beta, z_bar: float,
-                            x_o0, times) -> np.ndarray:
-    """Mean quadratures of the reduced model on a uniform grid, solved exactly.
+                            x_o0, steps) -> np.ndarray:
+    """Mean quadratures of the reduced model, solved exactly over the given steps.
 
-    Integrates d m/dt = Atilde m + 2 J beta z_bar through the exact affine
-    one-step propagator, independently of the master-equation integrator.
+    Steps d m/dt = Atilde m + 2 J beta z_bar from m = x_o0 over each positive
+    step length in turn, with sde_engine.exact_lti_step called once per
+    distinct length, and returns the len(steps) + 1 means.  Atilde is built
+    here from (omega_o, kappa, beta), independently of the model builder and
+    of the master-equation propagation it is compared with.
     """
     beta = np.asarray(beta, dtype=float)
-    times = np.asarray(times, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    if steps.ndim != 1 or not np.all(steps > 0.0):
+        raise ValueError("steps must be positive lengths")
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     a_tilde = -0.5 * kappa * np.eye(2) + 2.0 * omega_o * j2
     forcing = 2.0 * (j2 @ beta) * z_bar
-    steps = np.diff(times)
-    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-12:
-        raise ValueError("reduced_mean_trajectory requires a uniform grid")
-    out = np.empty((times.size, 2))
-    out[0] = np.asarray(x_o0, dtype=float)
-    if steps.size == 0:
-        return out
-    h = steps[0]
-    aff = np.zeros((3, 3))
-    aff[:2, :2] = a_tilde
-    aff[:2, 2] = forcing
-    prop = expm(aff * h)
-    m = out[0]
-    for k in range(1, times.size):
-        m = prop[:2, :2] @ m + prop[:2, 2]
-        out[k] = m
+    flows = {}
+    out = np.empty((steps.size + 1, 2))
+    out[0] = m = np.asarray(x_o0, dtype=float)
+    for k, h in enumerate(steps):
+        if h not in flows:
+            flows[h] = exact_lti_step(a_tilde, np.zeros((2, 0)), h, u=forcing)[:2]
+        transition, drift = flows[h]
+        out[k + 1] = m = transition @ m + drift
     return out
 
 

@@ -18,13 +18,13 @@ two-point-distributed plant variable.
 The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
 and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
 by the linear-fractional map of the constant Hamiltonian matrix over each
-grid step; only error_covariance_ode, whose gain schedules may vary in
-time, is integrated by a fixed-step classical RK4 helper.  Both symmetrize
-after every step and abort on non-finite values; positive semidefiniteness
-is not projected, and the ``filter`` report records the smallest eigenvalue
-of Sigma* over the grid.  Record-driven filter updates are
-Euler-Maruyama-consistent since dz is an increment stream.  riccati.csv is
-rendered as one block by export.write_csv, like every CSV artifact.
+grid step.  error_covariance carries the covariance of the error under any
+step-held gain schedule exactly, one sde_engine.exact_lti_step per step.
+Both symmetrize after every step and abort on non-finite values; positive
+semidefiniteness is not projected, and the ``filter`` report records the
+smallest eigenvalue of Sigma* over the grid.  Record-driven filter updates
+are Euler-Maruyama-consistent since dz is an increment stream.  riccati.csv
+is rendered as one block by export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -34,16 +34,17 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import LinearModel
+from .sde_engine import exact_lti_step
 from .spin_algebra import _frozen
 
 __all__ = [
     "LinearModel",
     "RiccatiSolution",
     "kalman_gain",
-    "riccati_rhs",
     "solve_riccati",
+    "step_maps",
     "run_filter_ensemble",
-    "error_covariance_ode",
+    "error_covariance",
     "write_riccati_csv",
 ]
 
@@ -71,44 +72,11 @@ def kalman_gain(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
     return sigma @ model.gain_slope + model.gain_offset
 
 
-def riccati_rhs(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
-    """Covariance derivative F Sigma + Sigma F^T - Sigma Q Sigma + R, symmetrized."""
-    return _sym(model.F @ sigma + sigma @ model.F.T - sigma @ model.Q @ sigma + model.R)
-
-
-def _lyapunov_rhs(model: LinearModel, sigma: np.ndarray, g: np.ndarray) -> np.ndarray:
-    drift = model.A - g @ model.DC
-    residual_b = model.B - g @ model.D
-    return _sym(drift @ sigma + sigma @ drift.T + residual_b @ residual_b.T)
-
-
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing with >= 2 points")
     return grid
-
-
-def _rk4(rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Classical RK4 of dy/dt = rhs(t, y) from y0 over the grid.
-
-    y is a matrix or a stack of matrices, symmetrized after every step.
-    Returns the trajectory, one y per node; raises RuntimeError with the
-    step and time if the iteration produces non-finite values.
-    """
-    out = np.empty((grid.size,) + y0.shape)
-    out[0] = y = y0
-    for k in range(grid.size - 1):
-        t, h = grid[k], grid[k + 1] - grid[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = _sym(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(y).all():
-            raise RuntimeError(f"covariance integration diverged at step {k} (t = {t:.6g})")
-        out[k + 1] = y
-    return out
 
 
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
@@ -147,6 +115,16 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     return RiccatiSolution(times=grid, sigma_star=out, gains=kalman_gain(model, out))
 
 
+def step_maps(model: LinearModel, riccati: RiccatiSolution) -> np.ndarray:
+    """The filter's explicit step maps I + h_k (A - G_k D C), one per grid step.
+
+    run_filter_ensemble applies map k to the estimate over the step from
+    node k; the filter is stable on the grid only if no map expands.
+    """
+    h = np.diff(riccati.times)[:, None, None]
+    return np.eye(model.n) + h * (model.A - riccati.gains[:-1] @ model.DC)
+
+
 def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
                         times, dz, keep=None) -> np.ndarray:
     """Propagate the unbiased estimate along many records sharing one grid.
@@ -180,44 +158,42 @@ def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
     n_paths = dz.shape[0]
     n_steps = times.size - 1
     n = model.n
-    eye = np.eye(n)
+    maps = step_maps(model, riccati)
     x = np.broadcast_to(model.x0_mean, (n_paths, n)).copy()
     out = np.empty((n_paths, keep.size, n))
     if slot[0] >= 0:
         out[:, slot[0], :] = x
     for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        g = riccati.gains[k]
-        step_map = eye + h * (model.A - g @ model.DC)
-        x = x @ step_map.T + dz[:, k, :] @ g.T
+        x = x @ maps[k].T + dz[:, k, :] @ riccati.gains[k].T
         if slot[k + 1] >= 0:
             out[:, slot[k + 1], :] = x
     return out
 
 
-def error_covariance_ode(model: LinearModel, gain, grid) -> tuple:
-    """Integrate the error covariance for a gain schedule; optimal if gain is None.
+def error_covariance(model: LinearModel, gains, grid) -> np.ndarray:
+    """Exact error covariance of the filter under a step-held gain schedule.
 
-    For a callable gain(t) the Lyapunov-type equation with drift A - G D C and
-    diffusion (B - G D)(B - G D)^T is integrated from sigma0.  With gain=None
-    the Riccati equation is co-integrated and its gain is used at every RK4
-    stage, which reproduces the optimal covariance to roundoff.  Returns
-    (times, covariance trajectory).
+    ``gains[k]`` (n, p) is held over the step from ``grid[k]``, as in
+    run_filter_ensemble; a gain at the last node is not used.  Each step is
+    Sigma <- T Sigma T^T + W, (T, _, W) = exact_lti_step(A - G_k D C, B - G_k D, h).
+    Returns the covariance at every node, from sigma0; raises RuntimeError
+    with the step and time if it turns non-finite.
     """
     grid = _check_grid(grid)
-    if gain is None:
-        def pair_rhs(_t, pair):
-            sigma, sigma_star = pair
-            return np.stack([_lyapunov_rhs(model, sigma, kalman_gain(model, sigma_star)),
-                             riccati_rhs(model, sigma_star)])
-
-        pairs = _rk4(pair_rhs, np.stack([model.sigma0, model.sigma0]), grid)
-        return grid, pairs[:, 0]
-
-    def rhs(t, sigma):
-        return _lyapunov_rhs(model, sigma, np.asarray(gain(t), dtype=float))
-
-    return grid, _rk4(rhs, model.sigma0, grid)
+    gains = np.asarray(gains, dtype=float)
+    n, p = model.n, model.D.shape[0]
+    if gains.ndim != 3 or gains.shape[0] < grid.size - 1 or gains.shape[1:] != (n, p):
+        raise ValueError(f"gains must hold one ({n}, {p}) gain per grid step; "
+                         f"got shape {gains.shape}")
+    out = np.empty((grid.size, n, n))
+    out[0] = sigma = model.sigma0
+    for k, (h, g) in enumerate(zip(np.diff(grid), gains)):
+        transition, _, noise_cov = exact_lti_step(model.A - g @ model.DC, model.B - g @ model.D, h)
+        sigma = _sym(transition @ sigma @ transition.T + noise_cov)
+        if not np.isfinite(sigma).all():
+            raise RuntimeError(f"error covariance diverged at step {k} (t = {grid[k]:.6g})")
+        out[k + 1] = sigma
+    return out
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:

@@ -96,32 +96,26 @@ def exact_lti_step(a, b, dt: float, u=None) -> tuple:
         drift      = int_0^dt exp(a s) ds @ u            (zero if u is None),
         noise_cov  = int_0^dt exp(a s) b b^T exp(a^T s) ds,
 
-    with the covariance integral evaluated through the block matrix
-    exponential exp([[-a, b b^T], [0, a^T]] dt): the lower-right block is the
-    transposed transition and noise_cov = transition @ upper-right block.
+    each from one exponential of an affine system (Van Loan, IEEE TAC 23(3),
+    1978): exp([[a, u], [0, 0]] dt) for the first two, and for noise_cov the
+    vectorized Lyapunov equation S' = a S + S a^T + b b^T from S = 0, whose
+    modes lambda_i + lambda_j do not grow when a is stable, whatever dt.
     The discrete chain x_{k+1} = transition x_k + drift + N(0, noise_cov)
     matches the continuous marginals exactly for any dt.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a
-    block[:n, n:] = b @ b.T
-    block[n:, n:] = a.T
-    phi = expm(block * dt)
-    transition = phi[n:, n:].T
-    noise_cov = transition @ phi[:n, n:]
-    noise_cov = 0.5 * (noise_cov + noise_cov.T)
-    if u is None:
-        drift = np.zeros(n)
-    else:
-        u = np.asarray(u, dtype=float)
-        aff = np.zeros((n + 1, n + 1))
-        aff[:n, :n] = a
+    aff = np.zeros((n + 1, n + 1))
+    aff[:n, :n] = a
+    if u is not None:
         aff[:n, n] = u
-        drift = expm(aff * dt)[:n, n]
-    return transition, drift, noise_cov
+    phi = expm(aff * dt)
+    lyap = np.zeros((n * n + 1, n * n + 1))
+    lyap[:-1, :-1] = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
+    lyap[:-1, -1] = (b @ b.T).reshape(-1)
+    noise_cov = expm(lyap * dt)[:-1, -1].reshape(n, n)
+    return phi[:n, :n], phi[:n, n], 0.5 * (noise_cov + noise_cov.T)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:

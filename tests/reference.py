@@ -44,24 +44,6 @@ def commutator_oracle(r_p) -> np.ndarray:
     return out
 
 
-def gain_interpolator(riccati):
-    """Entrywise-linear interpolant of a stored gain schedule, clamped at the ends."""
-    times = riccati.times
-    gains = riccati.gains
-
-    def gain(t: float) -> np.ndarray:
-        if t <= times[0]:
-            return gains[0]
-        if t >= times[-1]:
-            return gains[-1]
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[idx], times[idx + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * gains[idx] + w * gains[idx + 1]
-
-    return gain
-
-
 def live_system(model):
     """(a, b, u) of ds = (a s + u z_p) dt + b dw for s = (x_o, integrated record)."""
     dc = (model.D @ model.C)[0]

@@ -573,6 +573,77 @@ def test_oracle_command(tmp_path):
     assert lines[0] == "t,exp_zp,exp_q,exp_p,leakage"
 
 
+EIGENSTATE_RHO_PAIRS = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+
+
+def test_oracle_with_a_tail_step_ends_at_t_final(tmp_path):
+    """store_every = 3 leaves a one-step tail after 133 strides; the reference
+    steps by the same spacing and the last row sits at t_final."""
+    cfg = small_config()
+    cfg["plant"]["rho_p"] = EIGENSTATE_RHO_PAIRS
+    cfg["observer"]["omega_o"] = 1.0
+    cfg["oracle"]["store_every"] = 3
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "orc"
+    assert main(["oracle", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["mean_agreement"]["passed"] is True
+    rows = (out / "oracle.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 135
+    assert float(rows[-1].split(",")[0]) == 0.4
+    assert float(rows[-1].split(",")[2]) < -0.05  # the means have moved
+
+
+def test_oracle_starts_from_the_configured_observer_state(tmp_path, monkeypatch):
+    """x0_mean = [1, 0] starts the oscillator in the coherent state alpha = 0.5
+    and passes; the same run from vacuum fails mean_agreement at the first node."""
+    cfg = small_config()
+    cfg["plant"]["rho_p"] = EIGENSTATE_RHO_PAIRS
+    cfg["observer"]["x0_mean"] = [1.0, 0.0]
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "orc"
+    assert main(["oracle", "--config", path, "--out", str(out)]) == 0
+    first = (out / "oracle.csv").read_text().splitlines()[1].split(",")
+    assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
+    start = cli.joint_initial_state
+    monkeypatch.setattr(cli, "joint_initial_state",
+                        lambda rho_p, n_trunc, alpha=0.0: start(rho_p, n_trunc))
+    report, _ = cli.cmd_oracle(load_config(cfg))
+    assert report["checks"]["mean_agreement"]["passed"] is False
+    assert report["max_mean_deviation"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracle_rejects_a_non_coherent_sigma0(tmp_path, capsys):
+    cfg = small_config()
+    cfg["observer"]["sigma0"] = [[2.0, 0.0], [0.0, 1.0]]
+    path = write_config(tmp_path, cfg)
+    assert main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: observer.sigma0: ")
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "a")]) == 0
+
+
+def test_simulate_exact_at_large_kappa_dt(tmp_path):
+    """kappa = 100 with sim.dt = 0.5 samples the exact law and passes its gate."""
+    cfg = small_config()
+    cfg["observer"].update(kappa=100.0, omega_o=1.0)
+    cfg["sim"].update(dt=0.5, t_final=10.0, n_paths=2000)
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
+
+
+def test_filter_with_an_expanding_euler_step_exits_1_naming_filter_dt(tmp_path, capsys):
+    """omega_o = 100 makes I + h (A - G D C) expand at h = 0.01; over 1000 steps
+    the estimates would overflow, so the run stops before sampling."""
+    cfg = small_config()
+    cfg["observer"]["omega_o"] = 100.0
+    cfg["filter"]["t_final"] = 10.0
+    path = write_config(tmp_path, cfg)
+    assert main(["filter", "--config", path, "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: filter.dt = 0.01 is too coarse")
+    assert "spectral radius" in err and err.rstrip().endswith("reduce filter.dt")
+
+
 def test_oracle_truncation_error_surfaces(tmp_path, capsys):
     cfg = small_config()
     cfg["observer"]["kappa"] = 0.5

@@ -110,14 +110,31 @@ def test_quadrature_means_follow_reduced_model():
     state = joint_initial_state(EIGENSTATE, 20)
     times, traces = evolve(state, ops, FockConfig(n_trunc=20, dt=1e-3, t_final=2.0,
                                                   store_every=10))
-    reference = reduced_mean_trajectory(1.0, 4.0, [1.0, 0.0], traces.exp_zp[0],
-                                        (traces.exp_q[0], traces.exp_p[0]), times)
+    reference = reduced_mean_trajectory(1.0, 4.0, [1.0, 0.0], 1.0, (0.0, 0.0),
+                                        np.diff(times))
     deviation = np.abs(np.column_stack([traces.exp_q, traces.exp_p]) - reference)
     assert deviation.max() <= 1e-4
     # sign convention pin: the mean must approach (-0.5, -0.5), not a flip;
     # a flipped rotation or coupling sign would land O(1) away
     np.testing.assert_allclose(
         [traces.exp_q[-1], traces.exp_p[-1]], [-0.5, -0.5], atol=0.05)
+
+
+def test_reduced_mean_trajectory_on_uneven_steps():
+    """Every step of a random grid is distinct; each node matches the single-shot
+    affine exponential from the start, and non-positive steps are refused."""
+    omega_o, kappa, beta, z_bar, x0 = 1.3, 2.0, np.array([0.6, -0.8]), 0.7, [0.4, -0.1]
+    steps = np.random.default_rng(5).uniform(0.001, 0.2, 60)
+    means = reduced_mean_trajectory(omega_o, kappa, beta, z_bar, x0, steps)
+    aff = np.zeros((3, 3))
+    aff[:2, :2] = [[-0.5 * kappa, 2.0 * omega_o], [-2.0 * omega_o, -0.5 * kappa]]
+    aff[:2, 2] = 2.0 * np.array([beta[1], -beta[0]]) * z_bar
+    start = np.array([x0[0], x0[1], 1.0])
+    for t, m in zip(np.concatenate([[0.0], np.cumsum(steps)]), means):
+        np.testing.assert_allclose(m, (expm(aff * t) @ start)[:2], rtol=0, atol=1e-13)
+    for bad in ([0.1, 0.0], [0.1, -0.1], [[0.1]]):
+        with pytest.raises(ValueError, match="steps must be positive"):
+            reduced_mean_trajectory(omega_o, kappa, beta, z_bar, x0, bad)
 
 
 def test_truncation_guard_raises():

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubit_observer.kalman_filter import (LinearModel, error_covariance_ode,
-                                          kalman_gain, riccati_rhs,
-                                          run_filter_ensemble, solve_riccati,
-                                          write_riccati_csv)
+from qubit_observer.kalman_filter import (LinearModel, error_covariance,
+                                          kalman_gain, run_filter_ensemble,
+                                          solve_riccati, write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
 from qubit_observer.sde_engine import (SimConfig, exact_lti_step, simulate_paths,
                                        time_grid)
 from qubit_observer.spin_algebra import PlantSpec
-from reference import gain_interpolator, live_system
+from reference import live_system
 
 ATOL = 1e-12
 
@@ -36,6 +35,12 @@ def constant_model(a, b, c, d):
     """Model with the given coefficients and unit initial covariance."""
     n = np.shape(a)[0]
     return LinearModel(A=a, B=b, C=c, D=d, x0_mean=np.zeros(n), sigma0=np.eye(n))
+
+
+def riccati_rhs(model, sigma):
+    """Riccati right-hand side F Sigma + Sigma F^T - Sigma Q Sigma + R from the
+    model's derived coefficients."""
+    return model.F @ sigma + sigma @ model.F.T - sigma @ model.Q @ sigma + model.R
 
 
 def hamiltonian_riccati(model, grid):
@@ -145,6 +150,10 @@ def test_solve_riccati_scalar_closed_form():
     ricc = solve_riccati(model, grid)
     np.testing.assert_allclose(ricc.sigma_star[:, 0, 0], 1.0 / (1.0 + grid), atol=1e-11)
     assert ricc.sigma_star[-1, 0, 0] == pytest.approx(0.5, abs=1e-11)
+    for dt in (0.1, 0.05, 0.025):
+        grid = np.arange(0, int(round(10.0 / dt)) + 1) * dt
+        exact = 1.0 / (1.0 + grid)
+        assert np.max(np.abs(solve_riccati(model, grid).sigma_star[:, 0, 0] - exact)) < 1e-11
 
 
 def test_solve_riccati_zero_fixed_point():
@@ -153,21 +162,6 @@ def test_solve_riccati_zero_fixed_point():
                         x0_mean=np.zeros(1), sigma0=np.zeros((1, 1)))
     ricc = solve_riccati(model, np.linspace(0.0, 2.0, 41))
     np.testing.assert_array_equal(ricc.sigma_star, np.zeros_like(ricc.sigma_star))
-
-
-def test_error_covariance_ode_fourth_order_convergence():
-    """The RK4 integrator's error falls 16-fold per halving of dt; the exact
-    Riccati propagator stays at roundoff on every one of these grids."""
-    model = scalar_regression_model()
-    errs = []
-    for dt in (0.1, 0.05, 0.025):
-        grid = np.arange(0, int(round(10.0 / dt)) + 1) * dt
-        exact = 1.0 / (1.0 + grid)
-        _, cov = error_covariance_ode(model, None, grid)
-        errs.append(np.max(np.abs(cov[:, 0, 0] - exact)))
-        assert np.max(np.abs(solve_riccati(model, grid).sigma_star[:, 0, 0] - exact)) < 1e-11
-    ratios = np.array(errs[:-1]) / np.array(errs[1:])
-    assert np.all(ratios > 16.0 * 0.8) and np.all(ratios < 16.0 * 1.2)
 
 
 def test_solve_riccati_uneven_grid_matches_exact_solution():
@@ -213,14 +207,12 @@ def test_riccati_solution_symmetric_psd():
 
 
 def test_riccati_matches_exact_hamiltonian_solution():
-    """The propagated Riccati solution and the RK4 co-integrated optimal
-    covariance on the filter grid against the single-shot exact solution."""
+    """The propagated Riccati solution on the filter grid against the
+    single-shot exact solution."""
     model = build_augmented(PLANT, OBS)
     grid = time_grid(SimConfig(dt=0.005, t_final=5.0, n_paths=1, seed=0))
     exact = hamiltonian_riccati(model, grid)
     assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-11
-    _, cov = error_covariance_ode(model, None, grid)
-    assert np.max(np.abs(cov - exact)) < 1e-8
 
 
 def test_hamiltonian_solution_scalar_closed_form():
@@ -408,11 +400,22 @@ def test_run_filter_matches_ensemble_version():
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():
+    """Held over each step, the optimal gains leave an error covariance that
+    is >= Sigma* at every node and meets it at second order in the step.
+
+    Measured max|cov - Sigma*|: 1.30e-5, 3.25e-6, 8.11e-7 at 401, 801 and
+    1601 nodes on [0, 2].
+    """
     model = build_augmented(PLANT, OBS)
-    grid = np.linspace(0.0, 2.0, 401)
-    ricc = solve_riccati(model, grid)
-    _, cov = error_covariance_ode(model, None, grid)
-    assert np.max(np.abs(cov - ricc.sigma_star)) < 1e-8
+    errs = []
+    for n_nodes in (401, 801, 1601):
+        grid = np.linspace(0.0, 2.0, n_nodes)
+        ricc = solve_riccati(model, grid)
+        excess = error_covariance(model, ricc.gains, grid) - ricc.sigma_star
+        assert np.linalg.eigvalsh(excess).min() >= -1e-13
+        errs.append(np.max(np.abs(excess)))
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all(ratios > 4.0 * 0.8) and np.all(ratios < 4.0 * 1.2)
 
 
 def test_error_covariance_pure_diffusion():
@@ -422,22 +425,23 @@ def test_error_covariance_pure_diffusion():
                         D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(2),
                         sigma0=np.eye(2))
     grid = np.linspace(0.0, 3.0, 31)
-    _, cov = error_covariance_ode(model, lambda t: np.zeros((2, 1)), grid)
+    cov = error_covariance(model, np.zeros((30, 2, 1)), grid)
     for k, t in enumerate(grid):
         np.testing.assert_allclose(cov[k], np.eye(2) + b @ b.T * t, atol=1e-10)
+    for bad in (np.zeros((29, 2, 1)), np.zeros((30, 1, 1)), np.zeros((30, 2))):
+        with pytest.raises(ValueError, match="gains must hold"):
+            error_covariance(model, bad, grid)
 
 
 def test_error_covariance_perturbed_gains_are_worse():
     model = build_augmented(PLANT, OBS)
     grid = np.linspace(0.0, 2.0, 401)
     ricc = solve_riccati(model, grid)
-    base_gain = gain_interpolator(ricc)
     trace_star = np.trace(ricc.sigma_star[-1])
     rng = np.random.default_rng(6)
     for _ in range(10):
         delta = rng.normal(scale=rng.uniform(0.02, 0.5), size=(3, 1))
-        _, cov = error_covariance_ode(
-            model, lambda t, d=delta: base_gain(t) + d, grid)
+        cov = error_covariance(model, ricc.gains + delta, grid)
         assert np.trace(cov[-1]) >= trace_star - 1e-9
 
 

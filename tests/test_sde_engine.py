@@ -60,6 +60,20 @@ def test_exact_lti_step_covariance_against_quadrature():
     np.testing.assert_allclose(cov, quad, atol=1e-9)
 
 
+@pytest.mark.parametrize("kappa,dt", [(4.0, 0.05), (100.0, 0.5)])
+def test_exact_lti_step_noise_cov_is_stationary_difference(kappa, dt):
+    """For a stable drift the step's noise covariance is S - T S T^T, S the
+    stationary covariance; kappa dt = 50 holds it to 1e-12 (relative) too."""
+    from scipy.linalg import solve_continuous_lyapunov
+    observer = ObserverSpec(omega_o=1.0, kappa=kappa, beta=np.array([1.0, 0.0]))
+    model = build_augmented(MIXED, observer)
+    a, b = model.A[1:, 1:], model.B[1:]
+    stationary = solve_continuous_lyapunov(a, -b @ b.T)
+    transition, _, cov = exact_lti_step(a, b, dt)
+    expected = stationary - transition @ stationary @ transition.T
+    assert np.max(np.abs(cov - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_exact_affine_drift():
     a = np.array([[-1.0, 0.0], [0.0, -2.0]])
     u = np.array([3.0, 4.0])

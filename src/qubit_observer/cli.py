@@ -112,9 +112,14 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
 
 
 def cmd_simulate(config: ExperimentConfig) -> tuple:
-    """Monte Carlo run: paths plus ensemble-vs-steady-state comparison."""
+    """Monte Carlo run: paths plus ensemble-vs-steady-state comparison.
+
+    The report reads only the terminal node, so unless paths.csv is wanted
+    the returned ensemble holds that node alone.
+    """
     model = build_augmented(config.plant, config.observer)
-    ens = simulate_paths(model, config.sim)
+    keep = None if "csv" in config.outputs.formats else [config.sim.n_steps]
+    ens = simulate_paths(model, config.sim, keep=keep)
     mean_map = steady_state_mean(config.observer) @ config.observer.beta
 
     terminal = ens.x_o[:, -1]

@@ -34,7 +34,7 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import LinearModel
-from .sde_engine import exact_lti_step
+from .sde_engine import _checked_keep, exact_lti_step
 from .spin_algebra import _frozen
 
 __all__ = [
@@ -148,11 +148,7 @@ def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
     if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
         raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
                          f"{p}-vector per grid step; got shape {dz.shape}")
-    keep = np.arange(times.size) if keep is None else np.asarray(keep)
-    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
-            or keep[0] < 0 or keep[-1] >= times.size or np.any(np.diff(keep) <= 0)):
-        raise ValueError(f"keep must be strictly increasing node indices in "
-                         f"[0, {times.size - 1}]; got {keep!r}")
+    keep = _checked_keep(keep, times.size)
     slot = np.full(times.size, -1)
     slot[keep] = np.arange(keep.size)
     n_paths = dz.shape[0]

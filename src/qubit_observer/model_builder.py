@@ -9,6 +9,7 @@ signal-to-noise, and checks the all-pass and Hurwitz properties of the
 noise channel.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,14 @@ _COND_LIMIT = 1e12
 # below kappa 2e-3 and above omega_o 10).
 KAPPA_RANGE = (1e-4, 1e2)
 OMEGA_O_MAX = 1e2
+# Envelope of |beta|, from the same sweeps with simulate added.  analyze holds
+# from 1e-150 to 1e150 (1e-200 makes e vanish, 1e200 breaks K e = 1), the
+# sampler's statistics are scale-free from 1e-60 to 1e5 (at 1e-100 and 1e150
+# the state overflows), and the filter's arithmetic breaks by 1e-16 and, even
+# on a grid fine enough for its step, by 1e4.  Inside it every command ends in
+# its own verdict: on the default grids the filter gate fails at |beta| 1e-2
+# and below and at 1e2, and the filter.dt check stops the filter from 300.
+BETA_NORM_RANGE = (1e-8, 1e3)
 
 
 def symplectic_j() -> np.ndarray:
@@ -56,7 +65,7 @@ class ObserverSpec:
 
     omega_o : oscillator frequency (rad/s), in [0, OMEGA_O_MAX].
     kappa : field coupling rate (1/s), in KAPPA_RANGE.
-    beta : (2,) nonzero coupling direction.
+    beta : (2,) coupling vector, |beta| in BETA_NORM_RANGE.
     x0_mean, sigma0 : initial quadrature mean and symmetrized covariance;
         default to the vacuum-consistent (0, 0) and identity.  sigma0 must
         be a quantum state's: with [q, p] = 2i, sigma0 + iJ >= 0, which the
@@ -81,8 +90,8 @@ class ObserverSpec:
             raise ValueError(f"omega_o must lie in [0, {OMEGA_O_MAX:g}]")
         if beta.shape != (2,):
             raise ValueError("beta must be a real 2-vector")
-        if not np.any(beta):
-            raise ValueError("beta must be nonzero (zero coupling leaves nothing to measure)")
+        if not BETA_NORM_RANGE[0] <= math.hypot(*beta) <= BETA_NORM_RANGE[1]:
+            raise ValueError("|beta| must lie in [%g, %g]" % BETA_NORM_RANGE)
         if x0.shape != (2,):
             raise ValueError("x0_mean must be a real 2-vector")
         if s0.shape != (2, 2) or not np.allclose(s0, s0.T, atol=1e-12):

@@ -11,7 +11,9 @@ exponential, so any step size yields the correct joint law.  Within a step
 the same noise increment drives the state and the record, which is what
 makes the record informative for filtering.  The sampler is one linear
 recursion driven by three sequential RNG streams (plant values, initial
-quadratures, noise) read in path order.
+quadratures, noise) read in path order.  It takes every step but stores
+only the nodes its caller keeps, the quadratures there and the record
+increments between them, so terminal statistics need O(n_paths) memory.
 """
 
 import math
@@ -68,13 +70,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Sampled paths as arrays, one row per path, all on the grid ``times``.
+    """Sampled paths as arrays, one row per path, all on the nodes ``times``.
 
-    ``z_p[i]`` is the realized plant value of path i (constant in time),
-    ``x_o[i, k]`` its observer quadratures at ``times[k]`` and ``dz[i, k]``
-    its homodyne record increment over the step starting at ``times[k]``.
-    Shapes: times (n_t,), z_p (n_paths,), x_o (n_paths, n_t, 2),
-    dz (n_paths, n_t - 1).
+    ``times`` is the simulation grid, or the sub-grid of the nodes the caller
+    kept.  ``z_p[i]`` is the realized plant value of path i (constant in
+    time), ``x_o[i, k]`` its observer quadratures at ``times[k]`` and
+    ``dz[i, k]`` its homodyne record increment from ``times[k]`` to
+    ``times[k + 1]``.  Shapes: times (n_t,), z_p (n_paths,),
+    x_o (n_paths, n_t, 2), dz (n_paths, n_t - 1).
     """
 
     times: np.ndarray
@@ -85,6 +88,17 @@ class Ensemble:
 
 def time_grid(config: SimConfig) -> np.ndarray:
     return np.arange(config.n_steps + 1) * config.dt
+
+
+def _checked_keep(keep, n_nodes: int) -> np.ndarray:
+    """keep as an index array; ValueError unless it is a non-empty, strictly
+    increasing 1-d integer sequence in [0, n_nodes - 1].  None keeps every node."""
+    keep = np.arange(n_nodes) if keep is None else np.asarray(keep)
+    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
+            or keep[0] < 0 or keep[-1] >= n_nodes or np.any(np.diff(keep) <= 0)):
+        raise ValueError(f"keep must be strictly increasing node indices in "
+                         f"[0, {n_nodes - 1}]; got {keep!r}")
+    return keep
 
 
 def exact_lti_step(a, b, dt: float, u=None) -> tuple:
@@ -160,7 +174,7 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
+def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensemble:
     """Sample trajectories and homodyne records of the reduced model.
 
     The live state s = (x_o, integrated record) follows one linear recursion
@@ -177,10 +191,20 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     the ensemble size, and reruns are bitwise reproducible.  The conserved
     plant value never enters the propagated state, so it is constant by
     construction on every path.
+
+    ``keep`` lists the grid nodes to return, strictly increasing, as in
+    kalman_filter.run_filter_ensemble; by default every node is kept.  Every
+    step is taken whatever ``keep`` is, but only the kept nodes are stored:
+    x_o there, and dz as the difference of the integrated record between
+    consecutive kept nodes, which on the full grid is the per-step increment.
+    Memory is therefore n_paths * len(keep) values plus one chunk's noise
+    draws, so keep=[n_steps] holds it to O(n_paths) for any n_steps.
     """
     n_paths = config.n_paths
     n_steps = config.n_steps
-    times = time_grid(config)
+    keep = _checked_keep(keep, n_steps + 1)
+    every = keep.size == n_steps + 1
+    times = time_grid(config)[keep]
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
@@ -197,8 +221,10 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
     n_noise = noise_factor.shape[1]
 
     z_p = np.empty(n_paths)
-    x_o = np.empty((n_paths, n_steps + 1, 2))
-    dz = np.empty((n_paths, n_steps))
+    x_o = np.empty((n_paths, keep.size, 2))
+    dz = np.empty((n_paths, keep.size - 1))
+    # The integrated record of a chunk at the kept nodes (it starts at 0).
+    record = None if every else np.zeros((min(n_paths, _CHUNK), keep.size))
     z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
                                 np.random.SeedSequence(config.seed).spawn(3))
     # A one-column product goes through BLAS's matrix-vector kernel, which
@@ -222,7 +248,8 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
         block[0, :2] = mean_o + factor_o @ x0.T
         block[0, 2] = 0.0
         z_p[start:stop] = z_vals[:nc]
-        x_o[start:stop, 0] = block[0, :2, :nc].T
+        if keep[0] == 0:
+            x_o[start:stop, 0] = block[0, :2, :nc].T
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
@@ -231,11 +258,19 @@ def simulate_paths(model: AugmentedModel, config: SimConfig) -> Ensemble:
             for j in range(n):
                 np.matmul(transition, block[j], out=block[j + 1])
                 block[j + 1] += noise[j]
-            x_o[start:stop, b0 + 1:b0 + n + 1] = block[1:n + 1, :2, :nc].transpose(2, 0, 1)
-            np.subtract(block[1:n + 1, 2, :nc].T, block[:n, 2, :nc].T,
-                        out=dz[start:stop, b0:b0 + n])
+            if every:
+                x_o[start:stop, b0 + 1:b0 + n + 1] = block[1:n + 1, :2, :nc].transpose(2, 0, 1)
+                np.subtract(block[1:n + 1, 2, :nc].T, block[:n, 2, :nc].T,
+                            out=dz[start:stop, b0:b0 + n])
+            else:
+                lo, hi = np.searchsorted(keep, (b0 + 1, b0 + n + 1))
+                rows = keep[lo:hi] - b0
+                x_o[start:stop, lo:hi] = block[rows, :2, :nc].transpose(2, 0, 1)
+                record[:nc, lo:hi] = block[rows, 2, :nc].T
             _finiteness_check(block[n, :, :nc], ids, b0 + n)
             block[0] = block[n]
+        if not every:
+            np.subtract(record[:nc, 1:], record[:nc, :-1], out=dz[start:stop])
 
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)

@@ -302,13 +302,16 @@ def test_non_finite_number_exits_with_config_error(tmp_path, capsys, section, ke
     ("kappa", 1e300, "kappa must lie in [0.0001, 100]"),
     ("kappa", 1e-300, "kappa must lie in [0.0001, 100]"),
     ("omega_o", 1e3, "omega_o must lie in [0, 100]"),
+    ("beta", [1e-300, 0.0], "|beta| must lie in [1e-08, 1000]"),
+    ("beta", [1e150, 0.0], "|beta| must lie in [1e-08, 1000]"),
+    ("beta", [0.0, 0.0], "|beta| must lie in [1e-08, 1000]"),
 ], ids=["sigma0-0.01I", "sigma0-det-below-1", "kappa-huge", "kappa-tiny",
-        "omega_o-huge"])
+        "omega_o-huge", "beta-tiny", "beta-huge", "beta-zero"])
 def test_observer_outside_its_physical_or_numeric_range_exits_2_on_every_command(
         tmp_path, capsys, key, value, message):
-    """A covariance breaking sigma0 + iJ >= 0, or a kappa or omega_o outside
-    the envelope where the model's numerics hold, stops every command at load
-    with the field, where it used to run or end in a traceback."""
+    """A covariance breaking sigma0 + iJ >= 0, or a kappa, omega_o or |beta|
+    outside the envelope where the model's numerics hold, stops every command
+    at load with the field, where it used to run or end in a traceback."""
     cfg = small_config()
     cfg["observer"][key] = value
     path = write_config(tmp_path, cfg)
@@ -320,6 +323,7 @@ def test_observer_outside_its_physical_or_numeric_range_exits_2_on_every_command
 
 def test_observer_envelope_edges_and_squeezed_states_load():
     for key, value in (("kappa", 1e-4), ("kappa", 1e2), ("omega_o", 0.0), ("omega_o", 1e2),
+                       ("beta", [1e-8, 0.0]), ("beta", [600.0, -800.0]),
                        ("sigma0", [[1e6, 0.0], [0.0, 1e-6]]), ("sigma0", [[2.0, 1.0], [1.0, 1.0]])):
         cfg = small_config()
         cfg["observer"][key] = value
@@ -470,6 +474,40 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     report = json.loads((out1 / "report.json").read_text())
     assert report["checks"]["steady_state_agreement"]["passed"] is True
+
+
+def test_simulate_report_does_not_depend_on_paths_csv(tmp_path):
+    """Without paths.csv the sampler keeps only the terminal node; the report
+    it reads from there is byte-identical."""
+    reports = []
+    for formats in (["json"], ["csv", "json"]):
+        cfg = small_config()
+        cfg["outputs"]["formats"] = formats
+        out = tmp_path / "_".join(formats)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "paths.csv").exists() == ("csv" in formats)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_stats_only_simulate_memory_is_bounded():
+    """2000 paths x 800 steps: the full x_o and dz would take 38 MB, the
+    terminal node and one chunk's noise draws about 6 MB."""
+    import tracemalloc
+
+    cfg = small_config()
+    cfg["sim"].update(dt=0.0125, t_final=10.0, n_paths=2000)
+    cfg["outputs"]["formats"] = ["json"]
+    config = load_config(cfg)
+    assert config.sim.n_steps == 800
+    tracemalloc.start()
+    try:
+        report, ens = cli.cmd_simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["n_paths"] == 2000 and ens.x_o.shape == (2000, 1, 2)
+    assert peak < 10e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 def test_simulate_seed_override_changes_records(tmp_path):

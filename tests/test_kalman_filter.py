@@ -343,17 +343,21 @@ def test_run_filter_ensemble_rejects_dz_shape_mismatch():
 
 
 def test_run_filter_ensemble_keeps_requested_nodes():
-    """keep returns exactly the requested slices of the full run; bad keeps raise."""
+    """keep returns exactly the requested slices of the full run; bad keeps
+    raise, here and in simulate_paths, which shares the rule."""
     model = build_augmented(PLANT, OBS)
-    ens = simulate_paths(model, SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3))
+    config = SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3)
+    ens = simulate_paths(model, config)
     ricc = solve_riccati(model, ens.times)
     full = run_filter_ensemble(model, ricc, ens.times, ens.dz)
     for keep in ([0], [50], [4, 17, 50], np.arange(51)):
         np.testing.assert_array_equal(
             run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=keep), full[:, keep])
     for bad in ([], [3, 3], [5, 2], [-1, 4], [51], [1.0, 2.0], [[1, 2]]):
-        with pytest.raises(ValueError, match="keep must be"):
+        with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
             run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=bad)
+        with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
+            simulate_paths(model, config, keep=bad)
 
 
 def _scalar_records(n_paths, dt, t_final, seed):

@@ -261,6 +261,43 @@ def test_sampler_matches_reference_recursion(scheme):
     np.testing.assert_allclose(ens.dz, dz, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_paths,keep", [
+    (257, [0, 63, 64, 65, 128, 130]),
+    (257, [5, 64, 129, 130]),
+    (1, [130]),
+    (1, [0, 64, 65]),
+], ids=["block-boundaries", "no-node-0", "lone-path-terminal", "lone-path"])
+def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
+    """keep stores the full run's x_o at the kept nodes bitwise, and dz as the
+    record's increment between kept nodes (the sum of the fine increments up
+    to roundoff); 130 steps cross two 64-step blocks, 257 paths a chunk."""
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.02, t_final=2.6, n_paths=n_paths, seed=31)
+    full = simulate_paths(model, config)
+    part = simulate_paths(model, config, keep=keep)
+    np.testing.assert_array_equal(part.times, full.times[keep])
+    np.testing.assert_array_equal(part.z_p, full.z_p)
+    np.testing.assert_array_equal(part.x_o, full.x_o[:, keep])
+    assert part.dz.shape == (n_paths, len(keep) - 1)
+    for j, (a, b) in enumerate(zip(keep[:-1], keep[1:])):
+        np.testing.assert_allclose(part.dz[:, j], full.dz[:, a:b].sum(axis=1),
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_every_node_kept_is_the_default_run():
+    """All nodes listed, or all but node 0 (which stores node by node), give
+    the default run's arrays bitwise."""
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.02, t_final=2.6, n_paths=70, seed=31)
+    full = simulate_paths(model, config)
+    every = simulate_paths(model, config, keep=np.arange(config.n_steps + 1))
+    for name in ("times", "z_p", "x_o", "dz"):
+        np.testing.assert_array_equal(getattr(every, name), getattr(full, name))
+    tail = simulate_paths(model, config, keep=np.arange(1, config.n_steps + 1))
+    np.testing.assert_array_equal(tail.x_o, full.x_o[:, 1:])
+    np.testing.assert_array_equal(tail.dz, full.dz[:, 1:])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unstable_run_raises():
     """A drift block of +2 I grows the state by e^(2 dt) per step until it

@@ -13,7 +13,8 @@ makes the record informative for filtering.  The sampler is one linear
 recursion driven by three sequential RNG streams (plant values, initial
 quadratures, noise) read in path order.  It takes every step but stores
 only the nodes its caller keeps, the quadratures there and the record
-increments between them, so terminal statistics need O(n_paths) memory.
+increments between them, so terminal statistics need memory for
+n_paths terminal values plus one chunk's noise draws, not n_paths * n_steps.
 """
 
 import math
@@ -197,13 +198,13 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     step is taken whatever ``keep`` is, but only the kept nodes are stored:
     x_o there, and dz as the difference of the integrated record between
     consecutive kept nodes, which on the full grid is the per-step increment.
-    Memory is therefore n_paths * len(keep) values plus one chunk's noise
-    draws, so keep=[n_steps] holds it to O(n_paths) for any n_steps.
+    Memory is therefore n_paths * len(keep) values plus one _CHUNK-path
+    chunk's noise draws, _CHUNK * n_steps * n_noise values, so keep=[n_steps]
+    removes the n_paths * n_steps growth but not the chunk's growth in n_steps.
     """
     n_paths = config.n_paths
     n_steps = config.n_steps
     keep = _checked_keep(keep, n_steps + 1)
-    every = keep.size == n_steps + 1
     times = time_grid(config)[keep]
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
@@ -223,8 +224,6 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
     dz = np.empty((n_paths, keep.size - 1))
-    # The integrated record of a chunk at the kept nodes (it starts at 0).
-    record = None if every else np.zeros((min(n_paths, _CHUNK), keep.size))
     z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
                                 np.random.SeedSequence(config.seed).spawn(3))
     # A one-column product goes through BLAS's matrix-vector kernel, which
@@ -250,6 +249,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
         z_p[start:stop] = z_vals[:nc]
         if keep[0] == 0:
             x_o[start:stop, 0] = block[0, :2, :nc].T
+        last = np.zeros(nc)  # the record at the latest kept node (node 0's is 0)
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
@@ -258,19 +258,17 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
             for j in range(n):
                 np.matmul(transition, block[j], out=block[j + 1])
                 block[j + 1] += noise[j]
-            if every:
-                x_o[start:stop, b0 + 1:b0 + n + 1] = block[1:n + 1, :2, :nc].transpose(2, 0, 1)
-                np.subtract(block[1:n + 1, 2, :nc].T, block[:n, 2, :nc].T,
-                            out=dz[start:stop, b0:b0 + n])
-            else:
-                lo, hi = np.searchsorted(keep, (b0 + 1, b0 + n + 1))
-                rows = keep[lo:hi] - b0
+            lo, hi = np.searchsorted(keep, (b0 + 1, b0 + n + 1))
+            rows = keep[lo:hi] - b0
+            if hi > lo:
                 x_o[start:stop, lo:hi] = block[rows, :2, :nc].transpose(2, 0, 1)
-                record[:nc, lo:hi] = block[rows, 2, :nc].T
+                record = block[rows, 2, :nc]  # the integrated record at keep[lo:hi]
+                if lo > 0:
+                    np.subtract(record[0], last, out=dz[start:stop, lo - 1])
+                dz[start:stop, lo:hi - 1] = (record[1:] - record[:-1]).T
+                last = record[-1]
             _finiteness_check(block[n, :, :nc], ids, b0 + n)
             block[0] = block[n]
-        if not every:
-            np.subtract(record[:nc, 1:], record[:nc, :-1], out=dz[start:stop])
 
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)

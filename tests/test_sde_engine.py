@@ -264,13 +264,16 @@ def test_sampler_matches_reference_recursion(scheme):
 @pytest.mark.parametrize("n_paths,keep", [
     (257, [0, 63, 64, 65, 128, 130]),
     (257, [5, 64, 129, 130]),
+    (257, [0, 130]),
     (1, [130]),
     (1, [0, 64, 65]),
-], ids=["block-boundaries", "no-node-0", "lone-path-terminal", "lone-path"])
+], ids=["block-boundaries", "no-node-0", "blocks-keeping-nothing", "lone-path-terminal",
+        "lone-path"])
 def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
     """keep stores the full run's x_o at the kept nodes bitwise, and dz as the
     record's increment between kept nodes (the sum of the fine increments up
-    to roundoff); 130 steps cross two 64-step blocks, 257 paths a chunk."""
+    to roundoff); 130 steps cross two 64-step blocks, 257 paths a chunk, and
+    an increment may span blocks that keep no node."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=n_paths, seed=31)
     full = simulate_paths(model, config)
@@ -285,8 +288,8 @@ def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
 
 
 def test_every_node_kept_is_the_default_run():
-    """All nodes listed, or all but node 0 (which stores node by node), give
-    the default run's arrays bitwise."""
+    """All nodes listed, or all but node 0 (stored before the first step),
+    give the default run's arrays bitwise."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=70, seed=31)
     full = simulate_paths(model, config)

@@ -8,8 +8,8 @@ Fock-space master-equation oracle that validates the reduced linear model.
 from .fock_oracle import (FockConfig, FockTruncationError, build_operators,
                           evolve, expectations, joint_initial_state,
                           reduced_mean_trajectory)
-from .kalman_filter import (RiccatiSolution, error_covariance, kalman_gain,
-                            run_filter_ensemble, solve_riccati)
+from .kalman_filter import (RiccatiSolution, kalman_gain, run_filter_ensemble,
+                            solve_riccati)
 from .model_builder import (AugmentedModel, LinearModel, ObserverSpec,
                             build_augmented, closed_loop_transfer, hurwitz_check,
                             optimal_gain, output_bias, realizability_matrices,

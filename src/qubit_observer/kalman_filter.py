@@ -18,12 +18,11 @@ two-point-distributed plant variable.
 The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
 and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
 by the linear-fractional map of the constant Hamiltonian matrix over each
-grid step.  error_covariance carries the covariance of the error under any
-step-held gain schedule exactly, one sde_engine.exact_lti_step per step.
-Both symmetrize after every step and abort on non-finite values; positive
-semidefiniteness is not projected, and the ``filter`` report records the
-smallest eigenvalue of Sigma* over the grid.  Record-driven filter updates
-are Euler-Maruyama-consistent since dz is an increment stream.  riccati.csv
+grid step; it symmetrizes after every step and aborts on non-finite values.
+The records are sampled, so the filter applied to them is the discrete
+Kalman filter of the exact sampled-data model, whose covariance P_k is its
+error covariance at every step length and tends to Sigma*(t_k) as the step
+shrinks.  Neither covariance is projected onto the PSD cone.  riccati.csv
 is rendered as one block by export.write_csv, like every CSV artifact.
 """
 
@@ -42,9 +41,7 @@ __all__ = [
     "RiccatiSolution",
     "kalman_gain",
     "solve_riccati",
-    "step_maps",
     "run_filter_ensemble",
-    "error_covariance",
     "write_riccati_csv",
 ]
 
@@ -79,6 +76,11 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _hamiltonian(model: LinearModel) -> np.ndarray:
+    """The Riccati equation's constant Hamiltonian [[-F^T, Q], [R, F]]."""
+    return np.block([[-model.F.T, model.Q], [model.R, model.F]])
+
+
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     """Propagate the covariance Riccati equation exactly over the given grid.
 
@@ -92,7 +94,7 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     """
     grid = _check_grid(grid)
     n = model.n
-    ham = np.block([[-model.F.T, model.Q], [model.R, model.F]])
+    ham = _hamiltonian(model)
     flows = {}
     out = np.empty((grid.size, n, n))
     out[0] = sigma = model.sigma0
@@ -115,81 +117,59 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     return RiccatiSolution(times=grid, sigma_star=out, gains=kalman_gain(model, out))
 
 
-def step_maps(model: LinearModel, riccati: RiccatiSolution) -> np.ndarray:
-    """The filter's explicit step maps I + h_k (A - G_k D C), one per grid step.
+def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
+    """Kalman-filter many records sharing one grid, exactly at any step.
 
-    run_filter_ensemble applies map k to the estimate over the step from
-    node k; the filter is stable on the grid only if no map expands.
+    ``dz[:, k]`` is each record's increment over the step from ``times[k]``,
+    shaped (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p).
+    Over a step h, (T, _, W) = exact_lti_step([[A, 0], [D C, 0]], [B; D], h)
+    gives x' = Phi x + w and dz = Psi x + v, Phi and Psi the state and record
+    rows of T, and W = [[Q_d, S_d], [S_d^T, R_d]] the covariance of (w, v).
+    The filter for that chain with correlated noise (Anderson & Moore,
+    Optimal Filtering, 1979) starts from x0_mean and sigma0 and steps
+
+        S = Psi P Psi^T + R_d,   K = (Phi P Psi^T + S_d) S^{-1},
+        x_hat <- (Phi - K Psi) x_hat + K dz,   P <- Phi P Phi^T + Q_d - K S K^T.
+
+    It is unbiased, and P_k is its exact error covariance at node k.
+    Returns the estimates at the nodes ``keep`` lists (strictly increasing,
+    by default all) as (n_paths, len(keep), n), P at every node as
+    (n_t, n, n) and K over every step as (n_t - 1, n, p).
     """
-    h = np.diff(riccati.times)[:, None, None]
-    return np.eye(model.n) + h * (model.A - riccati.gains[:-1] @ model.DC)
-
-
-def run_filter_ensemble(model: LinearModel, riccati: RiccatiSolution,
-                        times, dz, keep=None) -> np.ndarray:
-    """Propagate the unbiased estimate along many records sharing one grid.
-
-    ``times`` must be the Riccati grid; ``dz`` holds one record per row,
-    (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p), with
-    ``dz[:, k]`` the increment over the step starting at ``times[k]``.
-    x_hat(t_0) is the model's initial mean exactly; each step applies the
-    drift A - G D C and injects G dz with the gain stored at the step's left
-    node.  ``keep`` lists the grid nodes to return, strictly increasing; by
-    default every node is kept.  Returns the estimates at those nodes as an
-    (n_paths, len(keep), n) array.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.shape != riccati.times.shape or np.max(np.abs(times - riccati.times)) > 1e-12:
-        raise ValueError("run_filter_ensemble: time grids do not match")
+    times = _check_grid(times)
     dz = np.asarray(dz, dtype=float)
     if dz.ndim == 2:
         dz = dz[:, :, None]
-    p = model.D.shape[0]
+    n, p = model.n, model.D.shape[0]
     if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
         raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
                          f"{p}-vector per grid step; got shape {dz.shape}")
     keep = _checked_keep(keep, times.size)
     slot = np.full(times.size, -1)
     slot[keep] = np.arange(keep.size)
-    n_paths = dz.shape[0]
-    n_steps = times.size - 1
-    n = model.n
-    maps = step_maps(model, riccati)
-    x = np.broadcast_to(model.x0_mean, (n_paths, n)).copy()
-    out = np.empty((n_paths, keep.size, n))
+    lifted = np.block([[model.A, np.zeros((n, p))], [model.DC, np.zeros((p, p))]])
+    steps = {}
+    x = np.broadcast_to(model.x0_mean, (dz.shape[0], n)).copy()
+    out = np.empty((dz.shape[0], keep.size, n))
+    covs = np.empty((times.size, n, n))
+    gains = np.empty((times.size - 1, n, p))
+    covs[0] = cov = model.sigma0
     if slot[0] >= 0:
-        out[:, slot[0], :] = x
-    for k in range(n_steps):
-        x = x @ maps[k].T + dz[:, k, :] @ riccati.gains[k].T
+        out[:, slot[0]] = x
+    for k, h in enumerate(np.diff(times)):
+        if h not in steps:
+            trans, _, w = exact_lti_step(lifted, np.vstack([model.B, model.D]), h)
+            steps[h] = trans[:, :n], w
+        t_x, w = steps[h]
+        # M = T P T^T + W, the covariance of (x', dz) given the earlier records,
+        # holds S = M_zz and K S = M_xz; P' = M_xx - K M_zx.
+        joint = t_x @ cov @ t_x.T + w
+        gains[k] = gain = np.linalg.solve(joint[n:, n:], joint[n:, :n]).T
+        x = x @ (t_x[:n] - gain @ t_x[n:]).T + dz[:, k] @ gain.T
+        covs[k + 1] = cov = _sym(joint[:n, :n] - gain @ joint[n:, :n])
         if slot[k + 1] >= 0:
-            out[:, slot[k + 1], :] = x
-    return out
-
-
-def error_covariance(model: LinearModel, gains, grid) -> np.ndarray:
-    """Exact error covariance of the filter under a step-held gain schedule.
-
-    ``gains[k]`` (n, p) is held over the step from ``grid[k]``, as in
-    run_filter_ensemble; a gain at the last node is not used.  Each step is
-    Sigma <- T Sigma T^T + W, (T, _, W) = exact_lti_step(A - G_k D C, B - G_k D, h).
-    Returns the covariance at every node, from sigma0; raises RuntimeError
-    with the step and time if it turns non-finite.
-    """
-    grid = _check_grid(grid)
-    gains = np.asarray(gains, dtype=float)
-    n, p = model.n, model.D.shape[0]
-    if gains.ndim != 3 or gains.shape[0] < grid.size - 1 or gains.shape[1:] != (n, p):
-        raise ValueError(f"gains must hold one ({n}, {p}) gain per grid step; "
-                         f"got shape {gains.shape}")
-    out = np.empty((grid.size, n, n))
-    out[0] = sigma = model.sigma0
-    for k, (h, g) in enumerate(zip(np.diff(grid), gains)):
-        transition, _, noise_cov = exact_lti_step(model.A - g @ model.DC, model.B - g @ model.D, h)
-        sigma = _sym(transition @ sigma @ transition.T + noise_cov)
-        if not np.isfinite(sigma).all():
-            raise RuntimeError(f"error covariance diverged at step {k} (t = {grid[k]:.6g})")
-        out[k + 1] = sigma
-    return out
+            out[:, slot[k + 1]] = x
+    return out, covs, gains
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:

@@ -33,21 +33,19 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Envelope of kappa and omega_o, from log-spaced sweeps of analyze and filter
 # on the shipped default config.  Past it the numerics break: kappa above
-# 1e150 overflows and below 1e-11 the resolvent is singular, analyze's
+# 1e150 overflows and below 1e-11 the resolvent is singular, and analyze's
 # steady-state cross-check fails below kappa 5e-7 and its Hurwitz check fails
-# by roundoff from kappa or omega_o near 2e3, and at kappa or omega_o 1e3 the
-# sampler's gate fails or the filter's estimate overflows.  Inside it, on the
-# default grids, every command ends in its own verdict (the filter gate fails
-# below kappa 2e-3 and above omega_o 10).
+# by roundoff from kappa or omega_o near 2e3.  Inside it, on the default
+# grids, every command ends in its own verdict; filter passes on seeds 1-3
+# at each decade of kappa and at omega_o 0, 10, 15, 30 and 100.
 KAPPA_RANGE = (1e-4, 1e2)
 OMEGA_O_MAX = 1e2
 # Envelope of |beta|, from the same sweeps with simulate added.  analyze holds
-# from 1e-150 to 1e150 (1e-200 makes e vanish, 1e200 breaks K e = 1), the
+# from 1e-150 to 1e150 (1e-200 makes e vanish, 1e200 breaks K e = 1), and the
 # sampler's statistics are scale-free from 1e-60 to 1e5 (at 1e-100 and 1e150
-# the state overflows), and the filter's arithmetic breaks by 1e-16 and, even
-# on a grid fine enough for its step, by 1e4.  Inside it every command ends in
-# its own verdict: on the default grids the filter gate fails at |beta| 1e-2
-# and below and at 1e2, and the filter.dt check stops the filter from 300.
+# the state overflows).  Inside it every command ends in its own verdict: on
+# the default grids filter passes on seeds 1-3 at |beta| 1e-8, 1e-6, 1e-4,
+# 1e-2, 0.1, 1, 10, 30, 100, 300 and 1e3.
 BETA_NORM_RANGE = (1e-8, 1e3)
 
 

@@ -6,6 +6,7 @@ code paths they check.
 
 import numpy as np
 
+from qubit_observer.sde_engine import exact_lti_step
 from qubit_observer.spin_algebra import PAULI
 
 # Levi-Civita symbol, 0-based: EPSILON[i, j, k] = eps_{i+1, j+1, k+1}.
@@ -53,3 +54,45 @@ def live_system(model):
     u = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
     b = np.vstack([model.B[1:], model.D])
     return a, b, u
+
+
+def sampler_step(model, h, b_live=None):
+    """The sampler's exact step over length h, read as the filter's chain.
+
+    Returns (Phi, Psi, noise_cov): the state map of (z_p, x_o), the record
+    row (z_p, x_o) -> dz, and the covariance of the noise in (x_o', dz),
+    driven by the noise input b_live (the model's own by default).
+    """
+    a, b, u = live_system(model)
+    transition, drift, noise_cov = exact_lti_step(a, b if b_live is None else b_live, h, u=u)
+    step = np.column_stack([drift, transition[:, :2]])  # (z_p, x_o) -> (x_o', dz)
+    return np.vstack([np.eye(3)[:1], step[:2]]), step[2], noise_cov
+
+
+def exact_error_moments(model, times, gains, b_live=None):
+    """Exact mean and covariance of the error e = (z_p, x_o) - x_hat of the
+    update x_hat' = (Phi - K_k Psi) x_hat + K_k dz under the given gains.
+
+    The joint w = (z_p, x_o, x_hat) is carried through sampler_step on the
+    uniform grid ``times``, with no sampling; ``gains[k]`` (3, 1) is K over
+    step k.  Returns E[e] and Cov(e) at every node.
+    """
+    phi, psi, noise_cov = sampler_step(model, times[1] - times[0], b_live)
+    mean = np.concatenate([model.x0_mean, model.x0_mean])
+    cov = np.zeros((6, 6))
+    cov[:3, :3] = model.sigma0
+    diff = np.hstack([np.eye(3), -np.eye(3)])
+    means, covs = [diff @ mean], [diff @ cov @ diff.T]
+    m = np.zeros((6, 6))
+    m[:3, :3] = phi
+    n = np.zeros((6, 3))
+    n[1:3, :2] = np.eye(2)
+    for g in np.asarray(gains)[:, :, 0]:
+        m[3:, :3] = np.outer(g, psi)
+        m[3:, 3:] = phi - m[3:, :3]
+        n[3:, 2] = g
+        mean = m @ mean
+        cov = m @ cov @ m.T + n @ noise_cov @ n.T
+        means.append(diff @ mean)
+        covs.append(diff @ cov @ diff.T)
+    return np.array(means), np.array(covs)

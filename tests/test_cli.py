@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -191,7 +192,8 @@ def test_single_block_tables_do_not_fork(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n", [7, 999, 2000])
 def test_covariance_z_matches_per_entry_loop(n):
     """The gates' covariance z-scores equal, bit for bit, the per-entry rule
-    (cov_ij - ref_ij) / max(std(x_i x_j, ddof=1) / sqrt(n), 1e-300)."""
+    (cov_ij - ref_ij) / max(se_ij, 1e-300), where c_i = x_i - mean(x_i) and
+    se_ij^2 = var(c_i c_j, ddof=1) / n + (cov_ii cov_jj + cov_ij^2) / n^2."""
     rng = np.random.default_rng(n)
     for d in (2, 3):
         x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d) + rng.normal(size=d)
@@ -199,8 +201,11 @@ def test_covariance_z_matches_per_entry_loop(n):
         expected = np.empty((d, d))
         for i in range(d):
             for j in range(d):
-                se = max(float(np.std(x[:, i] * x[:, j], ddof=1) / np.sqrt(n)), 1e-300)
-                expected[i, j] = (cov[i, j] - ref[i, j]) / se
+                c_i = x[:, i] - np.mean(x[:, i])
+                c_j = x[:, j] - np.mean(x[:, j])
+                var = (np.var(c_i * c_j, ddof=1) / n
+                       + (cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n ** 2)
+                expected[i, j] = (cov[i, j] - ref[i, j]) / max(float(np.sqrt(var)), 1e-300)
         assert np.array_equal(cli._covariance_z(x, cov, ref), expected)
 
 
@@ -572,7 +577,8 @@ def test_filter_gate_passes_seeds_with_largest_z(seed):
 
 
 def test_filter_gate_detects_inflated_covariance(monkeypatch):
-    """A Riccati covariance 30% too large, with the true gains, still fails the gate."""
+    """A Riccati covariance 30% too large fails riccati_limit, while the
+    sampled errors still match the filter's own covariance P."""
     solve = cli.solve_riccati
 
     def inflated(model, grid):
@@ -583,8 +589,49 @@ def test_filter_gate_detects_inflated_covariance(monkeypatch):
     monkeypatch.setattr(cli, "solve_riccati", inflated)
     report, _ = cli.cmd_filter(load_config(DEFAULT_CONFIG))
     assert report["checks"]["unbiasedness"]["passed"] is True
-    assert report["checks"]["covariance_consistency"]["passed"] is False
+    assert report["checks"]["covariance_consistency"]["passed"] is True
+    assert report["checks"]["riccati_limit"]["passed"] is False
     assert report["passed"] is False
+
+
+def _with_coefficient(model, name, factor):
+    """A copy of model whose Riccati coefficient name is scaled by factor."""
+    mutated = copy.copy(model)
+    object.__setattr__(mutated, name, factor * getattr(model, name))
+    return mutated
+
+
+@pytest.mark.parametrize("name", ["R", "Q"])
+def test_riccati_limit_detects_a_coefficient_off_by_1e_3(monkeypatch, name):
+    """R or Q scaled by 1.001 in the Riccati solve alone moves Sigma* from the
+    filter's P by 7.3e-4 or 7.8e-4 (relative), against riccati_limit's 7.9e-5.
+    The check reads no sample, so it fails whatever the seed."""
+    solve = cli.solve_riccati
+    monkeypatch.setattr(cli, "solve_riccati",
+                        lambda model, grid: solve(_with_coefficient(model, name, 1.001), grid))
+    config = load_config(DEFAULT_CONFIG)
+    for seed in (1, 2):
+        sim = replace(config.sim, n_paths=100, seed=seed)
+        report, _ = cli.cmd_filter(replace(config, sim=sim))
+        detail = report["checks"]["riccati_limit"]["detail"]
+        assert detail["tolerance"] == pytest.approx(7.91e-5, rel=1e-3)
+        assert detail["gap"] > 5.0 * detail["tolerance"]
+        assert report["passed"] is False
+
+
+def test_filter_gate_detects_an_inflated_filter_covariance(monkeypatch):
+    """The gate's reference P scaled by 1.3 fails covariance_consistency."""
+    run = cli.run_filter_ensemble
+
+    def inflated(*args, **kwargs):
+        x_hat, covs, gains = run(*args, **kwargs)
+        return x_hat, 1.3 * covs, gains
+
+    monkeypatch.setattr(cli, "run_filter_ensemble", inflated)
+    report, _ = cli.cmd_filter(load_config(DEFAULT_CONFIG))
+    cov = report["checks"]["covariance_consistency"]
+    assert cov["passed"] is False
+    assert cov["detail"]["max_abs_z"] > 10.0
 
 
 def test_filter_pinned_plant_keeps_zero_variance(tmp_path):
@@ -669,17 +716,16 @@ def test_simulate_exact_at_large_kappa_dt(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) == 0
 
 
-def test_filter_with_an_expanding_euler_step_exits_1_naming_filter_dt(tmp_path, capsys):
-    """omega_o = 100 makes I + h (A - G D C) expand at h = 0.01; over 1000 steps
-    the estimates would overflow, so the run stops before sampling."""
-    cfg = small_config()
-    cfg["observer"]["omega_o"] = 100.0
-    cfg["filter"]["t_final"] = 10.0
+@pytest.mark.parametrize("observer", [{"omega_o": 15.0}, {"kappa": 1e-4}],
+                         ids=["omega_o-15", "kappa-1e-4"])
+def test_filter_passes_across_the_envelope_on_the_default_grid(tmp_path, observer):
+    """The filter steps exactly, so no step length is too coarse for it:
+    omega_o = 15 and kappa = 1e-4, where an Euler step would expand, pass."""
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["observer"].update(observer)
+    cfg["outputs"]["formats"] = ["json"]
     path = write_config(tmp_path, cfg)
-    assert main(["filter", "--config", path, "--out", str(tmp_path / "f")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error: filter.dt = 0.01 is too coarse")
-    assert "spectral radius" in err and err.rstrip().endswith("reduce filter.dt")
+    assert main(["filter", "--config", path, "--out", str(tmp_path / "f")]) == 0
 
 
 def test_oracle_truncation_error_surfaces(tmp_path, capsys):

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubit_observer.kalman_filter import (LinearModel, error_covariance,
-                                          kalman_gain, run_filter_ensemble,
-                                          solve_riccati, write_riccati_csv)
+from qubit_observer.kalman_filter import (LinearModel, kalman_gain,
+                                          run_filter_ensemble, solve_riccati,
+                                          write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
-from qubit_observer.sde_engine import (SimConfig, exact_lti_step, simulate_paths,
-                                       time_grid)
+from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PlantSpec
-from reference import live_system
+from reference import exact_error_moments, live_system, sampler_step
 
 ATOL = 1e-12
 
@@ -222,124 +221,78 @@ def test_hamiltonian_solution_scalar_closed_form():
     assert np.max(np.abs(exact[:, 0, 0] - 1.0 / (1.0 + grid))) < 1e-14
 
 
-def filter_step(model, ricc, k):
-    """The filter's update over step k: x_hat' = step_map @ x_hat + gain * dz."""
-    g = ricc.gains[k]
-    h = ricc.times[k + 1] - ricc.times[k]
-    return np.eye(model.n) + h * (model.A - g @ model.D @ model.C), g[:, 0]
+def filter_covariance(model, grid):
+    """The filter's covariance P at every node and gain K over every step."""
+    _, covs, gains = run_filter_ensemble(model, grid, np.zeros((1, grid.size - 1)))
+    return covs, gains
 
 
-def exact_error_moments(model, ricc, b_live):
-    """Exact mean and covariance of the filter error e = (z_p, x_o) - x_hat.
+def relative_covariance_error(cov, reference):
+    """Max over nodes of max|cov - reference| / max|reference|."""
+    return np.max(np.max(np.abs(cov - reference), axis=(1, 2))
+                  / np.max(np.abs(reference), axis=(1, 2)))
 
-    The joint w = (z_p, x_o, x_hat) is carried through the sampler's exact
-    step of (x_o, integrated record), driven by the noise input b_live, and
-    the filter's update, with no sampling.  The record starts every step at
-    zero, so its new value is the increment dz.  Returns E[e] and Cov(e) at
-    every node of the Riccati grid.
+
+@pytest.mark.parametrize("plant,observer", [(PLANT, OBS), (BIASED_PLANT, BIASED_OBS)],
+                         ids=["default", "biased"])
+def test_exact_error_moments_match_riccati(plant, observer):
+    """The exact moments of the sampled error are the filter's own: no bias,
+    and covariance P at every node, whatever the step.
+
+    Measured at dt 0.005 and 0.05: covariance within 3.1e-15 of P (relative),
+    bias at most 2.0e-15.
     """
-    a, _, u = live_system(model)
-    transition, drift, noise_cov = exact_lti_step(a, b_live, ricc.times[1] - ricc.times[0], u=u)
-    step = np.column_stack([drift, transition[:, :2]])  # (z_p, x_o) -> (x_o', dz)
-    mean = np.concatenate([model.x0_mean, model.x0_mean])
-    cov = np.zeros((6, 6))
-    cov[:3, :3] = model.sigma0
-    diff = np.hstack([np.eye(3), -np.eye(3)])
-    means, covs = [diff @ mean], [diff @ cov @ diff.T]
-    for k in range(ricc.times.size - 1):
-        step_map, g = filter_step(model, ricc, k)
-        m = np.zeros((6, 6))
-        m[0, 0] = 1.0
-        m[1:3, :3] = step[:2]
-        m[3:, :3] = np.outer(g, step[2])
-        m[3:, 3:] = step_map
-        n = np.zeros((6, 3))
-        n[1:3, :2] = np.eye(2)
-        n[3:, 2] = g
-        mean = m @ mean
-        cov = m @ cov @ m.T + n @ noise_cov @ n.T
-        means.append(diff @ mean)
-        covs.append(diff @ cov @ diff.T)
-    return np.array(means), np.array(covs)
-
-
-def relative_covariance_error(cov, sigma_star):
-    """Max over nodes of max|cov - Sigma*| / max|Sigma*|."""
-    return np.max(np.max(np.abs(cov - sigma_star), axis=(1, 2))
-                  / np.max(np.abs(sigma_star), axis=(1, 2)))
+    model = build_augmented(plant, observer)
+    for dt in (0.005, 0.05):
+        grid = np.arange(int(round(5.0 / dt)) + 1) * dt
+        covs, gains = filter_covariance(model, grid)
+        bias, cov = exact_error_moments(model, grid, gains)
+        assert relative_covariance_error(cov, covs) <= 1e-12
+        assert np.max(np.abs(bias)) <= 1e-12
 
 
 FILTER_GRID = np.arange(1001) * 0.005  # the filter grid of configs/default.json
 
 
-@pytest.mark.parametrize("plant,observer,bias_tol", [(PLANT, OBS, 1e-12),
-                                                     (BIASED_PLANT, BIASED_OBS, 2e-3)],
-                         ids=["default", "biased"])
-def test_exact_error_moments_match_riccati(plant, observer, bias_tol):
-    """Exact moments of the sampled error track Sigma* at every node.
-
-    Measured: covariance 1.0e-5 (default) and 4.3e-5 (biased); bias 0 and
-    9.8e-4, first order in the step from the filter's Euler update.
-    """
-    model = build_augmented(plant, observer)
-    ricc = solve_riccati(model, FILTER_GRID)
-    _, b, _ = live_system(model)
-    bias, cov = exact_error_moments(model, ricc, b)
-    assert relative_covariance_error(cov, ricc.sigma_star) < 1e-4
-    assert np.max(np.abs(bias)) <= bias_tol
-
-
 @pytest.mark.parametrize("plant,observer", [(PLANT, OBS), (BIASED_PLANT, BIASED_OBS)],
                          ids=["default", "biased"])
 def test_exact_error_moments_detect_independent_record_noise(plant, observer):
-    """Records driven by noise independent of the state's depart from Sigma*.
+    """Records driven by noise independent of the state's depart from P.
 
     Measured: 0.405 (default) and 0.621 (biased).
     """
     model = build_augmented(plant, observer)
-    ricc = solve_riccati(model, FILTER_GRID)
+    covs, gains = filter_covariance(model, FILTER_GRID)
     independent = np.zeros((3, 4))
     independent[:2, :2] = model.B[1:]
     independent[2, 2:] = model.D[0]
-    _, cov = exact_error_moments(model, ricc, independent)
-    assert relative_covariance_error(cov, ricc.sigma_star) > 0.1
+    _, cov = exact_error_moments(model, FILTER_GRID, gains, independent)
+    assert relative_covariance_error(cov, covs) > 0.1
 
 
 def test_run_filter_homogeneous_flow():
-    """Zero record and zero gain leave the pure drift exp(At) x0."""
+    """Zero record and zero gain leave the pure drift exp(At) x0, exactly."""
     model = LinearModel(A=np.array([[-0.3]]), B=np.zeros((1, 2)),
                         C=np.zeros((2, 1)), D=np.array([[1.0, 0.0]]),
                         x0_mean=np.array([2.0]), sigma0=np.eye(1))
     grid = np.arange(0, 10001) * 1e-4
-    ricc = solve_riccati(model, grid)
-    np.testing.assert_allclose(ricc.gains, 0.0, atol=ATOL)
-    x_hat = run_filter_ensemble(model, ricc, grid, np.zeros((1, grid.size - 1)))
-    np.testing.assert_allclose(x_hat[0, :, 0], 2.0 * np.exp(-0.3 * grid), atol=1e-3)
+    x_hat, _, gains = run_filter_ensemble(model, grid, np.zeros((1, grid.size - 1)))
+    np.testing.assert_array_equal(gains, 0.0)
+    np.testing.assert_allclose(x_hat[0, :, 0], 2.0 * np.exp(-0.3 * grid), rtol=1e-12)
     assert x_hat[0, 0, 0] == 2.0
-
-
-def test_run_filter_grid_mismatch():
-    model = scalar_regression_model()
-    grid = np.linspace(0.0, 1.0, 11)
-    ricc = solve_riccati(model, grid)
-    with pytest.raises(ValueError, match="time grids"):
-        run_filter_ensemble(model, ricc, np.linspace(0.0, 2.0, 11), np.zeros((1, 10)))
-    with pytest.raises(ValueError, match="time grids"):
-        run_filter_ensemble(model, ricc, grid[:-1], np.zeros((1, 9)))
 
 
 def test_run_filter_ensemble_rejects_dz_shape_mismatch():
     model = scalar_regression_model()
     grid = np.linspace(0.0, 1.0, 11)
-    ricc = solve_riccati(model, grid)
     for bad in (np.zeros((1, 11)), np.zeros((1, 9)), np.zeros((1, 10, 2)),
                 np.zeros((0, 10)), np.zeros(10), np.zeros((1, 1, 10, 1))):
         with pytest.raises(ValueError, match="dz must hold"):
-            run_filter_ensemble(model, ricc, grid, bad)
+            run_filter_ensemble(model, grid, bad)
     # (n_paths, n_steps) and (n_paths, n_steps, 1) are the same scalar record.
     dz = np.full((2, 10), 0.1)
-    np.testing.assert_array_equal(run_filter_ensemble(model, ricc, grid, dz),
-                                  run_filter_ensemble(model, ricc, grid, dz[:, :, None]))
+    np.testing.assert_array_equal(run_filter_ensemble(model, grid, dz)[0],
+                                  run_filter_ensemble(model, grid, dz[:, :, None])[0])
 
 
 def test_run_filter_ensemble_keeps_requested_nodes():
@@ -348,14 +301,13 @@ def test_run_filter_ensemble_keeps_requested_nodes():
     model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3)
     ens = simulate_paths(model, config)
-    ricc = solve_riccati(model, ens.times)
-    full = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    full = run_filter_ensemble(model, ens.times, ens.dz)[0]
     for keep in ([0], [50], [4, 17, 50], np.arange(51)):
         np.testing.assert_array_equal(
-            run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=keep), full[:, keep])
+            run_filter_ensemble(model, ens.times, ens.dz, keep=keep)[0], full[:, keep])
     for bad in ([], [3, 3], [5, 2], [-1, 4], [51], [1.0, 2.0], [[1, 2]]):
         with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
-            run_filter_ensemble(model, ricc, ens.times, ens.dz, keep=bad)
+            run_filter_ensemble(model, ens.times, ens.dz, keep=bad)
         with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
             simulate_paths(model, config, keep=bad)
 
@@ -373,13 +325,15 @@ def _scalar_records(n_paths, dt, t_final, seed):
 
 
 def test_scalar_regression_monte_carlo():
-    """Estimate of a Gaussian constant: posterior-mean form and 1/(1+T) variance."""
+    """Estimate of a Gaussian constant: the exact posterior mean sum(dz)/(1+T)
+    and covariance 1/(1+t) at every node, and a matching error variance."""
     model = scalar_regression_model()
     dt, t_final, n_paths = 1e-3, 1.0, 2000
     times, z, dz = _scalar_records(n_paths, dt, t_final, seed=31)
-    ricc = solve_riccati(model, times)
-    estimates = run_filter_ensemble(model, ricc, times, dz)[:, -1, 0]
-    np.testing.assert_allclose(estimates, dz.sum(axis=1) / (1.0 + t_final), atol=2e-3)
+    x_hat, covs, _ = run_filter_ensemble(model, times, dz, keep=[times.size - 1])
+    estimates = x_hat[:, 0, 0]
+    np.testing.assert_allclose(estimates, dz.sum(axis=1) / (1.0 + t_final), atol=1e-12)
+    np.testing.assert_allclose(covs[:, 0, 0], 1.0 / (1.0 + times), rtol=1e-12)
     errors = z - estimates
     expected_var = 1.0 / (1.0 + t_final)
     se = expected_var * math.sqrt(2.0 / (n_paths - 1))
@@ -392,30 +346,30 @@ def test_run_filter_matches_ensemble_version():
     model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.01, t_final=0.5, n_paths=8, seed=44)
     ens = simulate_paths(model, config)
-    ricc = solve_riccati(model, ens.times)
-    batch = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    batch, _, gains = run_filter_ensemble(model, ens.times, ens.dz)
+    phi, psi, _ = sampler_step(model, config.dt)
     for i, dz in enumerate(ens.dz):
         x_hat = model.x0_mean.copy()
         np.testing.assert_array_equal(batch[i, 0], x_hat)
         for k in range(dz.size):
-            step_map, g = filter_step(model, ricc, k)
-            x_hat = step_map @ x_hat + g * dz[k]
+            g = gains[k, :, 0]
+            x_hat = (phi - np.outer(g, psi)) @ x_hat + g * dz[k]
             np.testing.assert_allclose(batch[i, k + 1], x_hat, atol=1e-12)
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():
-    """Held over each step, the optimal gains leave an error covariance that
-    is >= Sigma* at every node and meets it at second order in the step.
+    """The filter's error covariance P is >= Sigma* at every node, since the
+    sampled increments carry less than the continuous record, and meets it
+    at second order in the step.
 
-    Measured max|cov - Sigma*|: 1.30e-5, 3.25e-6, 8.11e-7 at 401, 801 and
+    Measured max|P - Sigma*|: 3.85e-6, 9.64e-7, 2.41e-7 at 401, 801 and
     1601 nodes on [0, 2].
     """
     model = build_augmented(PLANT, OBS)
     errs = []
     for n_nodes in (401, 801, 1601):
         grid = np.linspace(0.0, 2.0, n_nodes)
-        ricc = solve_riccati(model, grid)
-        excess = error_covariance(model, ricc.gains, grid) - ricc.sigma_star
+        excess = filter_covariance(model, grid)[0] - solve_riccati(model, grid).sigma_star
         assert np.linalg.eigvalsh(excess).min() >= -1e-13
         errs.append(np.max(np.abs(excess)))
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
@@ -423,30 +377,32 @@ def test_error_covariance_optimal_gain_reproduces_riccati():
 
 
 def test_error_covariance_pure_diffusion():
-    """G = 0 and A = 0 accumulate sigma0 + B B^T t."""
+    """A = 0 and C = 0: the record is pure noise, correlated with the state's
+    through B D^T, so the filter takes K = B D^T (D D^T)^{-1} and P grows as
+    sigma0 + R t with R = B B^T - B D^T (D D^T)^{-1} D B^T, like Sigma*."""
     b = np.array([[1.0, 0.0], [0.0, 0.5]])
     model = LinearModel(A=np.zeros((2, 2)), B=b, C=np.zeros((2, 2)),
                         D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(2),
                         sigma0=np.eye(2))
     grid = np.linspace(0.0, 3.0, 31)
-    cov = error_covariance(model, np.zeros((30, 2, 1)), grid)
+    covs, gains = filter_covariance(model, grid)
+    np.testing.assert_allclose(gains, np.broadcast_to([[1.0], [0.0]], gains.shape), atol=1e-12)
     for k, t in enumerate(grid):
-        np.testing.assert_allclose(cov[k], np.eye(2) + b @ b.T * t, atol=1e-10)
-    for bad in (np.zeros((29, 2, 1)), np.zeros((30, 1, 1)), np.zeros((30, 2))):
-        with pytest.raises(ValueError, match="gains must hold"):
-            error_covariance(model, bad, grid)
+        np.testing.assert_allclose(covs[k], np.eye(2) + np.diag([0.0, 0.25]) * t, atol=1e-12)
+    np.testing.assert_allclose(covs, solve_riccati(model, grid).sigma_star, atol=1e-12)
 
 
 def test_error_covariance_perturbed_gains_are_worse():
+    """Any other gain schedule leaves an error covariance of larger trace."""
     model = build_augmented(PLANT, OBS)
-    grid = np.linspace(0.0, 2.0, 401)
-    ricc = solve_riccati(model, grid)
-    trace_star = np.trace(ricc.sigma_star[-1])
+    grid = np.arange(401) * 0.005
+    covs, gains = filter_covariance(model, grid)
+    trace_p = np.trace(covs[-1])
     rng = np.random.default_rng(6)
     for _ in range(10):
         delta = rng.normal(scale=rng.uniform(0.02, 0.5), size=(3, 1))
-        cov = error_covariance(model, ricc.gains + delta, grid)
-        assert np.trace(cov[-1]) >= trace_star - 1e-9
+        _, cov = exact_error_moments(model, grid, gains + delta)
+        assert np.trace(cov[-1]) >= trace_p - 1e-12
 
 
 def test_plant_observer_model_moments_and_row():
@@ -471,13 +427,11 @@ def test_specialized_gain_reduction_identity():
 
 
 def test_filter_unbiased_and_covariance_consistent_quick():
-    """Short Monte Carlo: bias and error covariance track the Riccati solution."""
+    """Short Monte Carlo: bias and error covariance track the filter's P."""
     model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.005, t_final=1.0, n_paths=600, seed=71)
-    grid = time_grid(config)
-    ricc = solve_riccati(model, grid)
     ens = simulate_paths(model, config)
-    x_hat = run_filter_ensemble(model, ricc, ens.times, ens.dz)
+    x_hat, covs, _ = run_filter_ensemble(model, ens.times, ens.dz)
     n = config.n_paths
     for idx in (40, 100, 200):
         err = np.column_stack([ens.z_p, ens.x_o[:, idx]]) - x_hat[:, idx]
@@ -489,7 +443,7 @@ def test_filter_unbiased_and_covariance_consistent_quick():
             for j in range(3):
                 products = err[:, i] * err[:, j]
                 se_ij = products.std(ddof=1) / math.sqrt(n)
-                assert abs(emp[i, j] - ricc.sigma_star[idx, i, j]) < 4 * se_ij
+                assert abs(emp[i, j] - covs[idx, i, j]) < 4 * se_ij
 
 
 def test_riccati_csv_writer(tmp_path):

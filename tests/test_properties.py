@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubit_observer.kalman_filter import solve_riccati
-from qubit_observer.model_builder import (ObserverSpec, build_augmented,
-                                          closed_loop_transfer, hurwitz_check,
-                                          optimal_gain, output_bias,
-                                          steady_state_mean)
+from qubit_observer.cli import _riccati_gap
+from qubit_observer.kalman_filter import run_filter_ensemble, solve_riccati
+from qubit_observer.model_builder import (BETA_NORM_RANGE, KAPPA_RANGE, OMEGA_O_MAX,
+                                          ObserverSpec, build_augmented, closed_loop_transfer,
+                                          hurwitz_check, optimal_gain,
+                                          output_bias, steady_state_mean)
 from qubit_observer.spin_algebra import PAULI, PlantSpec
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -73,3 +74,25 @@ def test_riccati_psd_and_plant_variance_non_increasing(obs, plant):
     sigma = solve_riccati(model, np.linspace(0.0, 1.0, 101)).sigma_star
     assert np.linalg.eigvalsh(sigma).min() >= -1e-12
     assert np.max(np.diff(sigma[:, 0, 0])) <= 0.0
+
+
+envelope_observers = st.builds(
+    lambda omega_o, log_kappa, log_radius, angle: ObserverSpec(
+        omega_o=omega_o, kappa=10.0 ** log_kappa,
+        beta=10.0 ** log_radius * np.array([np.cos(angle), np.sin(angle)])),
+    st.floats(0.0, OMEGA_O_MAX), st.floats(*np.log10(KAPPA_RANGE)),
+    st.floats(np.log10(BETA_NORM_RANGE[0]), np.log10(30.0)), st.floats(-np.pi, np.pi))
+
+
+@SETTINGS
+@given(envelope_observers, plants(), st.floats(-3.0, np.log10(0.05)), st.integers(10, 200))
+def test_filter_covariance_psd_and_within_riccati_limit(obs, plant, log_dt, n_steps):
+    """Over the load envelope the sampled-data filter's P stays symmetric PSD,
+    and its gap to Sigma* obeys the riccati_limit rule 0.1 (|H|_2 h)^2."""
+    model = build_augmented(plant, obs)
+    grid = np.arange(n_steps + 1) * 10.0 ** log_dt
+    _, covs, _ = run_filter_ensemble(model, grid, np.zeros((1, n_steps)))
+    assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
+    assert np.linalg.eigvalsh(covs).min() >= -1e-12 * np.abs(covs).max()
+    gap, tolerance = _riccati_gap(model, solve_riccati(model, grid), covs)
+    assert gap <= tolerance

@@ -14,8 +14,8 @@ from .model_builder import (AugmentedModel, LinearModel, ObserverSpec,
                             build_augmented, closed_loop_transfer, hurwitz_check,
                             optimal_gain, output_bias, realizability_matrices,
                             steady_state_mean, symplectic_j)
-from .sde_engine import (Ensemble, SimConfig, exact_lti_step, simulate_paths,
-                         time_grid, two_point_law)
+from .sde_engine import (Ensemble, SimConfig, exact_lti_step, record_chain,
+                         simulate_paths, time_grid, two_point_law)
 from .spin_algebra import PAULI, PlantSpec, plant_generator, qubit_moments, theta
 
 __version__ = "0.1.0"

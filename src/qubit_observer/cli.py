@@ -3,8 +3,9 @@
 Every command is a pure function of (config, seed): artifacts are written
 with fixed float formatting and contain no timestamps, so reruns are
 byte-identical.  Exit code 0 means every embedded pass/fail check passed;
-1 means a check failed or a run aborted; 2 means the configuration was
-rejected.
+1 means a check failed, a run aborted or an artifact could not be written;
+2 means the configuration was rejected or could not be read, or the output
+directory could not be made.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .export import ensure_dir, write_json
+from .export import write_json
 from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           expectations, joint_initial_state,
                           reduced_mean_trajectory, write_oracle_csv)
@@ -281,10 +282,8 @@ def cmd_oracle(config: ExperimentConfig) -> tuple:
     state = joint_initial_state(plant.rho_p, fock.n_trunc, alpha=complex(x0[0], x0[1]) / 2)
     initial = expectations(state.rho[None], ops)
     times, traces = evolve(state, ops, fock)
-    # evolve's node spacing: store_every * dt, then the tail
-    steps = np.diff(np.rint(times / fock.dt)) * fock.dt
     reference = reduced_mean_trajectory(obs.omega_o, obs.kappa, obs.beta,
-                                        qubit_moments(plant)[0], x0, steps)
+                                        qubit_moments(plant)[0], x0, times)
     mean_dev = float(np.max(np.abs(
         np.column_stack([traces.exp_q, traces.exp_p]) - reference)))
     zp_drift = float(np.max(np.abs(traces.exp_zp - initial.exp_zp[0])))
@@ -360,7 +359,13 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"configuration error: sim.seed: {exc}", file=sys.stderr)
             return 2
-    out_dir = ensure_dir(_resolve_out_dir(args.out, config))
+    out_dir = _resolve_out_dir(args.out, config)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create the output directory {out_dir}: {exc}",
+              file=sys.stderr)
+        return 2
     want_csv = "csv" in config.outputs.formats
 
     try:
@@ -378,6 +383,7 @@ def main(argv=None) -> int:
             report, (times, traces) = cmd_oracle(config)
             if want_csv:
                 write_oracle_csv(os.path.join(out_dir, "oracle.csv"), times, traces)
+        write_json(os.path.join(out_dir, "report.json"), report)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -387,8 +393,10 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: cannot write an artifact: {exc}", file=sys.stderr)
+        return 1
 
-    write_json(os.path.join(out_dir, "report.json"), report)
     _print_checks(report)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{status}: report written to {os.path.join(out_dir, 'report.json')}")

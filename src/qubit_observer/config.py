@@ -117,11 +117,13 @@ def load_config(source) -> ExperimentConfig:
     if isinstance(source, dict):
         raw = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{source}: invalid JSON ({exc})") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: invalid JSON ({exc})") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{source}: cannot read ({exc})") from None
     config = _section("top level", ExperimentConfig, raw)
     plant = config.plant
     generator = plant_generator(plant.r_p)

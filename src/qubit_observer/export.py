@@ -200,8 +200,3 @@ def dumps_json(obj) -> str:
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_json(obj))
-
-
-def ensure_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -2,9 +2,11 @@
 
 Evolves the joint density matrix under the full coupling Hamiltonian and the
 cavity decay channel, then compares exact expectations against the reduced
-linear model.  This is the arbiter for every sign convention in the package:
-the conserved plant combination must stay put, and the oscillator quadrature
-means must follow the reduced drift without any sign flips.
+linear model's means, which reduced_mean_trajectory gives in closed form and
+which share no numerics with the sampler or the filter.  This is the arbiter
+for every sign convention in the package: the conserved plant combination
+must stay put, and the oscillator quadrature means must follow the reduced
+drift without any sign flips.
 
 Conventions: oscillator quadratures q = a + a^dag, p = -i(a - a^dag), so
 [q, p] = 2i away from the truncation edge, matching the 2i Theta commutators
@@ -17,7 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .export import write_csv
-from .sde_engine import exact_lti_step
 from .spin_algebra import PAULI, _checked_grid, _frozen, _integer, _real
 
 __all__ = [
@@ -306,31 +307,34 @@ def expectations(rho_series: np.ndarray, ops: OperatorSet) -> ExpectationTraces:
 
 
 def reduced_mean_trajectory(omega_o: float, kappa: float, beta, z_bar: float,
-                            x_o0, steps) -> np.ndarray:
-    """Mean quadratures of the reduced model, solved exactly over the given steps.
+                            x_o0, times) -> np.ndarray:
+    """Mean quadratures of the reduced model at the given times, in closed form.
 
-    Steps d m/dt = Atilde m + 2 J beta z_bar from m = x_o0 over each positive
-    step length in turn, with sde_engine.exact_lti_step called once per
-    distinct length, and returns the len(steps) + 1 means.  Atilde is built
-    here from (omega_o, kappa, beta), independently of the model builder and
-    of the master-equation propagation it is compared with.
+    d m/dt = Atilde m + f from m(0) = x_o0, with Atilde = -kappa/2 I + 2 omega_o J
+    and f = 2 J beta z_bar, is solved by
+
+        m(t) = m_inf + exp(-kappa t / 2) R(2 omega_o t) (m(0) - m_inf),
+
+    where R(theta) = cos(theta) I + sin(theta) J = exp(theta J) since J^2 = -I,
+    and m_inf = -Atilde^{-1} f = (kappa/2 I + 2 omega_o J) f / (kappa^2/4 + 4 omega_o^2).
+    Returns the means at ``times`` (strictly increasing, nonnegative) as
+    (len(times), 2).  Everything is built here from (omega_o, kappa, beta),
+    independently of the model builder, the sampler and the master-equation
+    propagation it is compared with.
     """
     beta = np.asarray(beta, dtype=float)
-    steps = np.asarray(steps, dtype=float)
-    if steps.ndim != 1 or not np.all(steps > 0.0):
-        raise ValueError("steps must be positive lengths")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1 or times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing and nonnegative")
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    a_tilde = -0.5 * kappa * np.eye(2) + 2.0 * omega_o * j2
     forcing = 2.0 * (j2 @ beta) * z_bar
-    flows = {}
-    out = np.empty((steps.size + 1, 2))
-    out[0] = m = np.asarray(x_o0, dtype=float)
-    for k, h in enumerate(steps):
-        if h not in flows:
-            flows[h] = exact_lti_step(a_tilde, np.zeros((2, 0)), h, u=forcing)[:2]
-        transition, drift = flows[h]
-        out[k + 1] = m = transition @ m + drift
-    return out
+    settled = (0.5 * kappa * forcing + 2.0 * omega_o * (j2 @ forcing)) / (
+        0.25 * kappa ** 2 + 4.0 * omega_o ** 2)
+    start = np.asarray(x_o0, dtype=float) - settled
+    theta = 2.0 * omega_o * times
+    decay = np.exp(-0.5 * kappa * times)[:, None]
+    return settled + decay * (np.cos(theta)[:, None] * start
+                              + np.sin(theta)[:, None] * (j2 @ start))
 
 
 def write_oracle_csv(path, times, traces: ExpectationTraces) -> None:

@@ -20,10 +20,11 @@ and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
 by the linear-fractional map of the constant Hamiltonian matrix over each
 grid step; it symmetrizes after every step and aborts on non-finite values.
 The records are sampled, so the filter applied to them is the discrete
-Kalman filter of the exact sampled-data model, whose covariance P_k is its
-error covariance at every step length and tends to Sigma*(t_k) as the step
-shrinks.  Neither covariance is projected onto the PSD cone.  riccati.csv
-is rendered as one block by export.write_csv, like every CSV artifact.
+Kalman filter of the exact sampled-data model, sde_engine.record_chain, the
+same step the sampler takes; its covariance P_k is its error covariance at
+every step length and tends to Sigma*(t_k) as the step shrinks.  Neither
+covariance is projected onto the PSD cone.  riccati.csv is rendered as one
+block by export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import LinearModel
-from .sde_engine import _checked_keep, exact_lti_step
+from .sde_engine import _checked_keep, record_chain
 from .spin_algebra import _frozen
 
 __all__ = [
@@ -122,9 +123,10 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
 
     ``dz[:, k]`` is each record's increment over the step from ``times[k]``,
     shaped (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p).
-    Over a step h, (T, _, W) = exact_lti_step([[A, 0], [D C, 0]], [B; D], h)
-    gives x' = Phi x + w and dz = Psi x + v, Phi and Psi the state and record
-    rows of T, and W = [[Q_d, S_d], [S_d^T, R_d]] the covariance of (w, v).
+    Over a step h, (T, W) = sde_engine.record_chain(model, h) gives
+    x' = Phi x + w and dz = Psi x + v, Phi and Psi the state and record rows
+    of T's state columns, and W = [[Q_d, S_d], [S_d^T, R_d]] the covariance
+    of (w, v).
     The filter for that chain with correlated noise (Anderson & Moore,
     Optimal Filtering, 1979) starts from x0_mean and sigma0 and steps
 
@@ -147,7 +149,6 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     keep = _checked_keep(keep, times.size)
     slot = np.full(times.size, -1)
     slot[keep] = np.arange(keep.size)
-    lifted = np.block([[model.A, np.zeros((n, p))], [model.DC, np.zeros((p, p))]])
     steps = {}
     x = np.broadcast_to(model.x0_mean, (dz.shape[0], n)).copy()
     out = np.empty((dz.shape[0], keep.size, n))
@@ -158,7 +159,7 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
         out[:, slot[0]] = x
     for k, h in enumerate(np.diff(times)):
         if h not in steps:
-            trans, _, w = exact_lti_step(lifted, np.vstack([model.B, model.D]), h)
+            trans, w = record_chain(model, h)
             steps[h] = trans[:, :n], w
         t_x, w = steps[h]
         # M = T P T^T + W, the covariance of (x', dz) given the earlier records,

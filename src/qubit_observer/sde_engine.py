@@ -6,15 +6,16 @@ ordinary SDE: the plant value is drawn from the two-point law on the spectrum
 {+|c_p|, -|c_p|} that reproduces its quantum mean and variance exactly, and
 the observer quadratures are driven by unit-intensity Wiener increments.
 
-The joint (state, record) process is discretized exactly through the matrix
-exponential, so any step size yields the correct joint law.  Within a step
-the same noise increment drives the state and the record, which is what
-makes the record informative for filtering.  The sampler is one linear
-recursion driven by three sequential RNG streams (plant values, initial
-quadratures, noise) read in path order.  It takes every step but stores
-only the nodes its caller keeps, the quadratures there and the record
-increments between them, so terminal statistics need memory for
-n_paths terminal values plus one chunk's noise draws, not n_paths * n_steps.
+The joint (state, integrated record) chain is discretized exactly through
+the matrix exponential by record_chain, the one exact step that the sampler
+and kalman_filter both take, so any step size yields the correct joint law.
+Within a step the same noise increment drives the state and the record,
+which is what makes the record informative for filtering.  The sampler is
+one linear recursion driven by three sequential RNG streams (plant values,
+initial quadratures, noise) read in path order.  It takes every step but
+stores only the nodes its caller keeps, the quadratures there and the record
+increments between them, so terminal statistics need memory for n_paths
+terminal values plus one chunk's noise draws, not n_paths * n_steps.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .export import write_csv
-from .model_builder import AugmentedModel
+from .model_builder import AugmentedModel, LinearModel
 from .spin_algebra import _checked_grid, _integer
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "Ensemble",
     "time_grid",
     "exact_lti_step",
+    "record_chain",
     "two_point_law",
     "simulate_paths",
     "ensemble_mean_cov",
@@ -102,35 +104,43 @@ def _checked_keep(keep, n_nodes: int) -> np.ndarray:
     return keep
 
 
-def exact_lti_step(a, b, dt: float, u=None) -> tuple:
-    """Exact one-step discretization of dx = (a x + u) dt + b dw.
+def exact_lti_step(a, b, dt: float) -> tuple:
+    """Exact one-step discretization of dx = a x dt + b dw.
 
-    Returns (transition, drift, noise_cov):
+    Returns (transition, noise_cov):
 
         transition = exp(a dt),
-        drift      = int_0^dt exp(a s) ds @ u            (zero if u is None),
         noise_cov  = int_0^dt exp(a s) b b^T exp(a^T s) ds,
 
-    each from one exponential of an affine system (Van Loan, IEEE TAC 23(3),
-    1978): exp([[a, u], [0, 0]] dt) for the first two, and for noise_cov the
-    vectorized Lyapunov equation S' = a S + S a^T + b b^T from S = 0, whose
-    modes lambda_i + lambda_j do not grow when a is stable, whatever dt.
-    The discrete chain x_{k+1} = transition x_k + drift + N(0, noise_cov)
+    noise_cov from one exponential of an affine system (Van Loan, IEEE TAC
+    23(3), 1978): the vectorized Lyapunov equation S' = a S + S a^T + b b^T
+    from S = 0, whose modes lambda_i + lambda_j do not grow when a is stable,
+    whatever dt.  The discrete chain x_{k+1} = transition x_k + N(0, noise_cov)
     matches the continuous marginals exactly for any dt.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    aff = np.zeros((n + 1, n + 1))
-    aff[:n, :n] = a
-    if u is not None:
-        aff[:n, n] = u
-    phi = expm(aff * dt)
     lyap = np.zeros((n * n + 1, n * n + 1))
     lyap[:-1, :-1] = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
     lyap[:-1, -1] = (b @ b.T).reshape(-1)
     noise_cov = expm(lyap * dt)[:-1, -1].reshape(n, n)
-    return phi[:n, :n], phi[:n, n], 0.5 * (noise_cov + noise_cov.T)
+    return expm(a * dt), 0.5 * (noise_cov + noise_cov.T)
+
+
+def record_chain(model: LinearModel, h: float) -> tuple:
+    """Exact step of length h of the (state, integrated record) chain.
+
+    s = (x, r) with dr = dz = D (C x dt + dw) follows ds = [[A, 0], [D C, 0]] s dt
+    + [B; D] dw, so exact_lti_step of that system gives (transition, noise_cov)
+    with s' = transition s + N(0, noise_cov): the state rows of transition map
+    x to x', its record rows map x to the increment r' - r, and noise_cov is
+    the joint covariance of the state and record noise over the step.  The
+    sampler and the filter both step this chain.
+    """
+    n, p = model.n, model.D.shape[0]
+    a = np.block([[model.A, np.zeros((n, p))], [model.DC, np.zeros((p, p))]])
+    return exact_lti_step(a, np.vstack([model.B, model.D]), h)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -182,8 +192,10 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
 
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
-    with (T, drift, L) = (exp(a dt), exact drift, chol(noise_cov)) from
-    exact_lti_step, so every step has the exact joint law of the model.
+    read off record_chain(model, dt) for the chain (z_p, x_o, record): T and
+    drift are the live rows of its transition in the live and z_p columns,
+    and L L^T is the live block of its noise covariance, so every step has
+    the exact joint law of the model.
     SeedSequence(seed).spawn(3) gives three generators, read in path order:
     one uniform per path for z_p, two normals per path for x_o(0), and
     (n_steps, n_noise) normals per path for eta.  Paths are sampled _CHUNK at
@@ -210,15 +222,10 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
-    # Live subsystem: observer quadratures plus the integrated record.
-    dc = model.DC[0]
-    a_live = np.zeros((3, 3))
-    a_live[:2, :2] = model.A[1:, 1:]
-    a_live[2, :2] = dc[1:]
-    u_live = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
-    b_live = np.vstack([model.B[1:, :], model.D])
-    transition, drift, noise_cov = exact_lti_step(a_live, b_live, config.dt, u=u_live)
-    noise_factor = _psd_factor(noise_cov)
+    # The live rows of the chain (x_o, r): z_p enters through its column.
+    chain, chain_cov = record_chain(model, config.dt)
+    transition, drift = chain[1:, 1:], chain[1:, 0]
+    noise_factor = _psd_factor(chain_cov[1:, 1:])
     n_noise = noise_factor.shape[1]
 
     z_p = np.empty(n_paths)

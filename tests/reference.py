@@ -5,8 +5,8 @@ code paths they check.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
-from qubit_observer.sde_engine import exact_lti_step
 from qubit_observer.spin_algebra import PAULI
 
 # Levi-Civita symbol, 0-based: EPSILON[i, j, k] = eps_{i+1, j+1, k+1}.
@@ -45,15 +45,30 @@ def commutator_oracle(r_p) -> np.ndarray:
     return out
 
 
-def live_system(model):
-    """(a, b, u) of ds = (a s + u z_p) dt + b dw for s = (x_o, integrated record)."""
+def live_step(model, h, b_live=None):
+    """The sampler's exact step over length h, in its own live coordinates.
+
+    The live state s = (x_o, integrated record) follows
+    ds = (a s + u z_p) dt + b dw; returns (transition, drift, noise_cov) of
+    s' = transition s + drift z_p + N(0, noise_cov), driven by the noise input
+    b_live (the model's own b by default).  transition and drift come from
+    expm([[a, u], [0, 0]] h), and noise_cov from Van Loan's block form
+    expm([[-a, b b^T], [0, a^T]] h) = [[., F12], [0, F22]] as F22^T F12
+    (IEEE TAC 23(3), 1978), so nothing here goes through sde_engine.
+    """
     dc = (model.D @ model.C)[0]
     a = np.zeros((3, 3))
     a[:2, :2] = model.A[1:, 1:]
     a[2, :2] = dc[1:]
-    u = np.array([model.A[1, 0], model.A[2, 0], dc[0]])
-    b = np.vstack([model.B[1:], model.D])
-    return a, b, u
+    b = np.vstack([model.B[1:], model.D]) if b_live is None else b_live
+    aff = np.zeros((4, 4))
+    aff[:3, :3] = a
+    aff[:3, 3] = [model.A[1, 0], model.A[2, 0], dc[0]]
+    step = expm(aff * h)
+    van_loan = np.block([[-a, b @ b.T], [np.zeros((3, 3)), a.T]])
+    blocks = expm(van_loan * h)
+    noise_cov = blocks[3:, 3:].T @ blocks[:3, 3:]
+    return step[:3, :3], step[:3, 3], 0.5 * (noise_cov + noise_cov.T)
 
 
 def sampler_step(model, h, b_live=None):
@@ -63,8 +78,7 @@ def sampler_step(model, h, b_live=None):
     row (z_p, x_o) -> dz, and the covariance of the noise in (x_o', dz),
     driven by the noise input b_live (the model's own by default).
     """
-    a, b, u = live_system(model)
-    transition, drift, noise_cov = exact_lti_step(a, b if b_live is None else b_live, h, u=u)
+    transition, drift, noise_cov = live_step(model, h, b_live)
     step = np.column_stack([drift, transition[:, :2]])  # (z_p, x_o) -> (x_o', dz)
     return np.vstack([np.eye(3)[:1], step[:2]]), step[2], noise_cov
 

@@ -225,8 +225,7 @@ def test_criterion_7_surrogate_oracle_agreement():
     config = FockConfig(n_trunc=20, dt=1e-3, t_final=2.5, store_every=10)
     times, traces = evolve(state, ops, config)
     reference = reduced_mean_trajectory(obs.omega_o, obs.kappa, obs.beta,
-                                        qubit_moments(plant)[0], obs.x0_mean,
-                                        np.diff(times))
+                                        qubit_moments(plant)[0], obs.x0_mean, times)
     deviation = float(np.max(np.abs(
         np.column_stack([traces.exp_q, traces.exp_p]) - reference)))
     elapsed = time.perf_counter() - start

@@ -663,7 +663,7 @@ EIGENSTATE_RHO_PAIRS = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
 
 def test_oracle_with_a_tail_step_ends_at_t_final(tmp_path):
     """store_every = 3 leaves a one-step tail after 133 strides; the reference
-    steps by the same spacing and the last row sits at t_final."""
+    is evaluated at the same nodes and the last row sits at t_final."""
     cfg = small_config()
     cfg["plant"]["rho_p"] = EIGENSTATE_RHO_PAIRS
     cfg["observer"]["omega_o"] = 1.0
@@ -736,6 +736,44 @@ def test_oracle_truncation_error_surfaces(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert "increase n_trunc" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: cannot read")
+
+
+def test_non_utf8_config_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(small_config()).replace("plant", "pl\xe4nt").encode("latin-1"))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: cannot read")
+    assert "utf-8" in err
+
+
+def test_out_that_names_a_file_exits_2_naming_it(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["analyze", "--config", path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot create the output directory {taken}")
+    assert taken.read_text() == "not a directory"
+
+
+def test_unwritable_artifact_exits_1_naming_it(tmp_path, capsys):
+    """paths.csv taken by a directory: simulate runs, then cannot write it."""
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "sim"
+    (out / "paths.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot write an artifact: ")
+    assert str(out / "paths.csv") in err
+    assert not (out / "report.json").exists()
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
                                        time_grid, two_point_law,
                                        write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
-from reference import live_system
+from reference import live_step
 
 MIXED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=np.eye(2) / 2)
 PINNED = PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0],
@@ -31,14 +31,13 @@ def test_sim_config_validation():
 
 
 def test_exact_lti_step_trivial():
-    transition, drift, cov = exact_lti_step(np.zeros((2, 2)), np.eye(2), 0.25)
+    transition, cov = exact_lti_step(np.zeros((2, 2)), np.eye(2), 0.25)
     np.testing.assert_allclose(transition, np.eye(2), atol=1e-14)
-    np.testing.assert_array_equal(drift, np.zeros(2))
     np.testing.assert_allclose(cov, 0.25 * np.eye(2), atol=1e-14)
 
 
 def test_exact_lti_step_scalar_decay():
-    transition, _, _ = exact_lti_step(-2.0 * np.eye(2), np.zeros((2, 2)), 0.1)
+    transition, _ = exact_lti_step(-2.0 * np.eye(2), np.zeros((2, 2)), 0.1)
     np.testing.assert_allclose(transition, math.exp(-0.2) * np.eye(2), atol=1e-14)
 
 
@@ -48,7 +47,7 @@ def test_exact_lti_step_covariance_against_quadrature():
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 2))
     dt = 0.3
-    _, _, cov = exact_lti_step(a, b, dt)
+    _, cov = exact_lti_step(a, b, dt)
     from scipy.linalg import expm
     n_quad = 2000
     s_grid = np.linspace(0.0, dt, n_quad + 1)
@@ -69,15 +68,26 @@ def test_exact_lti_step_noise_cov_is_stationary_difference(kappa, dt):
     model = build_augmented(MIXED, observer)
     a, b = model.A[1:, 1:], model.B[1:]
     stationary = solve_continuous_lyapunov(a, -b @ b.T)
-    transition, _, cov = exact_lti_step(a, b, dt)
+    transition, cov = exact_lti_step(a, b, dt)
     expected = stationary - transition @ stationary @ transition.T
     assert np.max(np.abs(cov - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def affine_step(a, u, dt):
+    """Transition and drift of dx = (a x + u) dt over dt, read off the exact
+    step of the augmented generator [[a, u], [0, 0]]."""
+    n = len(u)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = a
+    aug[:n, n] = u
+    transition, _ = exact_lti_step(aug, np.zeros((n + 1, 1)), dt)
+    return transition[:n, :n], transition[:n, n]
 
 
 def test_exact_affine_drift():
     a = np.array([[-1.0, 0.0], [0.0, -2.0]])
     u = np.array([3.0, 4.0])
-    _, drift, _ = exact_lti_step(a, np.zeros((2, 2)), 0.5, u=u)
+    _, drift = affine_step(a, u, 0.5)
     expected = np.array([3.0 * (1 - math.exp(-0.5)) / 1.0, 4.0 * (1 - math.exp(-1.0)) / 2.0])
     np.testing.assert_allclose(drift, expected, atol=1e-13)
 
@@ -90,7 +100,7 @@ def test_em_and_exact_means_converge_first_order():
     errs = []
     for dt in (0.02, 0.01, 0.005):
         n = int(round(2.0 / dt))
-        transition, drift, _ = exact_lti_step(a_oo, model.B[1:, :], dt, u=forcing)
+        transition, drift = affine_step(a_oo, forcing, dt)
         m_exact = np.zeros(2)
         m_euler = np.zeros(2)
         for _ in range(n):
@@ -250,8 +260,7 @@ def test_sampler_matches_reference_recursion(scheme):
     model = build_augmented(plant, observer)
     dt = 0.02
     config = SimConfig(dt=dt, t_final=2.6, n_paths=257, seed=17)
-    a, b, u = live_system(model)
-    transition, drift, cov = exact_lti_step(a, b, dt, u=u)
+    transition, drift, cov = live_step(model, dt)
     factor = np.linalg.cholesky(cov)
     z_p, x_o, dz = _reference_paths(model, config, transition, drift, factor)
     ens = simulate_paths(model, config)

@@ -20,8 +20,10 @@ from .export import write_json
 from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           expectations, joint_initial_state,
                           reduced_mean_trajectory, write_oracle_csv)
-from .kalman_filter import (_hamiltonian, run_filter_ensemble, solve_riccati,
-                            write_riccati_csv)
+# run_filter_ensemble is not called here: perfbench/traced_cli.py wraps it by
+# this name, so the name stays.
+from .kalman_filter import (_hamiltonian, filter_paths, gain_schedule,
+                            run_filter_ensemble, solve_riccati, write_riccati_csv)
 from .model_builder import (LinearModel, build_augmented, closed_loop_transfer,
                             hurwitz_check, optimal_gain, output_bias,
                             steady_state_mean)
@@ -198,32 +200,36 @@ def _riccati_gap(model, ricc, cov_p) -> tuple:
 def cmd_filter(config: ExperimentConfig, self_test: bool = False):
     """Riccati solve, record simulation and filter run with MC-vs-filter table.
 
-    The simulation is regenerated on the filter grid.  Estimation errors are
-    formed only at the checkpoints and the terminal time and gated against
-    the filter's covariance P_k; riccati_limit ties P_k to Sigma*.
+    The simulation is regenerated on the filter grid and filtered block by
+    block as it is sampled (kalman_filter.filter_paths), keeping each path
+    only at the checkpoints and the terminal time, where the estimation
+    errors are gated against the filter's covariance P_k; riccati_limit ties
+    P_k to Sigma*.  The error statistics need sim.n_paths >= 2.
     """
     if self_test:
         return _filter_self_test(), None
 
-    model = build_augmented(config.plant, config.observer)
     sim = replace(config.sim, dt=config.filter.dt, t_final=config.filter.t_final)
+    if sim.n_paths < 2:
+        raise ConfigError(f"sim.n_paths: filter needs at least 2 paths for its error "
+                          f"statistics; got {sim.n_paths}")
+    model = build_augmented(config.plant, config.observer)
     grid = time_grid(sim)
     ricc = solve_riccati(model, grid)
-    ens = simulate_paths(model, sim)
+    schedule = gain_schedule(model, grid)
+    cov_p = schedule[0]
 
-    n_paths = ens.z_p.size
+    n_paths = sim.n_paths
     n_steps = grid.size - 1
-
+    # the checkpoints, in order, end at the terminal node
     checkpoints = np.unique(np.round(np.linspace(n_steps / 10.0, n_steps, 10)).astype(int))
-    # estimates at the checkpoints, in order, then at the terminal node
-    x_hat, cov_p, _ = run_filter_ensemble(model, ens.times, ens.dz,
-                                          keep=np.union1d(checkpoints, [n_steps]))
+    z_p, x_o, x_hat = filter_paths(model, sim, schedule, checkpoints)
     gap, gap_tol = _riccati_gap(model, ricc, cov_p)
     table = []
     max_bias_z = 0.0
     max_cov_z = 0.0
     for slot, idx in enumerate(checkpoints):
-        err = np.column_stack([ens.z_p, ens.x_o[:, idx]]) - x_hat[:, slot]
+        err = np.column_stack([z_p, x_o[:, slot]]) - x_hat[:, slot]
         mean, cov = ensemble_mean_cov(err)
         se_mean = np.maximum(np.sqrt(np.diag(cov) / n_paths), 1e-300)
         bias_z = mean / se_mean
@@ -239,7 +245,7 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
             "covariance_z_scores": cov_z.tolist(),
         })
 
-    terminal_errors = (ens.z_p - x_hat[:, -1, 0]).tolist()
+    terminal_errors = (z_p - x_hat[:, -1, 0]).tolist()
     report = {
         "command": "filter",
         "mode": "monte_carlo",

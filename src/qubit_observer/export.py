@@ -198,5 +198,9 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Write dumps_json(obj) to path.  obj is serialized before the file is
+    opened, so a value that cannot be written (a non-finite float, say)
+    raises and leaves no file."""
+    text = dumps_json(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)

@@ -10,12 +10,14 @@ The joint (state, integrated record) chain is discretized exactly through
 the matrix exponential by record_chain, the one exact step that the sampler
 and kalman_filter both take, so any step size yields the correct joint law.
 Within a step the same noise increment drives the state and the record,
-which is what makes the record informative for filtering.  The sampler is
-one linear recursion driven by three sequential RNG streams (plant values,
-initial quadratures, noise) read in path order.  It takes every step but
-stores only the nodes its caller keeps, the quadratures there and the record
-increments between them, so terminal statistics need memory for n_paths
-terminal values plus one chunk's noise draws, not n_paths * n_steps.
+which is what makes the record informative for filtering.  The sampler,
+sample_blocks, is one linear recursion driven by three sequential RNG
+streams (plant values, initial quadratures, noise) read in path order, and
+hands out its live states one block of steps of one chunk of paths at a
+time.  Its consumers (simulate_paths here, kalman_filter.filter_paths) take
+what they need from each block as it arrives and store only the nodes their
+caller keeps, so they need memory for one chunk's noise draws plus n_paths
+values per kept node, not n_paths * n_steps.
 """
 
 import math
@@ -35,6 +37,7 @@ __all__ = [
     "exact_lti_step",
     "record_chain",
     "two_point_law",
+    "sample_blocks",
     "simulate_paths",
     "ensemble_mean_cov",
     "write_paths_csv",
@@ -185,8 +188,16 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensemble:
-    """Sample trajectories and homodyne records of the reduced model.
+def _kept(keep, b0: int, n: int) -> tuple:
+    """The slice lo:hi of keep that falls in the block of n steps from node b0,
+    and those nodes' rows in the block's states, whose row 0 is node b0 (the
+    previous block's last node, so it counts here only when b0 is 0)."""
+    lo, hi = np.searchsorted(keep, (b0 + (b0 > 0), b0 + n + 1))
+    return lo, hi, keep[lo:hi] - b0
+
+
+def sample_blocks(model: AugmentedModel, config: SimConfig):
+    """Sample the reduced model's paths, handing out one block of steps at a time.
 
     The live state s = (x_o, integrated record) follows one linear recursion
 
@@ -205,19 +216,19 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     plant value never enters the propagated state, so it is constant by
     construction on every path.
 
-    ``keep`` lists the grid nodes to return, strictly increasing, as in
-    kalman_filter.run_filter_ensemble; by default every node is kept.  Every
-    step is taken whatever ``keep`` is, but only the kept nodes are stored:
-    x_o there, and dz as the difference of the integrated record between
-    consecutive kept nodes, which on the full grid is the per-step increment.
-    Memory is therefore n_paths * len(keep) values plus one _CHUNK-path
-    chunk's noise draws, _CHUNK * n_steps * n_noise values, so keep=[n_steps]
-    removes the n_paths * n_steps growth but not the chunk's growth in n_steps.
+    For each block of each chunk, in that order, yields (start, stop, b0,
+    z_vals, states): the chunk holds paths start to stop - 1, z_vals (width,)
+    their plant values and states (n + 1, 3, width) the live (x_o, record)
+    at nodes b0 to b0 + n, the record integrated from t = 0.  A lone path is
+    padded to width 2 with an idle column (plant value 0, zero draws), which
+    consumers may step but not report.  The buffers are reused, so a block
+    is valid only until the next is requested.  Each block is checked for
+    finite values before it is handed out; a non-finite one raises
+    RuntimeError naming the path.  Memory is one chunk's noise draws,
+    _CHUNK * n_steps * n_noise values, plus one block.
     """
     n_paths = config.n_paths
     n_steps = config.n_steps
-    keep = _checked_keep(keep, n_steps + 1)
-    times = time_grid(config)[keep]
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
@@ -228,9 +239,6 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     noise_factor = _psd_factor(chain_cov[1:, 1:])
     n_noise = noise_factor.shape[1]
 
-    z_p = np.empty(n_paths)
-    x_o = np.empty((n_paths, keep.size, 2))
-    dz = np.empty((n_paths, keep.size - 1))
     z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
                                 np.random.SeedSequence(config.seed).spawn(3))
     # A one-column product goes through BLAS's matrix-vector kernel, which
@@ -253,10 +261,6 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
         noise = np.empty((_CHECK_EVERY, 3, width))
         block[0, :2] = mean_o + factor_o @ x0.T
         block[0, 2] = 0.0
-        z_p[start:stop] = z_vals[:nc]
-        if keep[0] == 0:
-            x_o[start:stop, 0] = block[0, :2, :nc].T
-        last = np.zeros(nc)  # the record at the latest kept node (node 0's is 0)
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
@@ -265,18 +269,45 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
             for j in range(n):
                 np.matmul(transition, block[j], out=block[j + 1])
                 block[j + 1] += noise[j]
-            lo, hi = np.searchsorted(keep, (b0 + 1, b0 + n + 1))
-            rows = keep[lo:hi] - b0
-            if hi > lo:
-                x_o[start:stop, lo:hi] = block[rows, :2, :nc].transpose(2, 0, 1)
-                record = block[rows, 2, :nc]  # the integrated record at keep[lo:hi]
-                if lo > 0:
-                    np.subtract(record[0], last, out=dz[start:stop, lo - 1])
-                dz[start:stop, lo:hi - 1] = (record[1:] - record[:-1]).T
-                last = record[-1]
             _finiteness_check(block[n, :, :nc], ids, b0 + n)
+            yield start, stop, b0, z_vals, block[:n + 1]
             block[0] = block[n]
 
+
+def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensemble:
+    """Sample trajectories and homodyne records of the reduced model.
+
+    The paths are sample_blocks' (see there for the recursion, the RNG
+    streams and the chunking), and a path's values do not depend on how many
+    paths are drawn with it.  ``keep`` lists the grid nodes to return,
+    strictly increasing, as in kalman_filter.run_filter_ensemble; by default
+    every node is kept.  Every step is taken whatever ``keep`` is, but only
+    the kept nodes are stored, gathered from each block as it arrives: x_o
+    there, and dz as the difference of the integrated record between
+    consecutive kept nodes, which on the full grid is the per-step increment.
+    Memory is therefore n_paths * len(keep) values plus one _CHUNK-path
+    chunk's noise draws, _CHUNK * n_steps * n_noise values, so keep=[n_steps]
+    removes the n_paths * n_steps growth but not the chunk's growth in n_steps.
+    """
+    n_paths = config.n_paths
+    keep = _checked_keep(keep, config.n_steps + 1)
+    z_p = np.empty(n_paths)
+    x_o = np.empty((n_paths, keep.size, 2))
+    dz = np.empty((n_paths, keep.size - 1))
+    for start, stop, b0, z_vals, states in sample_blocks(model, config):
+        nc = stop - start
+        if b0 == 0:
+            z_p[start:stop] = z_vals[:nc]
+        lo, hi, rows = _kept(keep, b0, len(states) - 1)
+        if hi > lo:
+            x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
+            record = states[rows, 2, :nc]  # the integrated record at keep[lo:hi]
+            if lo > 0:
+                np.subtract(record[0], last, out=dz[start:stop, lo - 1])
+            dz[start:stop, lo:hi - 1] = (record[1:] - record[:-1]).T
+            last = record[-1]
+
+    times = time_grid(config)[keep]
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)
     return Ensemble(times=times, z_p=z_p, x_o=x_o, dz=dz)

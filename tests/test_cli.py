@@ -13,7 +13,7 @@ from pathlib import Path
 from qubit_observer import cli
 from qubit_observer.cli import main
 from qubit_observer.config import ConfigError, FilterSettings, OutputSettings, load_config
-from qubit_observer.export import dumps_json, write_csv
+from qubit_observer.export import dumps_json, write_csv, write_json
 from qubit_observer.fock_oracle import ExpectationTraces, FockConfig, write_oracle_csv
 from qubit_observer.kalman_filter import RiccatiSolution, write_riccati_csv
 from qubit_observer.sde_engine import Ensemble, SimConfig, write_paths_csv
@@ -216,6 +216,13 @@ def test_dumps_json_roundtrip():
     # Quotes, backslashes and control characters in keys and values.
     doc = {'k"\\\n\t': {'v\t"': 'x\ny\\"\r\x01', "plain": "ü"}}
     assert json.loads(dumps_json(doc)) == doc
+
+
+def test_write_json_leaves_no_file_when_serialization_fails(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json(path, {"ok": 1.0, "bad": [NAN]})
+    assert not path.exists()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -558,6 +565,39 @@ def test_filter_monte_carlo_run(tmp_path):
     assert (out / "riccati.csv").exists()
 
 
+def test_filter_with_one_path_exits_with_config_error(tmp_path, capsys):
+    """The error statistics need two paths: one path is a configuration
+    error, raised before any sampling, and no report is written."""
+    cfg = small_config()
+    cfg["sim"]["n_paths"] = 1
+    out = tmp_path / "one"
+    assert main(["filter", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sim.n_paths:")
+    assert "at least 2 paths" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_filter_memory_is_bounded():
+    """2000 paths x 1000 steps: the whole ensemble would hold 48 MB of x_o
+    and dz; the streamed filter holds one chunk's noise draws (6.1 MB) and
+    the 10 checkpoints."""
+    import tracemalloc
+
+    cfg = small_config()
+    cfg["sim"]["n_paths"] = 2000
+    cfg["filter"].update(dt=0.005, t_final=5.0)
+    config = load_config(cfg)
+    tracemalloc.start()
+    try:
+        report, _ = cli.cmd_filter(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["n_paths"] == 2000 and len(report["mc_vs_riccati"]) == 10
+    assert peak < 15e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
@@ -620,14 +660,15 @@ def test_riccati_limit_detects_a_coefficient_off_by_1e_3(monkeypatch, name):
 
 
 def test_filter_gate_detects_an_inflated_filter_covariance(monkeypatch):
-    """The gate's reference P scaled by 1.3 fails covariance_consistency."""
-    run = cli.run_filter_ensemble
+    """The gate's reference P scaled by 1.3 fails covariance_consistency; the
+    gains and estimate maps, and so the estimates, are left as they are."""
+    schedule = cli.gain_schedule
 
     def inflated(*args, **kwargs):
-        x_hat, covs, gains = run(*args, **kwargs)
-        return x_hat, 1.3 * covs, gains
+        covs, gains, maps = schedule(*args, **kwargs)
+        return 1.3 * covs, gains, maps
 
-    monkeypatch.setattr(cli, "run_filter_ensemble", inflated)
+    monkeypatch.setattr(cli, "gain_schedule", inflated)
     report, _ = cli.cmd_filter(load_config(DEFAULT_CONFIG))
     cov = report["checks"]["covariance_consistency"]
     assert cov["passed"] is False

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubit_observer.kalman_filter import (LinearModel, kalman_gain,
-                                          run_filter_ensemble, solve_riccati,
-                                          write_riccati_csv)
+from qubit_observer.kalman_filter import (LinearModel, filter_paths, gain_schedule,
+                                          kalman_gain, run_filter_ensemble,
+                                          solve_riccati, write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
 from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PlantSpec
@@ -310,6 +310,33 @@ def test_run_filter_ensemble_keeps_requested_nodes():
             run_filter_ensemble(model, ens.times, ens.dz, keep=bad)
         with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
             simulate_paths(model, config, keep=bad)
+
+
+@pytest.mark.parametrize("n_paths", [2, 257, 600])
+def test_streamed_filter_is_the_whole_ensemble_route(n_paths):
+    """filter_paths, which filters each sampler block as it arrives, gives
+    bitwise the estimates, x_o and z_p at the kept nodes of simulate_paths
+    followed by run_filter_ensemble.  150 steps end in a part block; 257 paths
+    leave a lone path in the last chunk, 600 a part chunk."""
+    model = build_augmented(BIASED_PLANT, BIASED_OBS)
+    config = SimConfig(dt=0.02, t_final=3.0, n_paths=n_paths, seed=12)
+    assert config.n_steps == 150
+    keep = [0, 15, 63, 64, 65, 128, 130, 150]
+    z_p, x_o, x_hat = filter_paths(model, config, gain_schedule(model, time_grid(config)),
+                                   keep)
+    ens = simulate_paths(model, config)
+    whole = run_filter_ensemble(model, ens.times, ens.dz, keep=keep)[0]
+    np.testing.assert_array_equal(z_p, ens.z_p)
+    np.testing.assert_array_equal(x_o, ens.x_o[:, keep])
+    np.testing.assert_array_equal(x_hat, whole)
+
+
+def test_filter_paths_rejects_a_schedule_for_another_grid():
+    model = build_augmented(PLANT, OBS)
+    config = SimConfig(dt=0.02, t_final=1.0, n_paths=2, seed=1)
+    schedule = gain_schedule(model, np.arange(40) * 0.02)
+    with pytest.raises(ValueError, match="schedule covers 39 steps, the sampler 50"):
+        filter_paths(model, config, schedule, [50])
 
 
 def _scalar_records(n_paths, dt, t_final, seed):

@@ -17,15 +17,22 @@ two-point-distributed plant variable.
 
 The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
 and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
-by the linear-fractional map of the constant Hamiltonian matrix over each
-grid step; it symmetrizes after every step and aborts on non-finite values.
+by the linear-fractional map of the constant Hamiltonian matrix, in blocks
+of up to 64 grid steps: the running products of the steps' flows give every
+covariance of a block from one batched solve, and the next block restarts
+from the last.  Blocks are cut short so that |H|_2 h m <= 1, and grids with
+|H|_2 h > 1/2 step one node at a time.  It symmetrizes every covariance and
+aborts on non-finite values.
 The records are sampled, so the filter applied to them is the discrete
 Kalman filter of the exact sampled-data model, sde_engine.record_chain, the
 same step the sampler takes; its covariance P_k is its error covariance at
 every step length and tends to Sigma*(t_k) as the step shrinks.  Neither
 covariance is projected onto the PSD cone.  P_k, the gains and the estimate
 maps do not depend on the records, so gain_schedule forms them once per
-grid; one estimate recursion then serves a whole ensemble
+grid.  The estimates are linear in the start of a block and its record
+increments, so the maps and gains compose into one transfer matrix per
+sampler block (64 steps), and one batched product carries a chunk of
+paths over the block.  The same transfers serve a whole ensemble
 (run_filter_ensemble) and the sampler's blocks as they arrive (filter_paths),
 which holds one chunk's noise draws plus n_paths values per kept node,
 whatever the step count.  riccati.csv is rendered as one block by
@@ -39,7 +46,8 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
-from .sde_engine import SimConfig, _checked_keep, _kept, record_chain, sample_blocks
+from .sde_engine import (_CHECK_EVERY, _CHUNK, SimConfig, _checked_keep, _kept,
+                         record_chain, sample_blocks)
 from .spin_algebra import _frozen
 
 __all__ = [
@@ -52,6 +60,10 @@ __all__ = [
     "filter_paths",
     "write_riccati_csv",
 ]
+
+
+# The longest block of Riccati steps taken with one batched solve.
+_MAX_BLOCK = 64
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -79,7 +91,8 @@ def kalman_gain(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
 
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0.0)):
         raise ValueError("grid must be strictly increasing with >= 2 points")
     return grid
 
@@ -89,39 +102,64 @@ def _hamiltonian(model: LinearModel) -> np.ndarray:
     return np.block([[-model.F.T, model.Q], [model.R, model.F]])
 
 
+def _fractional_map(xy: np.ndarray, n: int) -> np.ndarray:
+    """Y X^{-1}, symmetrized, for each [X; Y] of a (m, 2n, n) stack; NaN
+    from the first singular X on."""
+    # Y X^{-1} is symmetric, so it is also the solution X^{-T} Y^T.
+    xt, yt = xy[:, :n].swapaxes(1, 2), xy[:, n:].swapaxes(1, 2)
+    try:
+        return _sym(np.linalg.solve(xt, yt))
+    except np.linalg.LinAlgError:
+        out = np.full(yt.shape, np.nan)
+        for j, (a, b) in enumerate(zip(xt, yt)):
+            try:
+                out[j] = _sym(np.linalg.solve(a, b))
+            except np.linalg.LinAlgError:
+                break
+        return out
+
+
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     """Propagate the covariance Riccati equation exactly over the given grid.
 
-    With the constant Hamiltonian H = [[-F^T, Q], [R, F]], one step of length
-    h maps Sigma_k to Sigma_{k+1} = Y X^{-1}, where [X; Y] = expm(H h) [I; Sigma_k]
-    (Davison & Maki, IEEE TAC 18(1), 1973).  Restarting from Sigma_k at every
-    step keeps X near I; expm is formed once per distinct step length.
+    With the constant Hamiltonian H = [[-F^T, Q], [R, F]], the flow from node
+    k to node k + j maps Sigma_k to Sigma_{k+j} = Y X^{-1}, where [X; Y] =
+    Phi_{k->k+j} [I; Sigma_k] and Phi_{k->k+j} is the product of the steps'
+    expm(H h) (Davison & Maki, IEEE TAC 18(1), 1973); expm is formed once
+    per distinct step length.  The grid is stepped in blocks of
+    m = min(64, max(1, floor(1 / (|H|_2 h_max)))) steps: the running
+    products over a block give all its covariances from one batched solve,
+    and the next block restarts from the last of them.  The bound on m keeps
+    every product within norm e; grids with |H|_2 h > 1/2 step one node at
+    a time.
     Stores the symmetrized covariance and the optimal gain at every node.
-    Raises RuntimeError with the step and time if X is singular or the
-    covariance turns non-finite.
+    Raises RuntimeError with the first bad step and its time if X is
+    singular or the covariance turns non-finite.
     """
     grid = _check_grid(grid)
     n = model.n
     ham = _hamiltonian(model)
-    flows = {}
+    lengths, index = np.unique(np.diff(grid), return_inverse=True)
+    span = max(np.linalg.norm(ham, 2) * lengths[-1], 1.0 / _MAX_BLOCK)
+    block = max(1, int(1.0 / span))
     out = np.empty((grid.size, n, n))
     out[0] = sigma = model.sigma0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate(np.diff(grid)):
-            phi = flows.get(h)
-            if phi is None:
-                phi = flows[h] = expm(ham * h)
-            xy = phi[:, :n] + phi[:, n:] @ sigma
-            try:
-                # Y X^{-1} is symmetric, so it is also the solution X^{-T} Y^T.
-                sigma = _sym(np.linalg.solve(xy[:n].T, xy[n:].T))
-                finite = np.isfinite(sigma).all()
-            except np.linalg.LinAlgError:
-                finite = False
-            if not finite:
-                raise RuntimeError(f"Riccati propagation diverged at step {k} "
-                                   f"(t = {grid[k]:.6g})")
-            out[k + 1] = sigma
+        flows = np.array([expm(ham * h) for h in lengths])
+        for k in range(0, index.size, block):
+            phi = flows[index[k:k + block]]
+            stride = 1
+            while stride < len(phi):  # phi[j] <- the product of steps k to k + j
+                phi[stride:] = phi[stride:] @ phi[:-stride]
+                stride *= 2
+            sigmas = _fractional_map(phi[:, :, :n] + phi[:, :, n:] @ sigma, n)
+            bad = ~np.isfinite(sigmas).all(axis=(1, 2))
+            if bad.any():
+                j = k + int(bad.argmax())
+                raise RuntimeError(f"Riccati propagation diverged at step {j} "
+                                   f"(t = {grid[j]:.6g})")
+            out[k + 1:k + 1 + len(sigmas)] = sigmas
+            sigma = sigmas[-1]
     return RiccatiSolution(times=grid, sigma_star=out, gains=kalman_gain(model, out))
 
 
@@ -171,16 +209,50 @@ def _node_slots(keep, n_nodes: int) -> np.ndarray:
     return slot
 
 
-def _step_estimates(x, dz, gains, maps, slot, out) -> np.ndarray:
-    """Step the estimates x, (width, n), over one grid step per entry of gains
-    and maps, with dz[j], (width, p), the records' increments over step j.
-    After step j, x is stored in out[:, slot[j]] where slot[j] >= 0; rows of
-    x past len(out) are padding and are not stored.  Returns the last x."""
-    for j, (gain, step_map) in enumerate(zip(gains, maps)):
-        x = x @ step_map.T + dz[j] @ gain.T
-        if slot[j] >= 0:
-            out[:, slot[j]] = x[:len(out)]
-    return x
+def _transfers(gains, maps, slot) -> list:
+    """The estimate transfers of the _CHECK_EVERY-step blocks from node 0.
+
+    Over a block of s steps from node b0, x_hat_{b0+j} = T_j [x_hat_{b0}; dz],
+    dz the block's s record increments in step order, with T_0 = [I, 0] and
+    T_{j+1} = M_{b0+j} T_j plus K_{b0+j} in step j's columns, M the estimate
+    maps and K the gains.  T_j is kept only where node b0 + j is kept
+    (slot >= 0) and at the block's end.  Returns, per block, (slots,
+    transfer): the kept nodes' slots, -1 for an unkept end, and the T_j^T
+    stacked as (len(slots), n + s p, n).
+    """
+    n_steps, n, p = gains.shape
+    out = []
+    for b0 in range(0, n_steps, _CHECK_EVERY):
+        steps = min(_CHECK_EVERY, n_steps - b0)
+        slots, stack = [], []
+        t = np.eye(n, n + steps * p)
+        for j in range(steps):
+            t = maps[b0 + j] @ t
+            t[:, n + j * p:n + (j + 1) * p] = gains[b0 + j]
+            if slot[b0 + j + 1] >= 0 or j == steps - 1:
+                slots.append(slot[b0 + j + 1])
+                stack.append(t.T)
+        out.append((np.array(slots), np.array(stack)))
+    return out
+
+
+def _step_estimates(x, dz, transfer, out) -> np.ndarray:
+    """Carry the estimates x, (width, n), over one block of _transfers, with
+    dz, (width, s p), the records' increments over its steps in step order,
+    by one batched product.  Each node takes a product of its own, so its
+    rounding does not depend on which other nodes are kept.  Stores the kept
+    nodes' estimates in out at their slots; rows of x past len(out) are
+    padding and are not stored.  Returns x at the block's end."""
+    slots, t = transfer
+    # Both callers' dz reach the product in one C-ordered layout, whatever
+    # theirs, so they round alike.
+    xdz = np.empty((len(x), t.shape[1]))
+    xdz[:, :x.shape[1]] = x
+    xdz[:, x.shape[1]:] = dz
+    xs = xdz @ t
+    kept = slots >= 0
+    out[:, slots[kept]] = xs[kept, :len(out)].swapaxes(0, 1)
+    return xs[-1]
 
 
 def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
@@ -189,7 +261,9 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     ``dz[:, k]`` is each record's increment over the step from ``times[k]``,
     shaped (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p).
     The filter is gain_schedule's, started from x0_mean; it is unbiased, and
-    P_k is its exact error covariance at node k.
+    P_k is its exact error covariance at node k.  The records are filtered
+    in the sampler's chunks and blocks, a lone path padded to width 2, so
+    every product has the shape filter_paths gives it.
     Returns the estimates at the nodes ``keep`` lists (strictly increasing,
     by default all) as (n_paths, len(keep), n), P at every node as
     (n_t, n, n) and K over every step as (n_t - 1, n, p).
@@ -205,27 +279,36 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     keep = _checked_keep(keep, times.size)
     slot = _node_slots(keep, times.size)
     covs, gains, maps = gain_schedule(model, times)
-    x = np.broadcast_to(model.x0_mean, (dz.shape[0], n)).copy()
-    out = np.empty((dz.shape[0], keep.size, n))
-    if slot[0] >= 0:
-        out[:, slot[0]] = x
-    _step_estimates(x, dz.transpose(1, 0, 2), gains, maps, slot[1:], out)
+    transfers = _transfers(gains, maps, slot)
+    n_paths = dz.shape[0]
+    out = np.empty((n_paths, keep.size, n))
+    for start in range(0, n_paths, _CHUNK):
+        stop = min(start + _CHUNK, n_paths)
+        records = np.zeros((max(stop - start, 2), dz.shape[1] * p))
+        records[:stop - start] = dz[start:stop].reshape(stop - start, -1)
+        x = np.broadcast_to(model.x0_mean, (len(records), n))
+        if slot[0] >= 0:
+            out[start:stop, slot[0]] = x[:stop - start]
+        for b0, transfer in zip(range(0, dz.shape[1], _CHECK_EVERY), transfers):
+            x = _step_estimates(x, records[:, b0 * p:(b0 + _CHECK_EVERY) * p],
+                                transfer, out[start:stop])
     return out, covs, gains
 
 
 def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tuple:
     """Sample the model's records and filter them as they are sampled.
 
-    Each block of sde_engine.sample_blocks is stepped through the filter of
-    ``schedule``, gain_schedule(model, time_grid(config)), as it arrives:
-    the record increments are the differences of the integrated record at
-    adjacent nodes, bitwise simulate_paths' dz, and the sampler's padding
-    column rides along so that every product spans two paths.  Only the
-    nodes ``keep`` lists (strictly increasing) are stored.  Returns z_p
-    (n_paths,), x_o at the kept nodes (n_paths, len(keep), 2) and the
-    estimates there (n_paths, len(keep), n), bitwise what simulate_paths and
-    run_filter_ensemble give for two or more paths.  Memory is one chunk's
-    noise draws plus n_paths * len(keep) values, whatever the step count.
+    Each block of sde_engine.sample_blocks is carried through the filter of
+    ``schedule``, gain_schedule(model, time_grid(config)), as it arrives, by
+    one estimate transfer (_transfers): the record increments are the
+    differences of the integrated record at adjacent nodes, bitwise
+    simulate_paths' dz, and the sampler's padding column rides along so that
+    every product spans two paths.  Only the nodes ``keep`` lists (strictly
+    increasing) are stored.  Returns z_p (n_paths,), x_o at the kept nodes
+    (n_paths, len(keep), 2) and the estimates there (n_paths, len(keep), n),
+    bitwise what simulate_paths and run_filter_ensemble give.  Memory is one
+    chunk's noise draws plus n_paths * len(keep) values, whatever the step
+    count.
     """
     _, gains, maps = schedule
     n_t = config.n_steps + 1
@@ -234,22 +317,21 @@ def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tu
                          f"sampler {n_t - 1}")
     keep = _checked_keep(keep, n_t)
     slot = _node_slots(keep, n_t)
+    transfers = _transfers(gains, maps, slot)
     n_paths, n = config.n_paths, model.n
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
     x_hat = np.empty((n_paths, keep.size, n))
     for start, stop, b0, z_vals, states in sample_blocks(model, config):
-        steps = len(states) - 1
         if b0 == 0:
             z_p[start:stop] = z_vals[:stop - start]
-            x = np.broadcast_to(model.x0_mean, (z_vals.size, n)).copy()
+            x = np.broadcast_to(model.x0_mean, (z_vals.size, n))
             if slot[0] >= 0:
                 x_hat[start:stop, slot[0]] = x[:stop - start]
-        lo, hi, rows = _kept(keep, b0, steps)
+        lo, hi, rows = _kept(keep, b0, len(states) - 1)
         x_o[start:stop, lo:hi] = states[rows, :2, :stop - start].transpose(2, 0, 1)
-        dz = (states[1:, 2] - states[:-1, 2])[:, :, None]
-        x = _step_estimates(x, dz, gains[b0:b0 + steps], maps[b0:b0 + steps],
-                            slot[b0 + 1:b0 + steps + 1], x_hat[start:stop])
+        dz = (states[1:, 2] - states[:-1, 2]).T
+        x = _step_estimates(x, dz, transfers[b0 // _CHECK_EVERY], x_hat[start:stop])
     return z_p, x_o, x_hat
 
 

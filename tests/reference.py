@@ -110,3 +110,26 @@ def exact_error_moments(model, times, gains, b_live=None):
         means.append(diff @ mean)
         covs.append(diff @ cov @ diff.T)
     return np.array(means), np.array(covs)
+
+
+def stepwise_riccati(model, grid):
+    """Sigma* on a grid by the Hamiltonian step restarted at every node.
+
+    H = [[-F^T, Q], [R, F]] is built from the raw A, B, C, D; each step maps
+    Sigma_k to Y X^{-1} with [X; Y] = expm(H h_k) [I; Sigma_k] (Davison &
+    Maki, IEEE TAC 18(1), 1973), one solve per step, and is symmetrized.
+    """
+    a, b, c, d = model.A, model.B, model.C, model.D
+    s_inv = np.linalg.inv(d @ d.T)
+    f = a - b @ d.T @ s_inv @ d @ c
+    q = c.T @ d.T @ s_inv @ d @ c
+    r = b @ b.T - b @ d.T @ s_inv @ d @ b.T
+    n = model.n
+    ham = np.block([[-f.T, q], [r, f]])
+    out = np.empty((len(grid), n, n))
+    out[0] = sigma = model.sigma0
+    for k, h in enumerate(np.diff(grid)):
+        xy = expm(ham * h) @ np.vstack([np.eye(n), sigma])
+        sigma = np.linalg.solve(xy[:n].T, xy[n:].T)
+        out[k + 1] = sigma = 0.5 * (sigma + sigma.T)
+    return out

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubit_observer.kalman_filter import (LinearModel, filter_paths, gain_schedule,
-                                          kalman_gain, run_filter_ensemble,
-                                          solve_riccati, write_riccati_csv)
+from qubit_observer.kalman_filter import (LinearModel, _hamiltonian, filter_paths,
+                                          gain_schedule, kalman_gain,
+                                          run_filter_ensemble, solve_riccati,
+                                          write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
 from qubit_observer.sde_engine import SimConfig, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PlantSpec
-from reference import exact_error_moments, sampler_step
+from reference import exact_error_moments, sampler_step, stepwise_riccati
 
 ATOL = 1e-12
 
@@ -185,6 +186,84 @@ def test_solve_riccati_divergence_raises():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"diverged at step 3 \(t = 0\.3\)"):
             solve_riccati(model, np.linspace(0.0, 1.0, 11))
+
+
+def test_solve_riccati_divergence_inside_a_block_names_the_step():
+    """dSigma/dt = 2002 Sigma + 1 at h = 1e-4 has |H|_2 h = 0.1, so
+    solve_riccati takes blocks of 9 steps.  Sigma(t) = (1 + 1/2002) e^{2002 t}
+    - 1/2002 first passes half the largest double, where symmetrizing
+    overflows, over step 3541 (t = 0.3541 to 0.3542), the fifth of its
+    block; the message names that step, without numpy warnings."""
+    model = LinearModel(A=np.array([[1001.0]]), B=np.array([[1.0, 0.0]]),
+                        C=np.array([[1.0], [0.0]]), D=np.array([[0.0, 1.0]]),
+                        x0_mean=np.zeros(1), sigma0=np.eye(1))
+    grid = np.arange(4001) * 1e-4
+    block = int(1.0 / (np.linalg.norm(_hamiltonian(model), 2) * 1e-4))
+    assert block == 9 and 3541 % block == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"diverged at step 3541 \(t = 0\.3541\)"):
+            solve_riccati(model, grid)
+
+
+def test_solve_riccati_singular_step_raises():
+    """F = 1e3 and Sigma0 = 0 give X = e^{-1000 h}, which underflows to a
+    singular 0 over the second step (h = 1.5) but not the first (h = 0.5)."""
+    model = LinearModel(A=np.array([[1e3]]), B=np.zeros((1, 2)), C=np.zeros((2, 1)),
+                        D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(1),
+                        sigma0=np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"diverged at step 1 \(t = 0\.5\)"):
+            solve_riccati(model, [0.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("observer", [
+    {"kappa": 1e-4}, {"kappa": 4.0}, {"kappa": 100.0}, {"omega_o": 100.0},
+    {"beta": [300.0, 0.0]}, {"beta": [1e3, 0.0]}],
+    ids=["kappa_1e-4", "kappa_4", "kappa_100", "omega_o_100", "beta_300", "beta_1e3"])
+def test_blocked_riccati_matches_stepwise_reference(observer):
+    """solve_riccati's blocks against the step restarted at every node, on
+    the default filter grid at the envelope's corners: within 1e-12 of
+    max|Sigma*|.  Unbounded 64-step blocks drift 6.7e-11 at kappa 100.
+
+    Measured: 8.2e-15, 6.4e-15 and 0 (|H|_2 h > 0.5 steps one node at a
+    time) at the other corners.
+    """
+    spec = {"omega_o": 1.0, "kappa": 4.0, "beta": [1.0, 0.0], **observer}
+    model = build_augmented(PLANT, ObserverSpec(**spec))
+    reference = stepwise_riccati(model, FILTER_GRID)
+    gap = np.max(np.abs(solve_riccati(model, FILTER_GRID).sigma_star - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_solve_riccati_takes_one_solve_per_block(monkeypatch):
+    """The 10 001-node self-test grid has |H|_2 h = 1e-3, so its 10 000 steps
+    take ceil(10 000 / 64) = 157 batched solves, not one per step."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    grid = np.arange(10001) * 1e-3
+    sigma = solve_riccati(scalar_regression_model(), grid).sigma_star[:, 0, 0]
+    assert 0 < len(calls) <= 157
+    np.testing.assert_allclose(sigma, 1.0 / (1.0 + grid), atol=1e-11)
+
+
+def test_grids_with_non_finite_nodes_are_refused():
+    """A NaN or infinite node fails the grid check in every filter entry point
+    instead of yielding NaN estimates or a divergence at step 0."""
+    model = scalar_regression_model()
+    for grid in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        for call in (lambda: solve_riccati(model, grid),
+                     lambda: gain_schedule(model, grid),
+                     lambda: run_filter_ensemble(model, grid, np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="grid must be strictly increasing"):
+                call()
 
 
 def test_riccati_first_row_stays_zero_for_pinned_plant():
@@ -382,6 +461,24 @@ def test_run_filter_matches_ensemble_version():
             g = gains[k, :, 0]
             x_hat = (phi - np.outer(g, psi)) @ x_hat + g * dz[k]
             np.testing.assert_allclose(batch[i, k + 1], x_hat, atol=1e-12)
+
+
+def test_estimates_carry_across_block_boundaries():
+    """150 steps are two full 64-step estimate transfers and a part one; the
+    estimates at every node equal a plain per-step loop of the update rule
+    within 1e-12, the first node exactly."""
+    model = build_augmented(BIASED_PLANT, BIASED_OBS)
+    config = SimConfig(dt=0.02, t_final=3.0, n_paths=3, seed=5)
+    assert config.n_steps == 150
+    ens = simulate_paths(model, config)
+    batch, _, gains = run_filter_ensemble(model, ens.times, ens.dz)
+    phi, psi, _ = sampler_step(model, config.dt)
+    x_hat = np.broadcast_to(model.x0_mean, (config.n_paths, 3))
+    np.testing.assert_array_equal(batch[:, 0], x_hat)
+    for k in range(config.n_steps):
+        g = gains[k, :, 0]
+        x_hat = x_hat @ (phi - np.outer(g, psi)).T + np.outer(ens.dz[:, k], g)
+        np.testing.assert_allclose(batch[:, k + 1], x_hat, rtol=0.0, atol=1e-12)
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():

@@ -31,12 +31,13 @@ covariance is projected onto the PSD cone.  P_k, the gains and the estimate
 maps do not depend on the records, so gain_schedule forms them once per
 grid.  The estimates are linear in the start of a block and its record
 increments, so the maps and gains compose into one transfer matrix per
-sampler block (64 steps), and one batched product carries a chunk of
-paths over the block.  The same transfers serve a whole ensemble
-(run_filter_ensemble) and the sampler's blocks as they arrive (filter_paths),
-which holds one chunk's noise draws plus n_paths values per kept node,
-whatever the step count.  riccati.csv is rendered as one block by
-export.write_csv, like every CSV artifact.
+sampler block (64 steps), and one batched product carries the records over
+the block.  The same transfers serve a whole ensemble at once
+(run_filter_ensemble) and the sampler's blocks as they arrive, each already
+holding its steps' increments (filter_paths), which holds one chunk's noise
+draws plus n_paths values per kept node, whatever the step count.  Which
+nodes are kept, and where, is sde_engine._kept_blocks' rule.  riccati.csv
+is rendered as one block by export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
-from .sde_engine import (_CHECK_EVERY, _CHUNK, SimConfig, _checked_keep, _kept,
-                         record_chain, sample_blocks)
+from .sde_engine import (_CHECK_EVERY, SimConfig, _kept_blocks, record_chain,
+                         sample_blocks)
 from .spin_algebra import _frozen
 
 __all__ = [
@@ -202,57 +203,48 @@ def gain_schedule(model: LinearModel, times) -> tuple:
     return covs, gains, maps
 
 
-def _node_slots(keep, n_nodes: int) -> np.ndarray:
-    """slot[k] is node k's position in keep, or -1 where k is not kept."""
-    slot = np.full(n_nodes, -1)
-    slot[keep] = np.arange(keep.size)
-    return slot
-
-
-def _transfers(gains, maps, slot) -> list:
+def _transfers(gains, maps, blocks) -> list:
     """The estimate transfers of the _CHECK_EVERY-step blocks from node 0.
 
     Over a block of s steps from node b0, x_hat_{b0+j} = T_j [x_hat_{b0}; dz],
     dz the block's s record increments in step order, with T_0 = [I, 0] and
     T_{j+1} = M_{b0+j} T_j plus K_{b0+j} in step j's columns, M the estimate
-    maps and K the gains.  T_j is kept only where node b0 + j is kept
-    (slot >= 0) and at the block's end.  Returns, per block, (slots,
-    transfer): the kept nodes' slots, -1 for an unkept end, and the T_j^T
-    stacked as (len(slots), n + s p, n).
+    maps and K the gains.  ``blocks`` is sde_engine._kept_blocks' layout;
+    T_j is kept for each of the block's rows j and for the block's end
+    j = s.  Returns, per block, (lo, hi, transfer): the block's slots lo:hi
+    and the T_j^T stacked in row order as (m, n + s p, n), m = hi - lo, or
+    hi - lo + 1 with the end last when the end is not kept.
     """
     n_steps, n, p = gains.shape
     out = []
-    for b0 in range(0, n_steps, _CHECK_EVERY):
+    for b0, (lo, hi, rows) in zip(range(0, n_steps, _CHECK_EVERY), blocks):
         steps = min(_CHECK_EVERY, n_steps - b0)
-        slots, stack = [], []
         t = np.eye(n, n + steps * p)
+        stack = [t.T] if 0 in rows else []
         for j in range(steps):
             t = maps[b0 + j] @ t
             t[:, n + j * p:n + (j + 1) * p] = gains[b0 + j]
-            if slot[b0 + j + 1] >= 0 or j == steps - 1:
-                slots.append(slot[b0 + j + 1])
+            if j + 1 in rows or j == steps - 1:
                 stack.append(t.T)
-        out.append((np.array(slots), np.array(stack)))
+        out.append((lo, hi, np.array(stack)))
     return out
 
 
 def _step_estimates(x, dz, transfer, out) -> np.ndarray:
-    """Carry the estimates x, (width, n), over one block of _transfers, with
-    dz, (width, s p), the records' increments over its steps in step order,
-    by one batched product.  Each node takes a product of its own, so its
-    rounding does not depend on which other nodes are kept.  Stores the kept
-    nodes' estimates in out at their slots; rows of x past len(out) are
-    padding and are not stored.  Returns x at the block's end."""
-    slots, t = transfer
-    # Both callers' dz reach the product in one C-ordered layout, whatever
-    # theirs, so they round alike.
-    xdz = np.empty((len(x), t.shape[1]))
-    xdz[:, :x.shape[1]] = x
-    xdz[:, x.shape[1]:] = dz
-    xs = xdz @ t
-    kept = slots >= 0
-    out[:, slots[kept]] = xs[kept, :len(out)].swapaxes(0, 1)
-    return xs[-1]
+    """Carry the estimates x, (n_records, n), over one block of _transfers,
+    with dz, (n_records, s p), the records' increments over its steps in step
+    order, by one batched product.  Each record and node takes a
+    vector-matrix product of its own, of one shape, so its rounding depends
+    neither on which other nodes are kept nor on how many records are carried
+    with it.  Stores the kept nodes' estimates in out at their slots and
+    returns x at the block's end."""
+    lo, hi, t = transfer
+    xdz = np.empty((len(x), 1, 1, t.shape[1]))
+    xdz[:, 0, 0, :x.shape[1]] = x
+    xdz[:, 0, 0, x.shape[1]:] = dz
+    xs = (xdz @ t)[:, :, 0]
+    out[:, lo:hi] = xs[:, :hi - lo]
+    return xs[:, -1]
 
 
 def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
@@ -261,9 +253,10 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     ``dz[:, k]`` is each record's increment over the step from ``times[k]``,
     shaped (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p).
     The filter is gain_schedule's, started from x0_mean; it is unbiased, and
-    P_k is its exact error covariance at node k.  The records are filtered
-    in the sampler's chunks and blocks, a lone path padded to width 2, so
-    every product has the shape filter_paths gives it.
+    P_k is its exact error covariance at node k.  All records are carried
+    over each 64-step block by one batched product (_step_estimates), so a
+    record's estimates do not depend on how many are filtered with it and
+    match filter_paths' bitwise.
     Returns the estimates at the nodes ``keep`` lists (strictly increasing,
     by default all) as (n_paths, len(keep), n), P at every node as
     (n_t, n, n) and K over every step as (n_t - 1, n, p).
@@ -276,22 +269,14 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
         raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
                          f"{p}-vector per grid step; got shape {dz.shape}")
-    keep = _checked_keep(keep, times.size)
-    slot = _node_slots(keep, times.size)
+    keep, blocks = _kept_blocks(keep, times.size - 1)
     covs, gains, maps = gain_schedule(model, times)
-    transfers = _transfers(gains, maps, slot)
-    n_paths = dz.shape[0]
-    out = np.empty((n_paths, keep.size, n))
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        records = np.zeros((max(stop - start, 2), dz.shape[1] * p))
-        records[:stop - start] = dz[start:stop].reshape(stop - start, -1)
-        x = np.broadcast_to(model.x0_mean, (len(records), n))
-        if slot[0] >= 0:
-            out[start:stop, slot[0]] = x[:stop - start]
-        for b0, transfer in zip(range(0, dz.shape[1], _CHECK_EVERY), transfers):
-            x = _step_estimates(x, records[:, b0 * p:(b0 + _CHECK_EVERY) * p],
-                                transfer, out[start:stop])
+    records = dz.reshape(len(dz), -1)
+    x = np.broadcast_to(model.x0_mean, (len(dz), n))
+    out = np.empty((len(dz), keep.size, n))
+    for b0, transfer in zip(range(0, dz.shape[1], _CHECK_EVERY),
+                            _transfers(gains, maps, blocks)):
+        x = _step_estimates(x, records[:, b0 * p:(b0 + _CHECK_EVERY) * p], transfer, out)
     return out, covs, gains
 
 
@@ -300,38 +285,34 @@ def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tu
 
     Each block of sde_engine.sample_blocks is carried through the filter of
     ``schedule``, gain_schedule(model, time_grid(config)), as it arrives, by
-    one estimate transfer (_transfers): the record increments are the
-    differences of the integrated record at adjacent nodes, bitwise
-    simulate_paths' dz, and the sampler's padding column rides along so that
-    every product spans two paths.  Only the nodes ``keep`` lists (strictly
-    increasing) are stored.  Returns z_p (n_paths,), x_o at the kept nodes
-    (n_paths, len(keep), 2) and the estimates there (n_paths, len(keep), n),
-    bitwise what simulate_paths and run_filter_ensemble give.  Memory is one
-    chunk's noise draws plus n_paths * len(keep) values, whatever the step
-    count.
+    one estimate transfer (_transfers): the block's record row holds the
+    increments over its steps, bitwise simulate_paths' dz.  Only the nodes
+    ``keep`` lists (strictly increasing) are stored.  Returns z_p
+    (n_paths,), x_o at the kept nodes (n_paths, len(keep), 2) and the
+    estimates there (n_paths, len(keep), n), bitwise what simulate_paths and
+    run_filter_ensemble give.  Memory is one chunk's noise draws plus
+    n_paths * len(keep) values, whatever the step count.
     """
     _, gains, maps = schedule
-    n_t = config.n_steps + 1
-    if gains.shape[0] != n_t - 1:
+    n_steps = config.n_steps
+    if gains.shape[0] != n_steps:
         raise ValueError(f"the schedule covers {gains.shape[0]} steps, the "
-                         f"sampler {n_t - 1}")
-    keep = _checked_keep(keep, n_t)
-    slot = _node_slots(keep, n_t)
-    transfers = _transfers(gains, maps, slot)
+                         f"sampler {n_steps}")
+    keep, blocks = _kept_blocks(keep, n_steps)
+    transfers = _transfers(gains, maps, blocks)
     n_paths, n = config.n_paths, model.n
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
     x_hat = np.empty((n_paths, keep.size, n))
     for start, stop, b0, z_vals, states in sample_blocks(model, config):
+        nc = stop - start
         if b0 == 0:
-            z_p[start:stop] = z_vals[:stop - start]
-            x = np.broadcast_to(model.x0_mean, (z_vals.size, n))
-            if slot[0] >= 0:
-                x_hat[start:stop, slot[0]] = x[:stop - start]
-        lo, hi, rows = _kept(keep, b0, len(states) - 1)
-        x_o[start:stop, lo:hi] = states[rows, :2, :stop - start].transpose(2, 0, 1)
-        dz = (states[1:, 2] - states[:-1, 2]).T
-        x = _step_estimates(x, dz, transfers[b0 // _CHECK_EVERY], x_hat[start:stop])
+            z_p[start:stop] = z_vals[:nc]
+            x = np.broadcast_to(model.x0_mean, (nc, n))
+        lo, hi, rows = blocks[b0 // _CHECK_EVERY]
+        x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
+        x = _step_estimates(x, states[1:, 2, :nc].T, transfers[b0 // _CHECK_EVERY],
+                            x_hat[start:stop])
     return z_p, x_o, x_hat
 
 

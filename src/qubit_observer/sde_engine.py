@@ -13,11 +13,12 @@ Within a step the same noise increment drives the state and the record,
 which is what makes the record informative for filtering.  The sampler,
 sample_blocks, is one linear recursion driven by three sequential RNG
 streams (plant values, initial quadratures, noise) read in path order, and
-hands out its live states one block of steps of one chunk of paths at a
-time.  Its consumers (simulate_paths here, kalman_filter.filter_paths) take
-what they need from each block as it arrives and store only the nodes their
-caller keeps, so they need memory for one chunk's noise draws plus n_paths
-values per kept node, not n_paths * n_steps.
+hands out its live states, each with the record increment of the step that
+ends there, one block of steps of one chunk of paths at a time.  Its
+consumers (simulate_paths here, kalman_filter.filter_paths) take what they
+need from each block as it arrives and store only the nodes their caller
+keeps, as _kept_blocks lays them out, so they need memory for one chunk's
+noise draws plus n_paths values per kept node, not n_paths * n_steps.
 """
 
 import math
@@ -80,10 +81,10 @@ class Ensemble:
 
     ``times`` is the simulation grid, or the sub-grid of the nodes the caller
     kept.  ``z_p[i]`` is the realized plant value of path i (constant in
-    time), ``x_o[i, k]`` its observer quadratures at ``times[k]`` and
-    ``dz[i, k]`` its homodyne record increment from ``times[k]`` to
-    ``times[k + 1]``.  Shapes: times (n_t,), z_p (n_paths,),
-    x_o (n_paths, n_t, 2), dz (n_paths, n_t - 1).
+    time), ``x_o[i, k]`` its observer quadratures at ``times[k]`` and, on the
+    full grid, ``dz[i, k]`` its homodyne record increment over the step from
+    ``times[k]``.  Shapes: times (n_t,), z_p (n_paths,), x_o (n_paths, n_t, 2),
+    dz (n_paths, n_t - 1) on the full grid and (n_paths, 0) on a sub-grid.
     """
 
     times: np.ndarray
@@ -94,17 +95,6 @@ class Ensemble:
 
 def time_grid(config: SimConfig) -> np.ndarray:
     return np.arange(config.n_steps + 1) * config.dt
-
-
-def _checked_keep(keep, n_nodes: int) -> np.ndarray:
-    """keep as an index array; ValueError unless it is a non-empty, strictly
-    increasing 1-d integer sequence in [0, n_nodes - 1].  None keeps every node."""
-    keep = np.arange(n_nodes) if keep is None else np.asarray(keep)
-    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
-            or keep[0] < 0 or keep[-1] >= n_nodes or np.any(np.diff(keep) <= 0)):
-        raise ValueError(f"keep must be strictly increasing node indices in "
-                         f"[0, {n_nodes - 1}]; got {keep!r}")
-    return keep
 
 
 def exact_lti_step(a, b, dt: float) -> tuple:
@@ -188,25 +178,42 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def _kept(keep, b0: int, n: int) -> tuple:
-    """The slice lo:hi of keep that falls in the block of n steps from node b0,
-    and those nodes' rows in the block's states, whose row 0 is node b0 (the
-    previous block's last node, so it counts here only when b0 is 0)."""
-    lo, hi = np.searchsorted(keep, (b0 + (b0 > 0), b0 + n + 1))
-    return lo, hi, keep[lo:hi] - b0
+def _kept_blocks(keep, n_steps: int) -> tuple:
+    """Where the nodes keep lists fall in the sampler's blocks of steps.
+
+    keep, by default every node, must be a non-empty, strictly increasing
+    1-d integer sequence in [0, n_steps]; ValueError otherwise.  Returns keep
+    as an index array and, for each _CHECK_EVERY-step block from node b0 in
+    turn, (lo, hi, rows): keep[lo:hi] are the block's kept nodes, so their
+    slots are consecutive, and rows their rows in the block's states, whose
+    row 0 is node b0 (the previous block's last node, so it counts here only
+    when b0 is 0).
+    """
+    keep = np.arange(n_steps + 1) if keep is None else np.asarray(keep)
+    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
+            or keep[0] < 0 or keep[-1] > n_steps or np.any(np.diff(keep) <= 0)):
+        raise ValueError(f"keep must be strictly increasing node indices in "
+                         f"[0, {n_steps}]; got {keep!r}")
+    blocks = []
+    for b0 in range(0, n_steps, _CHECK_EVERY):
+        n = min(_CHECK_EVERY, n_steps - b0)
+        lo, hi = np.searchsorted(keep, (b0 + (b0 > 0), b0 + n + 1))
+        blocks.append((lo, hi, keep[lo:hi] - b0))
+    return keep, blocks
 
 
 def sample_blocks(model: AugmentedModel, config: SimConfig):
     """Sample the reduced model's paths, handing out one block of steps at a time.
 
-    The live state s = (x_o, integrated record) follows one linear recursion
+    The live state s = (x_o, dz) follows one linear recursion
 
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
     read off record_chain(model, dt) for the chain (z_p, x_o, record): T and
-    drift are the live rows of its transition in the live and z_p columns,
-    and L L^T is the live block of its noise covariance, so every step has
-    the exact joint law of the model.
+    drift are the live rows of its transition in the x_o and z_p columns, T's
+    record column is zero, and L L^T is the live block of its noise
+    covariance, so every step has the exact joint law of the model and the
+    record entry of s_{k+1} is the record increment dz over step k.
     SeedSequence(seed).spawn(3) gives three generators, read in path order:
     one uniform per path for z_p, two normals per path for x_o(0), and
     (n_steps, n_noise) normals per path for eta.  Paths are sampled _CHUNK at
@@ -218,8 +225,9 @@ def sample_blocks(model: AugmentedModel, config: SimConfig):
 
     For each block of each chunk, in that order, yields (start, stop, b0,
     z_vals, states): the chunk holds paths start to stop - 1, z_vals (width,)
-    their plant values and states (n + 1, 3, width) the live (x_o, record)
-    at nodes b0 to b0 + n, the record integrated from t = 0.  A lone path is
+    their plant values and states (n + 1, 3, width) the live (x_o, dz) at
+    nodes b0 to b0 + n, so states[1:, 2] holds the increments over the
+    block's n steps (states[0, 2] is 0 at node 0).  A lone path is
     padded to width 2 with an idle column (plant value 0, zero draws), which
     consumers may step but not report.  The buffers are reused, so a block
     is valid only until the next is requested.  Each block is checked for
@@ -233,9 +241,11 @@ def sample_blocks(model: AugmentedModel, config: SimConfig):
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
-    # The live rows of the chain (x_o, r): z_p enters through its column.
+    # The live rows of the chain (x_o, r): z_p enters through its column, and
+    # r's column is dropped, so each step's record entry is its increment.
     chain, chain_cov = record_chain(model, config.dt)
     transition, drift = chain[1:, 1:], chain[1:, 0]
+    transition[:, 2] = 0.0
     noise_factor = _psd_factor(chain_cov[1:, 1:])
     n_noise = noise_factor.shape[1]
 
@@ -282,30 +292,26 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     paths are drawn with it.  ``keep`` lists the grid nodes to return,
     strictly increasing, as in kalman_filter.run_filter_ensemble; by default
     every node is kept.  Every step is taken whatever ``keep`` is, but only
-    the kept nodes are stored, gathered from each block as it arrives: x_o
-    there, and dz as the difference of the integrated record between
-    consecutive kept nodes, which on the full grid is the per-step increment.
+    the kept nodes' x_o are stored, gathered from each block as it arrives,
+    and dz, the sampler's per-step increments, only when every node is kept.
     Memory is therefore n_paths * len(keep) values plus one _CHUNK-path
     chunk's noise draws, _CHUNK * n_steps * n_noise values, so keep=[n_steps]
     removes the n_paths * n_steps growth but not the chunk's growth in n_steps.
     """
-    n_paths = config.n_paths
-    keep = _checked_keep(keep, config.n_steps + 1)
+    n_paths, n_steps = config.n_paths, config.n_steps
+    keep, blocks = _kept_blocks(keep, n_steps)
+    every = keep.size == n_steps + 1
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
-    dz = np.empty((n_paths, keep.size - 1))
+    dz = np.empty((n_paths, n_steps if every else 0))
     for start, stop, b0, z_vals, states in sample_blocks(model, config):
         nc = stop - start
         if b0 == 0:
             z_p[start:stop] = z_vals[:nc]
-        lo, hi, rows = _kept(keep, b0, len(states) - 1)
-        if hi > lo:
-            x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
-            record = states[rows, 2, :nc]  # the integrated record at keep[lo:hi]
-            if lo > 0:
-                np.subtract(record[0], last, out=dz[start:stop, lo - 1])
-            dz[start:stop, lo:hi - 1] = (record[1:] - record[:-1]).T
-            last = record[-1]
+        lo, hi, rows = blocks[b0 // _CHECK_EVERY]
+        x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
+        if every:
+            dz[start:stop, b0:b0 + len(states) - 1] = states[1:, 2, :nc].T
 
     times = time_grid(config)[keep]
     for a in (times, z_p, x_o, dz):
@@ -360,12 +366,13 @@ def write_paths_csv(path, ens: Ensemble) -> None:
     """Concatenated per-path CSV: path_id, t, dz, x_o_1, x_o_2, z_p_true.
 
     Row k of a path carries the state at t_k and the record increment over
-    the step starting at t_k; the final row pads dz with 0.  The whole
-    ensemble is checked for finite values first, so a bad path is named and
-    no file is created.  export.write_csv then renders a lazy view with one
-    block per path, so memory does not grow with n_paths: path_id and
-    z_p_true are formatted once per path and t once per worker, only dz and
-    x_o row by row, and the paths are split across the usable CPUs.
+    the step starting at t_k; the final row pads dz with 0, so ens must hold
+    every grid node (simulate_paths with keep=None).  The whole ensemble is
+    checked for finite values first, so a bad path is named and no file is
+    created.  export.write_csv then renders a lazy view with one block per
+    path, so memory does not grow with n_paths: path_id and z_p_true are
+    formatted once per path and t once per worker, only dz and x_o row by
+    row, and the paths are split across the usable CPUs.
     """
     finite = np.isfinite(ens.x_o).all(axis=(1, 2)) & np.isfinite(ens.dz).all(axis=1)
     if not finite.all():

@@ -410,6 +410,17 @@ def test_streamed_filter_is_the_whole_ensemble_route(n_paths):
     np.testing.assert_array_equal(x_hat, whole)
 
 
+def test_ensemble_estimates_do_not_depend_on_how_many_records_are_filtered():
+    """A record's estimates are bitwise the same whether it is filtered alone,
+    with one other or with hundreds."""
+    model = build_augmented(BIASED_PLANT, BIASED_OBS)
+    ens = simulate_paths(model, SimConfig(dt=0.02, t_final=3.0, n_paths=600, seed=12))
+    full = run_filter_ensemble(model, ens.times, ens.dz)[0]
+    for n in (1, 2, 300):
+        np.testing.assert_array_equal(run_filter_ensemble(model, ens.times, ens.dz[:n])[0],
+                                      full[:n], err_msg=f"{n} records")
+
+
 def test_filter_paths_rejects_a_schedule_for_another_grid():
     model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.02, t_final=1.0, n_paths=2, seed=1)

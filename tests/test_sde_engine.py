@@ -228,7 +228,8 @@ def test_paths_independent_of_ensemble_size(scheme):
 
 
 def _reference_paths(model, config, transition, drift, factor):
-    """Plain per-path, per-step loop over the three documented streams."""
+    """Plain per-path, per-step loop over the three documented streams; each
+    step's record increment is taken directly, without the record's column."""
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
                                 np.random.SeedSequence(config.seed).spawn(3))
@@ -239,14 +240,13 @@ def _reference_paths(model, config, transition, drift, factor):
     dz = np.empty((config.n_paths, n_steps))
     for i in range(config.n_paths):
         z_p[i] = support if z_rng.random() < p_plus else -support
-        state = np.append(model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2), 0.0)
+        state = model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2)
         eta = noise_rng.standard_normal((n_steps, factor.shape[1]))
-        x_o[i, 0] = state[:2]
+        x_o[i, 0] = state
         for k in range(n_steps):
-            new = transition @ state + drift * z_p[i] + factor @ eta[k]
-            x_o[i, k + 1] = new[:2]
-            dz[i, k] = new[2] - state[2]
-            state = new
+            new = transition[:, :2] @ state + drift * z_p[i] + factor @ eta[k]
+            x_o[i, k + 1], dz[i, k] = new[:2], new[2]
+            state = new[:2]
     return z_p, x_o, dz
 
 
@@ -270,6 +270,21 @@ def test_sampler_matches_reference_recursion(scheme):
     np.testing.assert_allclose(ens.dz, dz, rtol=0.0, atol=1e-12)
 
 
+def test_record_increments_are_exact_over_a_long_horizon():
+    """dz is each step's increment T[2, :2] x + drift[2] z_p + L[2] eta, not a
+    difference of the integrated record, which grows with t and would lose
+    about 2e-13 of it by t = 1000."""
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.05, t_final=1000.0, n_paths=2, seed=5)
+    ens = simulate_paths(model, config)
+    transition, drift, cov = live_step(model, config.dt)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
+    eta = noise_rng.standard_normal((config.n_paths, config.n_steps, 3))
+    direct = (ens.x_o[:, :-1] @ transition[2, :2] + drift[2] * ens.z_p[:, None]
+              + eta @ np.linalg.cholesky(cov)[2])
+    np.testing.assert_allclose(ens.dz, direct, rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("n_paths,keep", [
     (257, [0, 63, 64, 65, 128, 130]),
     (257, [5, 64, 129, 130]),
@@ -279,10 +294,9 @@ def test_sampler_matches_reference_recursion(scheme):
 ], ids=["block-boundaries", "no-node-0", "blocks-keeping-nothing", "lone-path-terminal",
         "lone-path"])
 def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
-    """keep stores the full run's x_o at the kept nodes bitwise, and dz as the
-    record's increment between kept nodes (the sum of the fine increments up
-    to roundoff); 130 steps cross two 64-step blocks, 257 paths a chunk, and
-    an increment may span blocks that keep no node."""
+    """keep stores the full run's x_o at the kept nodes bitwise and no dz,
+    which exists only on the full grid; 130 steps cross two 64-step blocks,
+    257 paths a chunk, and some blocks keep no node."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=n_paths, seed=31)
     full = simulate_paths(model, config)
@@ -290,15 +304,12 @@ def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
     np.testing.assert_array_equal(part.times, full.times[keep])
     np.testing.assert_array_equal(part.z_p, full.z_p)
     np.testing.assert_array_equal(part.x_o, full.x_o[:, keep])
-    assert part.dz.shape == (n_paths, len(keep) - 1)
-    for j, (a, b) in enumerate(zip(keep[:-1], keep[1:])):
-        np.testing.assert_allclose(part.dz[:, j], full.dz[:, a:b].sum(axis=1),
-                                   rtol=0.0, atol=1e-14)
+    assert part.dz.shape == (n_paths, 0)
 
 
 def test_every_node_kept_is_the_default_run():
-    """All nodes listed, or all but node 0 (stored before the first step),
-    give the default run's arrays bitwise."""
+    """All nodes listed give the default run's arrays bitwise, and all but
+    node 0 (stored before the first step) its x_o there and no dz."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=70, seed=31)
     full = simulate_paths(model, config)
@@ -307,7 +318,7 @@ def test_every_node_kept_is_the_default_run():
         np.testing.assert_array_equal(getattr(every, name), getattr(full, name))
     tail = simulate_paths(model, config, keep=np.arange(1, config.n_steps + 1))
     np.testing.assert_array_equal(tail.x_o, full.x_o[:, 1:])
-    np.testing.assert_array_equal(tail.dz, full.dz[:, 1:])
+    assert tail.dz.shape == (70, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -121,7 +121,10 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
     """Monte Carlo run: paths plus ensemble-vs-steady-state comparison.
 
     The report reads only the terminal node, so unless paths.csv is wanted
-    the returned ensemble holds that node alone.
+    the sampler takes one exact step per path, from node 0 straight to it,
+    and the returned ensemble holds that node alone.  Its statistics then
+    differ in value from a run with paths.csv, which steps every node; z_p,
+    and so the group counts, do not.
     """
     model = build_augmented(config.plant, config.observer)
     keep = None if "csv" in config.outputs.formats else [config.sim.n_steps]

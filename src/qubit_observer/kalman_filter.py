@@ -289,8 +289,8 @@ def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tu
     increments over its steps, bitwise simulate_paths' dz.  Only the nodes
     ``keep`` lists (strictly increasing) are stored.  Returns z_p
     (n_paths,), x_o at the kept nodes (n_paths, len(keep), 2) and the
-    estimates there (n_paths, len(keep), n), bitwise what simulate_paths and
-    run_filter_ensemble give.  Memory is one chunk's noise draws plus
+    estimates there (n_paths, len(keep), n), bitwise what simulate_paths
+    with every node kept and run_filter_ensemble give.  Memory is one chunk's noise draws plus
     n_paths * len(keep) values, whatever the step count.
     """
     _, gains, maps = schedule

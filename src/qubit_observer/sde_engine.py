@@ -14,11 +14,16 @@ which is what makes the record informative for filtering.  The sampler,
 sample_blocks, is one linear recursion driven by three sequential RNG
 streams (plant values, initial quadratures, noise) read in path order, and
 hands out its live states, each with the record increment of the step that
-ends there, one block of steps of one chunk of paths at a time.  Its
-consumers (simulate_paths here, kalman_filter.filter_paths) take what they
-need from each block as it arrives and store only the nodes their caller
-keeps, as _kept_blocks lays them out, so they need memory for one chunk's
-noise draws plus n_paths values per kept node, not n_paths * n_steps.
+ends there, one block of steps of one chunk of paths at a time.  It steps
+between the grid nodes its caller lists: every node when every step's
+record increment is needed (paths.csv, the filter), otherwise node 0 and
+the kept nodes alone, one exact step per gap, since the chain's law over
+any interval is one exponential away.  Its consumers (simulate_paths here,
+kalman_filter.filter_paths) take what they need from each block as it
+arrives and store only the nodes their caller keeps, as _kept_blocks lays
+them out on the sampler's own steps, so they need memory for one chunk's
+noise draws, one row per sampler step, plus n_paths values per kept node,
+not n_paths * n_steps.
 """
 
 import math
@@ -178,22 +183,29 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
+def _checked_nodes(nodes, n_steps: int, name: str = "keep") -> np.ndarray:
+    """nodes, by default every node, as an index array; ValueError naming
+    ``name`` unless it is a non-empty, strictly increasing 1-d integer
+    sequence in [0, n_steps]."""
+    nodes = np.arange(n_steps + 1) if nodes is None else np.asarray(nodes)
+    if (nodes.ndim != 1 or nodes.size < 1 or nodes.dtype.kind not in "iu"
+            or nodes[0] < 0 or nodes[-1] > n_steps or np.any(np.diff(nodes) <= 0)):
+        raise ValueError(f"{name} must be strictly increasing node indices in "
+                         f"[0, {n_steps}]; got {nodes!r}")
+    return nodes
+
+
 def _kept_blocks(keep, n_steps: int) -> tuple:
     """Where the nodes keep lists fall in the sampler's blocks of steps.
 
-    keep, by default every node, must be a non-empty, strictly increasing
-    1-d integer sequence in [0, n_steps]; ValueError otherwise.  Returns keep
+    keep, by default every node, is checked by _checked_nodes.  Returns keep
     as an index array and, for each _CHECK_EVERY-step block from node b0 in
     turn, (lo, hi, rows): keep[lo:hi] are the block's kept nodes, so their
     slots are consecutive, and rows their rows in the block's states, whose
     row 0 is node b0 (the previous block's last node, so it counts here only
-    when b0 is 0).
+    when b0 is 0).  Nodes and steps here are the sampler's own.
     """
-    keep = np.arange(n_steps + 1) if keep is None else np.asarray(keep)
-    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
-            or keep[0] < 0 or keep[-1] > n_steps or np.any(np.diff(keep) <= 0)):
-        raise ValueError(f"keep must be strictly increasing node indices in "
-                         f"[0, {n_steps}]; got {keep!r}")
+    keep = _checked_nodes(keep, n_steps)
     blocks = []
     for b0 in range(0, n_steps, _CHECK_EVERY):
         n = min(_CHECK_EVERY, n_steps - b0)
@@ -202,52 +214,65 @@ def _kept_blocks(keep, n_steps: int) -> tuple:
     return keep, blocks
 
 
-def sample_blocks(model: AugmentedModel, config: SimConfig):
+def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
     """Sample the reduced model's paths, handing out one block of steps at a time.
 
-    The live state s = (x_o, dz) follows one linear recursion
+    The sampler steps between the grid nodes ``nodes`` lists, strictly
+    increasing from node 0, by default every node.  Over a gap of g grid
+    steps the live state s = (x_o, dz) follows one linear recursion
 
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
-    read off record_chain(model, dt) for the chain (z_p, x_o, record): T and
-    drift are the live rows of its transition in the x_o and z_p columns, T's
-    record column is zero, and L L^T is the live block of its noise
-    covariance, so every step has the exact joint law of the model and the
-    record entry of s_{k+1} is the record increment dz over step k.
+    read off record_chain(model, g * dt) for the chain (z_p, x_o, record): T
+    and drift are the live rows of its transition in the x_o and z_p
+    columns, T's record column is zero, and L L^T is the live block of its
+    noise covariance, so every step has the exact joint law of the model
+    over its gap and the record entry of s_{k+1} is the record increment dz
+    over step k.  The chain is formed once per distinct gap.
     SeedSequence(seed).spawn(3) gives three generators, read in path order:
     one uniform per path for z_p, two normals per path for x_o(0), and
-    (n_steps, n_noise) normals per path for eta.  Paths are sampled _CHUNK at
-    a time and stepped in blocks of _CHECK_EVERY steps; every matrix product
-    spans at least two paths, so a path's values are bitwise the same whatever
-    the ensemble size, and reruns are bitwise reproducible.  The conserved
-    plant value never enters the propagated state, so it is constant by
-    construction on every path.
+    (len(nodes) - 1, n_noise) normals per path for eta, one row per step of
+    the sampler.  Paths are sampled _CHUNK at a time and stepped in blocks of
+    _CHECK_EVERY of the sampler's steps; every matrix product spans at least
+    two paths, so a path's values are bitwise the same whatever the ensemble
+    size, and reruns are bitwise reproducible.  The conserved plant value
+    never enters the propagated state, so it is constant by construction on
+    every path.
 
     For each block of each chunk, in that order, yields (start, stop, b0,
     z_vals, states): the chunk holds paths start to stop - 1, z_vals (width,)
     their plant values and states (n + 1, 3, width) the live (x_o, dz) at
-    nodes b0 to b0 + n, so states[1:, 2] holds the increments over the
-    block's n steps (states[0, 2] is 0 at node 0).  A lone path is
-    padded to width 2 with an idle column (plant value 0, zero draws), which
-    consumers may step but not report.  The buffers are reused, so a block
-    is valid only until the next is requested.  Each block is checked for
-    finite values before it is handed out; a non-finite one raises
-    RuntimeError naming the path.  Memory is one chunk's noise draws,
-    _CHUNK * n_steps * n_noise values, plus one block.
+    the sampler's nodes b0 to b0 + n, nodes[b0:b0 + n + 1], so states[1:, 2]
+    holds the increments over the block's n steps (states[0, 2] is 0 at node
+    0).  A lone path is padded to width 2 with an idle column (plant value 0,
+    zero draws), which consumers may step but not report.  The buffers are
+    reused, so a block is valid only until the next is requested.  Each
+    block is checked for finite values before it is handed out; a
+    non-finite one raises RuntimeError naming the path and the grid step.
+    Memory is one chunk's noise draws, _CHUNK * (len(nodes) - 1) * n_noise
+    values, plus one block.
     """
     n_paths = config.n_paths
-    n_steps = config.n_steps
+    nodes = _checked_nodes(nodes, config.n_steps, "nodes")
+    if nodes[0] != 0:
+        raise ValueError(f"nodes must start at node 0; got {nodes!r}")
+    gaps, gap_index = np.unique(np.diff(nodes), return_inverse=True)
+    n_steps = gap_index.size
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
     # The live rows of the chain (x_o, r): z_p enters through its column, and
     # r's column is dropped, so each step's record entry is its increment.
-    chain, chain_cov = record_chain(model, config.dt)
-    transition, drift = chain[1:, 1:], chain[1:, 0]
-    transition[:, 2] = 0.0
-    noise_factor = _psd_factor(chain_cov[1:, 1:])
-    n_noise = noise_factor.shape[1]
+    transitions, drifts, noise_factors = [], [], []
+    for g in gaps:
+        chain, chain_cov = record_chain(model, g * config.dt)
+        chain[:, 3] = 0.0
+        transitions.append(chain[1:, 1:])
+        drifts.append(chain[1:, 0])
+        noise_factors.append(_psd_factor(chain_cov[1:, 1:]))
+    drifts, noise_factors = np.array(drifts)[:, :, None], np.array(noise_factors)
+    n_noise = noise_factors.shape[2]
 
     z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
                                 np.random.SeedSequence(config.seed).spawn(3))
@@ -266,7 +291,7 @@ def sample_blocks(model: AugmentedModel, config: SimConfig):
         x0_rng.standard_normal(out=x0[:nc])
         eta[nc:width] = 0.0
         noise_rng.standard_normal(out=eta[:nc])
-        forcing = drift[:, None] * z_vals
+        forcing = drifts * z_vals
         block = np.empty((_CHECK_EVERY + 1, 3, width))
         noise = np.empty((_CHECK_EVERY, 3, width))
         block[0, :2] = mean_o + factor_o @ x0.T
@@ -274,12 +299,14 @@ def sample_blocks(model: AugmentedModel, config: SimConfig):
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
-            np.matmul(noise_factor, eta[:width, b0:b0 + n].transpose(1, 2, 0), out=noise[:n])
-            noise[:n] += forcing
-            for j in range(n):
-                np.matmul(transition, block[j], out=block[j + 1])
+            steps = gap_index[b0:b0 + n]
+            np.matmul(noise_factors[steps], eta[:width, b0:b0 + n].transpose(1, 2, 0),
+                      out=noise[:n])
+            noise[:n] += forcing[steps]
+            for j, g in enumerate(steps.tolist()):
+                np.matmul(transitions[g], block[j], out=block[j + 1])
                 block[j + 1] += noise[j]
-            _finiteness_check(block[n, :, :nc], ids, b0 + n)
+            _finiteness_check(block[n, :, :nc], ids, nodes[b0 + n])
             yield start, stop, b0, z_vals, block[:n + 1]
             block[0] = block[n]
 
@@ -291,20 +318,24 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     streams and the chunking), and a path's values do not depend on how many
     paths are drawn with it.  ``keep`` lists the grid nodes to return,
     strictly increasing, as in kalman_filter.run_filter_ensemble; by default
-    every node is kept.  Every step is taken whatever ``keep`` is, but only
-    the kept nodes' x_o are stored, gathered from each block as it arrives,
-    and dz, the sampler's per-step increments, only when every node is kept.
-    Memory is therefore n_paths * len(keep) values plus one _CHUNK-path
-    chunk's noise draws, _CHUNK * n_steps * n_noise values, so keep=[n_steps]
-    removes the n_paths * n_steps growth but not the chunk's growth in n_steps.
+    every node is kept, and dz, the sampler's per-step increments, is stored
+    only then.  The sampler steps from node 0 straight to each kept node, one
+    exact step per gap, so keep=[n_steps] takes one step per path and its
+    x_o there, drawn from its exact law, differs in value from the full
+    run's.  z_p and x_o(0) are the full run's bitwise.  Only the kept nodes'
+    x_o are stored, gathered from each block as it arrives, so memory is
+    n_paths * len(keep) values plus one _CHUNK-path chunk's noise draws,
+    _CHUNK * len(keep) * n_noise values, whatever n_steps.
     """
     n_paths, n_steps = config.n_paths, config.n_steps
-    keep, blocks = _kept_blocks(keep, n_steps)
+    keep = _checked_nodes(keep, n_steps)
     every = keep.size == n_steps + 1
+    nodes = keep if keep[0] == 0 else np.concatenate([[0], keep])
+    _, blocks = _kept_blocks(np.arange(nodes.size - keep.size, nodes.size), nodes.size - 1)
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
     dz = np.empty((n_paths, n_steps if every else 0))
-    for start, stop, b0, z_vals, states in sample_blocks(model, config):
+    for start, stop, b0, z_vals, states in sample_blocks(model, config, nodes):
         nc = stop - start
         if b0 == 0:
             z_p[start:stop] = z_vals[:nc]
@@ -313,7 +344,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
         if every:
             dz[start:stop, b0:b0 + len(states) - 1] = states[1:, 2, :nc].T
 
-    times = time_grid(config)[keep]
+    times = keep * config.dt  # time_grid(config)[keep], without the whole grid
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)
     return Ensemble(times=times, z_p=z_p, x_o=x_o, dz=dz)
@@ -367,13 +398,17 @@ def write_paths_csv(path, ens: Ensemble) -> None:
 
     Row k of a path carries the state at t_k and the record increment over
     the step starting at t_k; the final row pads dz with 0, so ens must hold
-    every grid node (simulate_paths with keep=None).  The whole ensemble is
-    checked for finite values first, so a bad path is named and no file is
-    created.  export.write_csv then renders a lazy view with one block per
-    path, so memory does not grow with n_paths: path_id and z_p_true are
-    formatted once per path and t once per worker, only dz and x_o row by
-    row, and the paths are split across the usable CPUs.
+    every grid node (simulate_paths with keep=None): ValueError otherwise.
+    The whole ensemble is checked for finite values first, so a bad path is
+    named and no file is created.  export.write_csv then renders a lazy view
+    with one block per path, so memory does not grow with n_paths: path_id
+    and z_p_true are formatted once per path and t once per worker, only dz
+    and x_o row by row, and the paths are split across the usable CPUs.
     """
+    if ens.dz.shape != (ens.z_p.size, ens.times.size - 1):
+        raise ValueError(f"paths.csv needs every node: dz has shape {ens.dz.shape}, not "
+                         f"one increment per step {(ens.z_p.size, ens.times.size - 1)}; "
+                         "simulate_paths gives it with keep=None")
     finite = np.isfinite(ens.x_o).all(axis=(1, 2)) & np.isfinite(ens.dz).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite value in path {int(np.argmin(finite))}")

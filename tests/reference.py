@@ -54,7 +54,11 @@ def live_step(model, h, b_live=None):
     b_live (the model's own b by default).  transition and drift come from
     expm([[a, u], [0, 0]] h), and noise_cov from Van Loan's block form
     expm([[-a, b b^T], [0, a^T]] h) = [[., F12], [0, F22]] as F22^T F12
-    (IEEE TAC 23(3), 1978), so nothing here goes through sde_engine.
+    (IEEE TAC 23(3), 1978), so nothing here goes through sde_engine.  That
+    product cancels terms that grow like e^{|a_oo| h}, a_oo the quadratures'
+    drift block, so it is formed over h / 2^m, |a_oo|_1 h / 2^m <= 1, and
+    doubled back up by W(2h) = T W(h) T^T + W(h), T = F22^T the transition
+    over the shorter step.
     """
     dc = (model.D @ model.C)[0]
     a = np.zeros((3, 3))
@@ -65,9 +69,14 @@ def live_step(model, h, b_live=None):
     aff[:3, :3] = a
     aff[:3, 3] = [model.A[1, 0], model.A[2, 0], dc[0]]
     step = expm(aff * h)
+    halvings = max(0, int(np.ceil(np.log2(np.linalg.norm(a[:2, :2], 1) * h))))
     van_loan = np.block([[-a, b @ b.T], [np.zeros((3, 3)), a.T]])
-    blocks = expm(van_loan * h)
-    noise_cov = blocks[3:, 3:].T @ blocks[:3, 3:]
+    blocks = expm(van_loan * (h / 2 ** halvings))
+    transition = blocks[3:, 3:].T
+    noise_cov = transition @ blocks[:3, 3:]
+    for _ in range(halvings):
+        noise_cov = transition @ noise_cov @ transition.T + noise_cov
+        transition = transition @ transition
     return step[:3, :3], step[:3, 3], 0.5 * (noise_cov + noise_cov.T)
 
 

@@ -489,22 +489,35 @@ def test_simulate_outputs_and_determinism(tmp_path):
 
 
 def test_simulate_report_does_not_depend_on_paths_csv(tmp_path):
-    """Without paths.csv the sampler keeps only the terminal node; the report
-    it reads from there is byte-identical."""
+    """Without paths.csv the sampler takes one exact step to the terminal
+    node, so the statistics differ in value from the run with it; the z_p
+    stream is the same, so the run's identity and group counts are equal,
+    both reports pass, and each format reruns byte-identically."""
     reports = []
     for formats in (["json"], ["csv", "json"]):
         cfg = small_config()
         cfg["outputs"]["formats"] = formats
-        out = tmp_path / "_".join(formats)
-        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        assert (out / "paths.csv").exists() == ("csv" in formats)
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+        path = write_config(tmp_path, cfg, "_".join(formats) + ".json")
+        runs = []
+        for rerun in ("a", "b"):
+            out = tmp_path / ("_".join(formats) + rerun)
+            assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+            assert (out / "paths.csv").exists() == ("csv" in formats)
+            runs.append((out / "report.json").read_bytes())
+        assert runs[0] == runs[1]
+        reports.append(json.loads(runs[0]))
+    for report in reports:
+        assert report["checks"]["steady_state_agreement"]["passed"] is True
+    stats_only, with_csv = reports
+    for key in ("n_paths", "t_final", "seed"):
+        assert stats_only[key] == with_csv[key]
+    assert ({k: g["count"] for k, g in stats_only["groups"].items()}
+            == {k: g["count"] for k, g in with_csv["groups"].items()})
 
 
 def test_stats_only_simulate_memory_is_bounded():
     """2000 paths x 800 steps: the full x_o and dz would take 38 MB, the
-    terminal node and one chunk's noise draws about 6 MB."""
+    terminal node and one step's noise draws per chunk under 2 MB."""
     import tracemalloc
 
     cfg = small_config()

@@ -127,3 +127,28 @@ def test_record_chain_is_the_sampler_and_filter_step(omega_o, log_kappa, log_rad
     for got, want in ((chain[1:, 1:], transition), (chain[1:, 0], drift),
                       (chain[:3, :3], phi), (chain[3, :3], psi), (noise, embedded)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(st.floats(0.0, OMEGA_O_MAX), st.floats(*np.log10(KAPPA_RANGE)),
+       st.floats(*np.log10(BETA_NORM_RANGE)), st.floats(-np.pi, np.pi), plants(),
+       st.floats(-4.0, 1.0), st.floats(-4.0, 1.0))
+def test_record_chain_composes_exactly(omega_o, log_kappa, log_radius, angle, plant,
+                                       log_a, log_b):
+    """The premise of stepping the sampler straight between kept nodes: the
+    exact chain over a + b is its steps over a then b, T(a + b) = T(b) T(a)
+    and W(a + b) = T(b) W(a) T(b)^T + W(b), relative to each one's largest
+    entry.
+
+    In a 400-draw sweep of this envelope the median gap read 1e-14, but the
+    worst read 1.6e-12 in T and 1.8e-11 in W, at |beta| near 1e-8 (record
+    row D C near 1e9) and gaps of several time units.  There record_chain
+    itself is about 5e-12 from a 220-digit exponential, so the bound is 3e-11.
+    """
+    observer = ObserverSpec(omega_o=omega_o, kappa=10.0 ** log_kappa,
+                            beta=10.0 ** log_radius * np.array([np.cos(angle), np.sin(angle)]))
+    model = build_augmented(plant, observer)
+    a, b = 10.0 ** log_a, 10.0 ** log_b
+    (t_a, w_a), (t_b, w_b), (t_ab, w_ab) = (record_chain(model, h) for h in (a, b, a + b))
+    for got, want in ((t_b @ t_a, t_ab), (t_b @ w_a @ t_b.T + w_b, w_ab)):
+        assert np.max(np.abs(got - want)) <= 3e-11 * np.max(np.abs(want))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from qubit_observer.model_builder import (AugmentedModel, ObserverSpec,
                                           build_augmented, steady_state_mean)
 from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
-                                       exact_lti_step, simulate_paths,
-                                       time_grid, two_point_law,
+                                       exact_lti_step, sample_blocks,
+                                       simulate_paths, time_grid, two_point_law,
                                        write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
 from reference import live_step
@@ -285,6 +286,29 @@ def test_record_increments_are_exact_over_a_long_horizon():
     np.testing.assert_allclose(ens.dz, direct, rtol=0.0, atol=1e-14)
 
 
+def _reference_kept(model, config, keep):
+    """x_o at the kept nodes by a plain per-path loop over the three
+    documented streams, one exact step of live_step(model, g dt) from node 0
+    to each kept node, g its gap in grid steps."""
+    nodes = list(keep) if keep[0] == 0 else [0] + list(keep)
+    steps = {g: live_step(model, g * config.dt) for g in set(np.diff(nodes).tolist())}
+    support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
+    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
+                                np.random.SeedSequence(config.seed).spawn(3))
+    factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
+    x_o = np.empty((config.n_paths, len(nodes), 2))
+    for i in range(config.n_paths):
+        z_p = support if z_rng.random() < p_plus else -support
+        x_o[i, 0] = model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2)
+        eta = noise_rng.standard_normal((len(nodes) - 1, 3))
+        for k, g in enumerate(np.diff(nodes)):
+            transition, drift, cov = steps[g]
+            new = (transition[:, :2] @ x_o[i, k] + drift * z_p
+                   + np.linalg.cholesky(cov) @ eta[k])
+            x_o[i, k + 1] = new[:2]
+    return x_o[:, len(nodes) - len(keep):]
+
+
 @pytest.mark.parametrize("n_paths,keep", [
     (257, [0, 63, 64, 65, 128, 130]),
     (257, [5, 64, 129, 130]),
@@ -294,16 +318,18 @@ def test_record_increments_are_exact_over_a_long_horizon():
 ], ids=["block-boundaries", "no-node-0", "blocks-keeping-nothing", "lone-path-terminal",
         "lone-path"])
 def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
-    """keep stores the full run's x_o at the kept nodes bitwise and no dz,
-    which exists only on the full grid; 130 steps cross two 64-step blocks,
-    257 paths a chunk, and some blocks keep no node."""
+    """keep stores the kept nodes' times and the full run's z_p bitwise and no
+    dz, which exists only on the full grid; x_o there is the exact chain
+    stepped from node 0 straight to each kept node, one noise row per gap, as
+    _reference_kept rebuilds it.  257 paths cross a chunk."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=n_paths, seed=31)
     full = simulate_paths(model, config)
     part = simulate_paths(model, config, keep=keep)
     np.testing.assert_array_equal(part.times, full.times[keep])
     np.testing.assert_array_equal(part.z_p, full.z_p)
-    np.testing.assert_array_equal(part.x_o, full.x_o[:, keep])
+    want = _reference_kept(model, config, keep)
+    assert np.max(np.abs(part.x_o - want)) <= 1e-13 * np.max(np.abs(want))
     assert part.dz.shape == (n_paths, 0)
 
 
@@ -333,6 +359,50 @@ def test_unstable_run_raises():
     config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
     with pytest.raises(RuntimeError, match="non-finite state"):
         simulate_paths(unstable, config)
+
+
+@pytest.mark.parametrize("nodes,match", [
+    ([5, 10], "nodes must start at node 0"),
+    ([0, 5, 5], r"nodes must be strictly increasing node indices in \[0, 50\]"),
+    ([0, 51], r"nodes must be .* in \[0, 50\]"),
+])
+def test_sampler_nodes_are_checked(nodes, match):
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.02, t_final=1.0, n_paths=2, seed=0)
+    with pytest.raises(ValueError, match=match):
+        next(sample_blocks(model, config, nodes))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unstable_run_on_a_partial_keep_raises():
+    """Stepping straight between kept nodes keeps the finiteness check: the
+    +2 I drift overflows within the gaps of 50 time units, and the error
+    names the path and the grid step of the block's end."""
+    model = build_augmented(PINNED, OBS)
+    a = model.A.copy()
+    a[1:, 1:] = 2.0 * np.eye(2)
+    unstable = AugmentedModel(A=a, B=model.B, C=model.C, D=model.D,
+                              x0_mean=model.x0_mean, sigma0=model.sigma0)
+    config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
+    with pytest.raises(RuntimeError, match=r"path \d+ produced a non-finite state near step 1000"):
+        simulate_paths(unstable, config, keep=[100, 500, 1000])
+
+
+def test_stats_only_peak_is_flat_in_the_horizon():
+    """keep=[n_steps] takes one step per path, so the traced peak of a
+    2000-path run does not grow with the step count; one chunk's noise for
+    every step would add 256 * n_steps * 3 values, 11 MB at 2000 steps."""
+    model = build_augmented(MIXED, OBS)
+    peaks = []
+    for t_final in (10.0, 100.0):
+        config = SimConfig(dt=0.05, t_final=t_final, n_paths=2000, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_paths(model, config, keep=[config.n_steps])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], f"traced peaks {peaks} bytes"
 
 
 def test_record_shares_noise_with_state():
@@ -383,3 +453,15 @@ def test_paths_csv_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError, match="path 2"):
         write_paths_csv(out, replace(ens, x_o=x_o))
     assert not out.exists()
+
+
+def test_paths_csv_rejects_an_ensemble_without_every_dz(tmp_path):
+    """A partial keep stores no dz, which paths.csv needs at every node: the
+    writer says so before any file is opened."""
+    model = build_augmented(MIXED, OBS)
+    ens = simulate_paths(model, SimConfig(dt=0.1, t_final=0.5, n_paths=3, seed=0),
+                         keep=[0, 2, 5])
+    out = tmp_path / "paths.csv"
+    with pytest.raises(ValueError, match=r"paths\.csv needs every node: dz"):
+        write_paths_csv(out, ens)
+    assert list(tmp_path.iterdir()) == []

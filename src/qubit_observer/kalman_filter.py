@@ -34,10 +34,11 @@ increments, so the maps and gains compose into one transfer matrix per
 sampler block (64 steps), and one batched product carries the records over
 the block.  The same transfers serve a whole ensemble at once
 (run_filter_ensemble) and the sampler's blocks as they arrive, each already
-holding its steps' increments (filter_paths), which holds one chunk's noise
-draws plus n_paths values per kept node, whatever the step count.  Which
-nodes are kept, and where, is sde_engine._kept_blocks' rule.  riccati.csv
-is rendered as one block by export.write_csv, like every CSV artifact.
+holding its steps' increments (filter_paths), which holds one sampler block
+of one chunk plus n_paths values per kept node, on top of the schedule's
+per-step arrays.  Which nodes are kept, and where, is sde_engine._kept_blocks'
+rule.  riccati.csv is rendered as one block by export.write_csv, like every
+CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -290,8 +291,9 @@ def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tu
     ``keep`` lists (strictly increasing) are stored.  Returns z_p
     (n_paths,), x_o at the kept nodes (n_paths, len(keep), 2) and the
     estimates there (n_paths, len(keep), n), bitwise what simulate_paths
-    with every node kept and run_filter_ensemble give.  Memory is one chunk's noise draws plus
-    n_paths * len(keep) values, whatever the step count.
+    with every node kept and run_filter_ensemble give.  Memory is one
+    sampler block of one chunk plus n_paths * len(keep) values, on top of
+    the schedule's.
     """
     _, gains, maps = schedule
     n_steps = config.n_steps

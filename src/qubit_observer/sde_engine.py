@@ -11,19 +11,20 @@ the matrix exponential by record_chain, the one exact step that the sampler
 and kalman_filter both take, so any step size yields the correct joint law.
 Within a step the same noise increment drives the state and the record,
 which is what makes the record informative for filtering.  The sampler,
-sample_blocks, is one linear recursion driven by three sequential RNG
-streams (plant values, initial quadratures, noise) read in path order, and
-hands out its live states, each with the record increment of the step that
-ends there, one block of steps of one chunk of paths at a time.  It steps
-between the grid nodes its caller lists: every node when every step's
-record increment is needed (paths.csv, the filter), otherwise node 0 and
-the kept nodes alone, one exact step per gap, since the chain's law over
-any interval is one exponential away.  Its consumers (simulate_paths here,
-kalman_filter.filter_paths) take what they need from each block as it
-arrives and store only the nodes their caller keeps, as _kept_blocks lays
-them out on the sampler's own steps, so they need memory for one chunk's
-noise draws, one row per sampler step, plus n_paths values per kept node,
-not n_paths * n_steps.
+sample_blocks, is one linear recursion driven by seeded RNG streams (plant
+values and initial quadratures in path order, noise one stream per chunk
+of paths), and hands out its live states, each with the record increment
+of the step that ends there, one block of steps of one chunk of paths at a
+time.  It steps between the grid nodes its caller lists: every node when
+every step's record increment is needed (paths.csv, the filter), otherwise
+node 0 and the kept nodes alone, one exact step per gap, since the chain's
+law over any interval is one exponential away.  Each block's noise is
+drawn just before the block is stepped, and its consumers (simulate_paths
+here, kalman_filter.filter_paths) take what they need from each block as
+it arrives and store only the nodes their caller keeps, as _kept_blocks
+lays them out on the sampler's own steps, so they need memory for one
+block of one chunk plus n_paths values per kept node, whatever the step
+count.
 """
 
 import math
@@ -229,28 +230,32 @@ def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
     noise covariance, so every step has the exact joint law of the model
     over its gap and the record entry of s_{k+1} is the record increment dz
     over step k.  The chain is formed once per distinct gap.
-    SeedSequence(seed).spawn(3) gives three generators, read in path order:
-    one uniform per path for z_p, two normals per path for x_o(0), and
-    (len(nodes) - 1, n_noise) normals per path for eta, one row per step of
-    the sampler.  Paths are sampled _CHUNK at a time and stepped in blocks of
-    _CHECK_EVERY of the sampler's steps; every matrix product spans at least
-    two paths, so a path's values are bitwise the same whatever the ensemble
+    Paths are sampled in chunks of _CHUNK, chunk c holding paths
+    c * _CHUNK onward in its columns; every chunk is _CHUNK columns wide, and
+    the columns past n_paths are idle (plant value 0, zero x_o(0) draws):
+    they are stepped but never reported.  SeedSequence(seed).spawn(3)[:2]
+    give one uniform per path for z_p and two normals per path for x_o(0),
+    read in path order, and chunk c's noise comes from its own generator,
+    SeedSequence(seed, spawn_key=(2, c)) (child c of spawn(3)[2]), which
+    gives one (n_noise, _CHUNK) array of normals per sampler step, in step
+    order, drawn a block of _CHECK_EVERY steps at a time just before the
+    block is stepped.  Every matrix product has the same shape whatever
+    n_paths, so a path's values are bitwise the same whatever the ensemble
     size, and reruns are bitwise reproducible.  The conserved plant value
     never enters the propagated state, so it is constant by construction on
     every path.
 
     For each block of each chunk, in that order, yields (start, stop, b0,
-    z_vals, states): the chunk holds paths start to stop - 1, z_vals (width,)
-    their plant values and states (n + 1, 3, width) the live (x_o, dz) at
-    the sampler's nodes b0 to b0 + n, nodes[b0:b0 + n + 1], so states[1:, 2]
-    holds the increments over the block's n steps (states[0, 2] is 0 at node
-    0).  A lone path is padded to width 2 with an idle column (plant value 0,
-    zero draws), which consumers may step but not report.  The buffers are
+    z_vals, states): the chunk's paths start to stop - 1 are its first
+    stop - start columns, z_vals (_CHUNK,) the plant values and states
+    (n + 1, 3, _CHUNK) the live (x_o, dz) at the sampler's nodes b0 to
+    b0 + n, nodes[b0:b0 + n + 1], so states[1:, 2] holds the increments over
+    the block's n steps (states[0, 2] is 0 at node 0).  The buffers are
     reused, so a block is valid only until the next is requested.  Each
     block is checked for finite values before it is handed out; a
     non-finite one raises RuntimeError naming the path and the grid step.
-    Memory is one chunk's noise draws, _CHUNK * (len(nodes) - 1) * n_noise
-    values, plus one block.
+    Memory is one block of one chunk, about 3 * _CHUNK * (2 _CHECK_EVERY +
+    1) values with its noise, whatever the step count.
     """
     n_paths = config.n_paths
     nodes = _checked_nodes(nodes, config.n_steps, "nodes")
@@ -274,34 +279,32 @@ def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
     drifts, noise_factors = np.array(drifts)[:, :, None], np.array(noise_factors)
     n_noise = noise_factors.shape[2]
 
-    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
-                                np.random.SeedSequence(config.seed).spawn(3))
-    # A one-column product goes through BLAS's matrix-vector kernel, which
-    # rounds differently from the matrix-matrix one; a lone path is therefore
-    # padded with an idle column whose draws are zero.
-    eta = np.zeros((max(min(n_paths, _CHUNK), 2), n_steps, n_noise))
-    for start in range(0, n_paths, _CHUNK):
+    z_rng, x0_rng = (np.random.default_rng(s) for s in
+                     np.random.SeedSequence(config.seed).spawn(3)[:2])
+    z_vals = np.empty(_CHUNK)
+    x0 = np.empty((_CHUNK, 2))
+    m = min(_CHECK_EVERY, n_steps)
+    eta = np.empty((m, n_noise, _CHUNK))
+    noise = np.empty((m, 3, _CHUNK))
+    block = np.empty((m + 1, 3, _CHUNK))
+    for c, start in enumerate(range(0, n_paths, _CHUNK)):
         stop = min(start + _CHUNK, n_paths)
         ids = range(start, stop)
         nc = stop - start
-        width = max(nc, 2)
-        z_vals = np.zeros(width)
+        z_vals[nc:] = x0[nc:] = 0.0
         z_vals[:nc] = np.where(z_rng.random(nc) < p_plus, support, -support)
-        x0 = np.zeros((width, 2))
         x0_rng.standard_normal(out=x0[:nc])
-        eta[nc:width] = 0.0
-        noise_rng.standard_normal(out=eta[:nc])
+        noise_rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(2, c)))
         forcing = drifts * z_vals
-        block = np.empty((_CHECK_EVERY + 1, 3, width))
-        noise = np.empty((_CHECK_EVERY, 3, width))
         block[0, :2] = mean_o + factor_o @ x0.T
         block[0, 2] = 0.0
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
             steps = gap_index[b0:b0 + n]
-            np.matmul(noise_factors[steps], eta[:width, b0:b0 + n].transpose(1, 2, 0),
-                      out=noise[:n])
+            noise_rng.standard_normal(out=eta[:n])
+            np.matmul(noise_factors[steps], eta[:n], out=noise[:n])
             noise[:n] += forcing[steps]
             for j, g in enumerate(steps.tolist()):
                 np.matmul(transitions[g], block[j], out=block[j + 1])
@@ -324,8 +327,8 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensem
     x_o there, drawn from its exact law, differs in value from the full
     run's.  z_p and x_o(0) are the full run's bitwise.  Only the kept nodes'
     x_o are stored, gathered from each block as it arrives, so memory is
-    n_paths * len(keep) values plus one _CHUNK-path chunk's noise draws,
-    _CHUNK * len(keep) * n_noise values, whatever n_steps.
+    n_paths * len(keep) values plus one block of one chunk, whatever
+    n_steps.
     """
     n_paths, n_steps = config.n_paths, config.n_steps
     keep = _checked_nodes(keep, n_steps)

@@ -593,8 +593,8 @@ def test_filter_with_one_path_exits_with_config_error(tmp_path, capsys):
 
 def test_filter_memory_is_bounded():
     """2000 paths x 1000 steps: the whole ensemble would hold 48 MB of x_o
-    and dz; the streamed filter holds one chunk's noise draws (6.1 MB) and
-    the 10 checkpoints."""
+    and dz; the streamed filter holds one 64-step block of one chunk's noise
+    draws (0.4 MB), the Kalman schedule and the 10 checkpoints."""
     import tracemalloc
 
     cfg = small_config()
@@ -608,15 +608,38 @@ def test_filter_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report["n_paths"] == 2000 and len(report["mc_vs_riccati"]) == 10
-    assert peak < 15e6, f"peak traced memory {peak / 1e6:.1f} MB"
+    assert peak < 5e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_filter_peak_does_not_grow_with_the_horizon():
+    """256 paths, filter.t_final 5 then 50 (1000 then 10000 steps): the traced
+    peak of cmd_filter grows by under 1 kB per added step.  One chunk's noise
+    for every step would add 256 * 3 doubles (6.1 kB) per step; what grows is
+    the Kalman schedule's per-step arrays."""
+    import tracemalloc
+
+    peaks = []
+    for t_final in (5.0, 50.0):
+        cfg = small_config()
+        cfg["sim"]["n_paths"] = 256
+        cfg["filter"].update(dt=0.005, t_final=t_final)
+        config = load_config(cfg)
+        tracemalloc.start()
+        try:
+            cli.cmd_filter(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_step = (peaks[1] - peaks[0]) / 9000
+    assert per_step < 1e3, f"traced peaks {peaks} bytes, {per_step:.0f} B per step"
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
-@pytest.mark.parametrize("seed", [124, 146])
+@pytest.mark.parametrize("seed", [62, 388])
 def test_filter_gate_passes_seeds_with_largest_z(seed):
-    """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.00, 4.20) pass
+    """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.08, 4.29) pass
     once the limit keeps the family-wise rate of a single 4-sigma test."""
     config = load_config(DEFAULT_CONFIG)
     report, _ = cli.cmd_filter(replace(config, sim=replace(config.sim, seed=seed)))

@@ -208,44 +208,61 @@ def test_record_variance_matches_gain_norm():
 def test_paths_independent_of_ensemble_size(scheme):
     """A path's sample is bitwise the same whatever n_paths, and reruns repeat it.
 
-    n_paths = 1 and 257 leave a one-path chunk; 2 and 300 leave narrower
-    chunks than the 600-path run.
+    Every chunk is 256 columns wide, idle ones past n_paths, so every product
+    has one shape: 1 and 257 paths leave one path in their last chunk, 2 and
+    300 fewer than the 600-path run does.  The same holds for a partial keep,
+    which steps straight between its nodes.
     """
     model = build_augmented(MIXED, OBS)
+    for keep in (None, [7, 30, 50]):
 
-    def run(n_paths):
-        return simulate_paths(model, SimConfig(dt=0.02, t_final=1.0, n_paths=n_paths,
-                                               seed=123))
+        def run(n_paths):
+            return simulate_paths(model, SimConfig(dt=0.02, t_final=1.0, n_paths=n_paths,
+                                                   seed=123), keep=keep)
 
-    full = run(600)
-    again = run(600)
-    for name in ("z_p", "x_o", "dz"):
-        np.testing.assert_array_equal(getattr(full, name), getattr(again, name))
-    for n in (1, 2, 257, 300):
-        part = run(n)
+        full = run(600)
+        again = run(600)
         for name in ("z_p", "x_o", "dz"):
-            np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[:n],
-                                          err_msg=f"{name}, n_paths={n}")
+            np.testing.assert_array_equal(getattr(full, name), getattr(again, name))
+        for n in (1, 2, 257, 300):
+            part = run(n)
+            for name in ("z_p", "x_o", "dz"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[:n],
+                                              err_msg=f"{name}, n_paths={n}, keep={keep}")
+
+
+def _reference_noise(config, n_rows, n_noise=3):
+    """Every path's noise draws, (n_paths, n_rows, n_noise), read off the
+    documented stream contract: path i is column i % 256 of chunk i // 256,
+    whose generator SeedSequence(seed, spawn_key=(2, i // 256)) gives one
+    (n_noise, 256) array of normals per sampler step, in step order."""
+    eta = np.empty((config.n_paths, n_rows, n_noise))
+    for c, start in enumerate(range(0, config.n_paths, 256)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2, c)))
+        stop = min(start + 256, config.n_paths)
+        for k in range(n_rows):
+            eta[start:stop, k] = rng.standard_normal((n_noise, 256))[:, :stop - start].T
+    return eta
 
 
 def _reference_paths(model, config, transition, drift, factor):
-    """Plain per-path, per-step loop over the three documented streams; each
+    """Plain per-path, per-step loop over the documented streams; each
     step's record increment is taken directly, without the record's column."""
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
-    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
-                                np.random.SeedSequence(config.seed).spawn(3))
+    z_rng, x0_rng = (np.random.default_rng(s) for s in
+                     np.random.SeedSequence(config.seed).spawn(3)[:2])
     factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
     n_steps = config.n_steps
+    eta = _reference_noise(config, n_steps, factor.shape[1])
     z_p = np.empty(config.n_paths)
     x_o = np.empty((config.n_paths, n_steps + 1, 2))
     dz = np.empty((config.n_paths, n_steps))
     for i in range(config.n_paths):
         z_p[i] = support if z_rng.random() < p_plus else -support
         state = model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2)
-        eta = noise_rng.standard_normal((n_steps, factor.shape[1]))
         x_o[i, 0] = state
         for k in range(n_steps):
-            new = transition[:, :2] @ state + drift * z_p[i] + factor @ eta[k]
+            new = transition[:, :2] @ state + drift * z_p[i] + factor @ eta[i, k]
             x_o[i, k + 1], dz[i, k] = new[:2], new[2]
             state = new[:2]
     return z_p, x_o, dz
@@ -279,32 +296,31 @@ def test_record_increments_are_exact_over_a_long_horizon():
     config = SimConfig(dt=0.05, t_final=1000.0, n_paths=2, seed=5)
     ens = simulate_paths(model, config)
     transition, drift, cov = live_step(model, config.dt)
-    noise_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
-    eta = noise_rng.standard_normal((config.n_paths, config.n_steps, 3))
+    eta = _reference_noise(config, config.n_steps)
     direct = (ens.x_o[:, :-1] @ transition[2, :2] + drift[2] * ens.z_p[:, None]
               + eta @ np.linalg.cholesky(cov)[2])
     np.testing.assert_allclose(ens.dz, direct, rtol=0.0, atol=1e-14)
 
 
 def _reference_kept(model, config, keep):
-    """x_o at the kept nodes by a plain per-path loop over the three
-    documented streams, one exact step of live_step(model, g dt) from node 0
-    to each kept node, g its gap in grid steps."""
+    """x_o at the kept nodes by a plain per-path loop over the documented
+    streams, one exact step of live_step(model, g dt) from node 0 to each
+    kept node, g its gap in grid steps."""
     nodes = list(keep) if keep[0] == 0 else [0] + list(keep)
     steps = {g: live_step(model, g * config.dt) for g in set(np.diff(nodes).tolist())}
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
-    z_rng, x0_rng, noise_rng = (np.random.default_rng(s) for s in
-                                np.random.SeedSequence(config.seed).spawn(3))
+    z_rng, x0_rng = (np.random.default_rng(s) for s in
+                     np.random.SeedSequence(config.seed).spawn(3)[:2])
     factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
+    eta = _reference_noise(config, len(nodes) - 1)
     x_o = np.empty((config.n_paths, len(nodes), 2))
     for i in range(config.n_paths):
         z_p = support if z_rng.random() < p_plus else -support
         x_o[i, 0] = model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2)
-        eta = noise_rng.standard_normal((len(nodes) - 1, 3))
         for k, g in enumerate(np.diff(nodes)):
             transition, drift, cov = steps[g]
             new = (transition[:, :2] @ x_o[i, k] + drift * z_p
-                   + np.linalg.cholesky(cov) @ eta[k])
+                   + np.linalg.cholesky(cov) @ eta[i, k])
             x_o[i, k + 1] = new[:2]
     return x_o[:, len(nodes) - len(keep):]
 

@@ -14,6 +14,7 @@ of the spin sector.  The decay operator sqrt(kappa) a reproduces the
 coupling relation (L + L^dag, (L - L^dag)/i) = sqrt(kappa) (q, p).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "coherent_state",
     "build_operators",
     "joint_initial_state",
-    "liouvillian",
     "evolve",
     "expectations",
     "reduced_mean_trajectory",
@@ -180,37 +180,136 @@ def joint_initial_state(rho_p, n_trunc: int, alpha: complex = 0.0) -> JointState
     return JointState(np.kron(rho_p, np.outer(vec, vec.conj())))
 
 
-def liouvillian(ops: OperatorSet):
-    """Sparse generator of vec(rho)' for column-stacked vec(rho).
+# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), as tabulated
+# in scipy.sparse.linalg._expm_multiply: m Taylor terms of exp(tau A) meet
+# double-precision backward error whenever tau |A|_1 <= theta_m.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
-    -i (I (x) H - H^T (x) I) + conj(L) (x) L - (1/2)(I (x) L^dag L + (L^dag L)^T (x) I),
-    so that vec(A rho B) = (B^T (x) A) vec(rho) reproduces
-    rho' = -i[H, rho] + L rho L^dag - (1/2){L^dag L, rho}.
-    """
-    from scipy import sparse
-
-    h = sparse.csr_matrix(ops.h_total)
-    lind = sparse.csr_matrix(ops.lindblad)
-    ldl = lind.conj().T @ lind
-    eye = sparse.identity(h.shape[0], dtype=complex, format="csr")
-    gen = (-1j * (sparse.kron(eye, h) - sparse.kron(h.T, eye))
-           + sparse.kron(lind.conj(), lind)
-           - 0.5 * (sparse.kron(eye, ldl) + sparse.kron(ldl.T, eye)))
-    return gen.tocsr()
-
-
-# Stored nodes propagated per expm_multiply call: the states of one block are
-# the only density matrices alive at once, so memory does not grow with n_t.
+# Stored nodes propagated per block: the states of one block are the only
+# density matrices alive at once, so memory does not grow with n_t.
 _BLOCK = 25
+
+
+def _row_gather(mat: np.ndarray) -> list:
+    """Terms (cols, vals) with mat @ x == sum of vals[:, None] * x[cols]: the
+    nonzeros of each row, padded with zeros to the longest row."""
+    counts = np.count_nonzero(mat, axis=1)
+    cols = np.zeros((mat.shape[0], max(1, counts.max())), dtype=np.intp)
+    for i, row in enumerate(mat):
+        cols[i, :counts[i]] = np.flatnonzero(row)
+    vals = np.take_along_axis(mat, cols, axis=1)
+    vals[np.arange(cols.shape[1]) >= counts[:, None]] = 0.0
+    return list(zip(cols.T, vals.T))
+
+
+def _generator(ops: OperatorSet) -> tuple:
+    """(action, mu, norm) of the Lindblad generator shifted by -mu I.
+
+    action maps a Hermitian rho to Y + Y^dag with Y = G rho + (1/2) L rho L^dag
+    and G = -iH - (1/2) L^dag L - (mu/2) I, through row gathers over the
+    nonzeros of G and L, so it makes no BLAS call.  mu is the mean of the
+    superoperator's diagonal, and norm bounds the shifted superoperator's
+    1-norm column by column: column (a, b) holds the off-diagonal entries of
+    G's columns a and b, G_aa + conj(G_bb), and the products of L's columns
+    a and b.
+    """
+    h, lind = np.asarray(ops.h_total), np.asarray(ops.lindblad)
+    dim = h.shape[0]
+    # einsum, not @: see expectations
+    gen = -1j * h - 0.5 * np.einsum("ji,jk->ik", lind.conj(), lind)
+    mu = 2.0 * np.trace(gen).real / dim + abs(np.trace(lind)) ** 2 / dim ** 2
+    gen[np.diag_indices(dim)] -= 0.5 * mu
+    diag = np.diagonal(gen)
+    off = np.abs(gen).sum(axis=0) - np.abs(diag)
+    lcol = np.abs(lind).sum(axis=0)
+    norm = float(np.max(off[:, None] + off + np.abs(diag[:, None] + diag.conj())
+                        + np.outer(lcol, lcol)))
+    g_terms = [(cols, np.repeat(vals[:, None], dim, axis=1))
+               for cols, vals in _row_gather(gen)]
+    l_terms = [(rows, cols, 0.5 * np.outer(v_rows, v_cols.conj()))
+               for rows, v_rows in _row_gather(lind) for cols, v_cols in _row_gather(lind)]
+
+    def action(rho):
+        y = np.zeros_like(rho)
+        for rows, cols, w in l_terms:
+            y += w * rho.take(rows, 0).take(cols, 1)
+        for cols, w in g_terms:
+            y += w * rho.take(cols, 0)
+        return y + y.conj().T
+
+    return action, mu, norm
+
+
+def _taylor_plan(norm: float, mu: float, step: float) -> tuple:
+    """(d, s, tau, weights) for node steps of length step.
+
+    One expansion spans tau = d step / s and gives d nodes when s = 1, or one
+    sub-step of s per node when d = 1: d <= _BLOCK and s are chosen with the
+    degree m (a key of _THETA) so that tau norm <= theta_m at the fewest
+    generator actions per node, m s / d.  Node j of an expansion is
+    sum_p weights[p, j - 1] T_p, weights[p, j - 1] = e^{mu j tau / d} (j/d)^p,
+    over the m + 1 terms T_p = (tau / p) action(T_{p-1}).  A zero generator
+    takes no terms.
+    """
+    reach = norm * step
+    if reach == 0.0:
+        m, d, s = 0, _BLOCK, 1
+    else:
+        plans = []
+        for m, theta in _THETA.items():
+            d = int(min(_BLOCK, theta / reach))
+            plans.append((m, d, 1) if d else (m, 1, math.ceil(reach / theta)))
+        m, d, s = min(plans, key=lambda plan: plan[0] * plan[2] / plan[1])
+    frac = np.arange(1, d + 1) / d
+    weights = np.exp(mu * step / s * np.arange(1, d + 1)) * frac ** np.arange(m + 1)[:, None]
+    return d, s, d * step / s, weights
+
+
+def _expansion(action, rho: np.ndarray, tau: float, weights: np.ndarray) -> np.ndarray:
+    """sum_p weights[p, j] T_p for every column j of weights, T_0 = rho and
+    T_p = (tau / p) action(T_{p-1}), summed as each term is made."""
+    out = weights[0][:, None, None] * rho
+    term = rho
+    # the weights are real: multiplying float views halves the work
+    flat = out.view(float)
+    for p in range(1, weights.shape[0]):
+        term = action(term)
+        term *= tau / p
+        flat += weights[p][:, None, None] * term.view(float)
+    return out
+
+
+def _propagate(action, rho: np.ndarray, plan: tuple, count: int) -> np.ndarray:
+    """The count states one node step apart after rho, as (count, dim, dim)."""
+    d, s, tau, weights = plan
+    out = np.empty((count,) + rho.shape, dtype=complex)
+    for k in range(0, count, d):
+        for _ in range(s - 1):
+            rho = _expansion(action, rho, tau, weights)[0]
+        n = min(d, count - k)
+        out[k:k + n] = _expansion(action, rho, tau, weights[:, :n])
+        rho = out[k + n - 1]
+    return out
 
 
 def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     """Exact propagation of rho' = -i[H, rho] + L rho L^dag - (1/2){L^dag L, rho}.
 
     The stored nodes are every config.store_every steps of config.dt plus the
-    final step.  vec(rho) is carried from node to node by the action of the
-    exponential of the sparse joint Liouvillian (scipy's expm_multiply,
-    Al-Mohy & Higham 2011), in blocks of at most _BLOCK nodes.  Each block is
+    final step.  rho is carried from node to node by truncated Taylor series
+    of the generator's exponential (Al-Mohy & Higham 2011), whose degree and
+    scaling _taylor_plan fixes once for the regular node step and once for
+    an irregular tail step, with the generator applied in matrix form to the
+    Hermitian rho (H is taken Hermitian).  The nodes are propagated in
+    blocks of whole expansions, at most _BLOCK nodes.  Each block is
     hermitized and reduced to expectation traces, whose health entries are
     checked at every node: a trace drift above 1e-8 per unit time raises
     RuntimeError, leakage into the top two Fock levels above the configured
@@ -218,30 +317,27 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     next block.
     Returns (times, traces) over the stored nodes, the first being state.rho.
     """
-    from scipy.sparse.linalg import expm_multiply
-
-    gen = liouvillian(ops)
+    action, mu, norm = _generator(ops)
     dt = config.dt
     n_steps = config.n_steps
     stride = config.store_every
     n_full = n_steps // stride
-    # (step between nodes, node count) per block; an irregular tail is its own block
-    blocks = [(stride * dt, min(_BLOCK, n_full - k)) for k in range(0, n_full, _BLOCK)]
+    # (plan, node count) per block; an irregular tail is its own block
+    regular = _taylor_plan(norm, mu, stride * dt)
+    per_block = regular[0] * (_BLOCK // regular[0])
+    blocks = [(regular, min(per_block, n_full - k)) for k in range(0, n_full, per_block)]
     if n_steps % stride:
-        blocks.append(((n_steps - n_full * stride) * dt, 1))
+        blocks.append((_taylor_plan(norm, mu, (n_steps % stride) * dt), 1))
     stored = list(range(0, n_steps + 1, stride))
     if stored[-1] != n_steps:
         stored.append(n_steps)
     times = np.array([k * dt for k in stored])
 
-    dim = state.rho.shape[0]
     parts = [expectations(state.rho[None], ops)]
-    vec = np.asarray(state.rho).reshape(-1, order="F")
+    rho = np.asarray(state.rho)
     node = 1
-    for step, count in blocks:
-        vecs = expm_multiply(gen, vec, start=0.0, stop=count * step,
-                             num=count + 1, endpoint=True)[1:]
-        rhos = vecs.reshape(count, dim, dim).transpose(0, 2, 1)
+    for plan, count in blocks:
+        rhos = _propagate(action, rho, plan, count)
         rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
         part = expectations(rhos, ops)
         drift, leak = part.trace_drift, part.leakage
@@ -258,7 +354,7 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
                     f"at t = {t_now:.6g}; increase n_trunc"
                 )
         parts.append(part)
-        vec = rhos[-1].reshape(-1, order="F")
+        rho = rhos[-1]
         node += count
     return times, ExpectationTraces(**{
         f.name: _frozen(np.concatenate([getattr(part, f.name) for part in parts]))

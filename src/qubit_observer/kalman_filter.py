@@ -44,7 +44,6 @@ CSV artifact.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
@@ -138,6 +137,8 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     Raises RuntimeError with the first bad step and its time if X is
     singular or the covariance turns non-finite.
     """
+    from scipy.linalg import expm
+
     grid = _check_grid(grid)
     n = model.n
     ham = _hamiltonian(model)

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
@@ -117,6 +116,8 @@ def exact_lti_step(a, b, dt: float) -> tuple:
     whatever dt.  The discrete chain x_{k+1} = transition x_k + N(0, noise_cov)
     matches the continuous marginals exactly for any dt.
     """
+    from scipy.linalg import expm
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]

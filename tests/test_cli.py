@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -635,6 +637,24 @@ def test_filter_peak_does_not_grow_with_the_horizon():
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+def test_analyze_and_oracle_import_no_scipy():
+    """analyze and oracle run on numpy alone: in a fresh process, importing the
+    CLI, loading the default config and running both commands leaves no scipy
+    module loaded.  simulate and filter import scipy at their first expm."""
+    code = ("import sys\n"
+            "from qubit_observer.cli import cmd_analyze, cmd_oracle, load_config\n"
+            "config = load_config(sys.argv[1])\n"
+            "assert cmd_analyze(config)['passed'] and cmd_oracle(config)[0]['passed']\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, str(DEFAULT_CONFIG)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("seed", [62, 388])

@@ -3,16 +3,21 @@ import pytest
 
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from qubit_observer.fock_oracle import (FockConfig, FockTruncationError,
                                         JointState, OperatorSet,
                                         build_operators, coherent_state,
                                         destroy, evolve, expectations,
-                                        joint_initial_state, liouvillian,
-                                        quadratures, reduced_mean_trajectory,
-                                        write_oracle_csv)
+                                        joint_initial_state, quadratures,
+                                        reduced_mean_trajectory, write_oracle_csv)
+from qubit_observer.fock_oracle import _THETA, _generator, _taylor_plan
+from qubit_observer.model_builder import BETA_NORM_RANGE, KAPPA_RANGE, OMEGA_O_MAX
 from qubit_observer.spin_algebra import PAULI
 
 EIGENSTATE = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)  # sigma_1 -> +1
@@ -225,19 +230,87 @@ def _reference_traces(ops, state, times, propagate):
     return expectations(0.5 * (rhos + rhos.conj().transpose(0, 2, 1)), ops)
 
 
+def _assert_matches_dense(ops, state, config):
+    """evolve's traces equal those of expm of the entrywise generator at 1e-12,
+    and _generator's shift and norm bound are those of that generator."""
+    gen = _dense_superoperator(ops)
+    _, mu, norm = _generator(ops)
+    dim2 = gen.shape[0]
+    assert mu == pytest.approx(np.trace(gen).real / dim2, rel=1e-12, abs=1e-12)
+    exact = np.abs(gen - mu * np.eye(dim2)).sum(axis=0).max()
+    assert norm >= exact * (1.0 - 1e-12)
+    times, traces = evolve(state, ops, config)
+    ref = _reference_traces(ops, state, times, lambda v, t: expm(gen * t) @ v)
+    for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
+        np.testing.assert_allclose(getattr(traces, name), getattr(ref, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_evolve_matches_dense_exponential():
     """vec/kron ordering pinned against expm of a generator built entrywise."""
     n_trunc = 5
     ops = build_operators(np.zeros(3), [0.6, 0.0, 0.8], [0.7, -0.3], 1.3, 2.0, n_trunc)
     state = joint_initial_state(EIGENSTATE, n_trunc, alpha=0.4 + 0.2j)
-    gen = _dense_superoperator(ops)
-    np.testing.assert_allclose(liouvillian(ops).toarray(), gen, atol=1e-14)
-    times, traces = evolve(state, ops, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.6,
-                                                  store_every=5, leakage_threshold=1e-2))
-    ref = _reference_traces(ops, state, times, lambda v, t: expm(gen * t) @ v)
-    for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
-        np.testing.assert_allclose(getattr(traces, name), getattr(ref, name),
-                                   rtol=0, atol=1e-12, err_msg=name)
+    _assert_matches_dense(ops, state, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.6,
+                                                 store_every=5, leakage_threshold=1e-2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, OMEGA_O_MAX), st.floats(*np.log10(KAPPA_RANGE)),
+       st.floats(*np.log10(BETA_NORM_RANGE)), st.floats(-np.pi, np.pi),
+       st.floats(-np.pi, np.pi), st.integers(0, 2 ** 32 - 1))
+def test_generator_action_and_norm_bound_over_the_envelope(omega_o, log_kappa, log_radius,
+                                                           angle, tilt, seed):
+    """On a random Hermitian rho the matrix-form action is the entrywise
+    superoperator less mu I, and norm bounds that superoperator's 1-norm."""
+    n_trunc = 4
+    beta = 10.0 ** log_radius * np.array([np.cos(angle), np.sin(angle)])
+    ops = build_operators(np.zeros(3), [np.cos(tilt), 0.0, np.sin(tilt)], beta,
+                          omega_o, 10.0 ** log_kappa, n_trunc)
+    action, mu, norm = _generator(ops)
+    shifted = _dense_superoperator(ops) - mu * np.eye((2 * (n_trunc + 1)) ** 2)
+    assert norm >= np.abs(shifted).sum(axis=0).max() * (1.0 - 1e-12)
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    rho = rho + rho.conj().T
+    want = (shifted @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+    scale = np.max(np.abs(shifted)) * np.max(np.abs(rho))
+    assert np.max(np.abs(action(rho) - want)) <= 1e-14 * scale
+
+
+def test_zero_generator_takes_no_taylor_terms():
+    """With H = L = 0 the norm bound is 0, the plan has the zeroth term alone,
+    and every node is the start, as expm of the zero superoperator gives."""
+    n_trunc = 4
+    zero = np.zeros((2 * (n_trunc + 1),) * 2, dtype=complex)
+    ops = replace(build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 1.0, n_trunc),
+                  h_total=zero, lindblad=zero)
+    _, mu, norm = _generator(ops)
+    assert mu == 0.0 and norm == 0.0
+    assert _taylor_plan(norm, mu, 0.04)[3].shape[0] == 1
+    state = joint_initial_state(EIGENSTATE, n_trunc, alpha=0.4 + 0.2j)
+    _assert_matches_dense(ops, state, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.63,
+                                                 store_every=4, leakage_threshold=1e-2))
+
+
+@pytest.mark.parametrize("n_trunc", [4, 5])
+def test_node_steps_past_theta_55_are_split(n_trunc):
+    """At the corner kappa = omega_o = 100, |beta| = 1e3, norm * h exceeds
+    theta_55 for the regular node step and for the irregular tail step: each
+    node step is split into s equal sub-steps of one expansion each, and the
+    nodes still match the dense exponential.  The truncation is far too
+    small for this drive, so the leakage guard is off; the reference uses the
+    same truncated generator."""
+    ops = build_operators(np.zeros(3), [0.6, 0.0, 0.8], [600.0, -800.0], 100.0, 100.0, n_trunc)
+    config = FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=0.014, store_every=4,
+                        leakage_threshold=2.0)
+    _, mu, norm = _generator(ops)
+    for step in (4e-3, 2e-3):
+        d, s, tau, _ = _taylor_plan(norm, mu, step)
+        assert norm * step > _THETA[55] and d == 1 and s > 1
+        assert tau == pytest.approx(step / s) and norm * tau <= _THETA[55]
+    _assert_matches_dense(ops, joint_initial_state(EIGENSTATE, n_trunc, alpha=0.3 - 0.1j),
+                          config)
 
 
 def test_evolve_blocks_and_tail_match_single_shot():
@@ -250,8 +323,9 @@ def test_evolve_blocks_and_tail_match_single_shot():
     times, traces = evolve(state, ops, config)
     stored = list(range(0, 64, 2)) + [63]
     np.testing.assert_allclose(times, np.array(stored) * 1e-2, rtol=0, atol=1e-15)
-    assert times.size == 33  # block of 25, block of 6, then the 1-step tail
-    single = expm_multiply(liouvillian(ops), np.asarray(state.rho).reshape(-1, order="F"),
+    assert times.size == 33  # more than one block, then the 1-step tail
+    single = expm_multiply(csr_matrix(_dense_superoperator(ops)),
+                           np.asarray(state.rho).reshape(-1, order="F"),
                            start=0.0, stop=0.63, num=64, endpoint=True)
     ref = _reference_traces(ops, state, stored, lambda v, k: single[k])
     for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
@@ -260,12 +334,14 @@ def test_evolve_blocks_and_tail_match_single_shot():
 
 
 def test_non_hermitian_hamiltonian_trips_trace_drift():
-    """h = 5i sigma_1 (x) I: rho(t) = e^{5 sigma_1 t} rho e^{-5 sigma_1 t} keeps its trace
-    only through cancelling entries of size e^{10 t}, which roundoff cannot hold."""
+    """h = 5i sigma_1 (x) I.  evolve applies -i h rho + (-i h rho)^dag, which is
+    -i[h, rho] only for a Hermitian h; here it is 5 {sigma_1, rho}, so rho(t) =
+    e^{5 sigma_1 t} rho e^{5 sigma_1 t}, whose trace cosh(10 t) has left 1 by
+    5.0e-3 at the first node."""
     n_trunc = 4
     ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 4.0, n_trunc)
     pump = 5j * np.kron(PAULI[0], np.eye(n_trunc + 1))
     state = joint_initial_state(np.diag([1.0, 0.0]), n_trunc)
-    with pytest.raises(RuntimeError, match="trace drift"):
+    with pytest.raises(RuntimeError, match="trace drift 5.004e-03 at t = 0.01;"):
         evolve(state, replace(ops, h_total=pump),
                FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=3.0))

@@ -22,8 +22,8 @@ from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           reduced_mean_trajectory, write_oracle_csv)
 # run_filter_ensemble is not called here: perfbench/traced_cli.py wraps it by
 # this name, so the name stays.
-from .kalman_filter import (_hamiltonian, filter_paths, gain_schedule,
-                            run_filter_ensemble, solve_riccati, write_riccati_csv)
+from .kalman_filter import (_hamiltonian, filter_paths, run_filter_ensemble,
+                            solve_riccati, write_riccati_csv)
 from .model_builder import (LinearModel, build_augmented, closed_loop_transfer,
                             hurwitz_check, optimal_gain, output_bias,
                             steady_state_mean)
@@ -217,16 +217,13 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
         raise ConfigError(f"sim.n_paths: filter needs at least 2 paths for its error "
                           f"statistics; got {sim.n_paths}")
     model = build_augmented(config.plant, config.observer)
-    grid = time_grid(sim)
-    ricc = solve_riccati(model, grid)
-    schedule = gain_schedule(model, grid)
-    cov_p = schedule[0]
+    ricc = solve_riccati(model, time_grid(sim))
 
     n_paths = sim.n_paths
-    n_steps = grid.size - 1
+    n_steps = sim.n_steps
     # the checkpoints, in order, end at the terminal node
     checkpoints = np.unique(np.round(np.linspace(n_steps / 10.0, n_steps, 10)).astype(int))
-    z_p, x_o, x_hat = filter_paths(model, sim, schedule, checkpoints)
+    z_p, x_o, x_hat, cov_p = filter_paths(model, sim, checkpoints)
     gap, gap_tol = _riccati_gap(model, ricc, cov_p)
     table = []
     max_bias_z = 0.0
@@ -241,7 +238,7 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
         # cov_z is symmetric: each distinct entry is one test
         max_cov_z = max(max_cov_z, float(np.max(np.abs(cov_z[np.triu_indices(3)]))))
         table.append({
-            "t": float(grid[idx]),
+            "t": float(ricc.times[idx]),
             "bias_z_scores": bias_z.tolist(),
             "filter_covariance_diag": np.diag(cov_p[idx]).tolist(),
             "empirical_error_cov_diag": np.diag(cov).tolist(),
@@ -254,7 +251,7 @@ def cmd_filter(config: ExperimentConfig, self_test: bool = False):
         "mode": "monte_carlo",
         "n_paths": n_paths,
         "grid_dt": sim.dt,
-        "t_final": float(grid[-1]),
+        "t_final": float(ricc.times[-1]),
         "seed": sim.seed,
         "homodyne_row_K": model.D[0].tolist(),
         "sigma_star_terminal": ricc.sigma_star[-1].tolist(),

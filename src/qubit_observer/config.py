@@ -45,6 +45,11 @@ class FilterSettings:
 
 @dataclass(frozen=True)
 class OutputSettings:
+    """Where artifacts go and which optional ones are written.  "csv" in
+    formats writes paths.csv, riccati.csv or oracle.csv; report.json is
+    always written, so "json" changes nothing and an empty list writes
+    report.json alone."""
+
     directory: str = "out"
     formats: tuple = ("csv", "json")
 

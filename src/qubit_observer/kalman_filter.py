@@ -28,17 +28,19 @@ Kalman filter of the exact sampled-data model, sde_engine.record_chain, the
 same step the sampler takes; its covariance P_k is its error covariance at
 every step length and tends to Sigma*(t_k) as the step shrinks.  Neither
 covariance is projected onto the PSD cone.  P_k, the gains and the estimate
-maps do not depend on the records, so gain_schedule forms them once per
-grid.  The estimates are linear in the start of a block and its record
-increments, so the maps and gains compose into one transfer matrix per
-sampler block (64 steps), and one batched product carries the records over
-the block.  The same transfers serve a whole ensemble at once
-(run_filter_ensemble) and the sampler's blocks as they arrive, each already
-holding its steps' increments (filter_paths), which holds one sampler block
-of one chunk plus n_paths values per kept node, on top of the schedule's
-per-step arrays.  Which nodes are kept, and where, is sde_engine._kept_blocks'
-rule.  riccati.csv is rendered as one block by export.write_csv, like every
-CSV artifact.
+maps do not depend on the records.  The estimates are linear in the start
+of a block and its record increments, so the maps and gains compose into
+one transfer matrix per sampler block (64 steps), and one batched product
+carries the records over the block.  gain_schedule forms P_k, the gains and
+the transfers in one walk over the grid and keeps no per-step map.  The
+same transfers serve a whole ensemble at once (run_filter_ensemble) and the
+sampler's blocks as they arrive, each already holding its steps'
+increments (filter_paths, which forms the schedule of the sampler's own
+grid).  filter_paths holds one sampler block of one chunk plus n_paths
+values per kept node, on top of the schedule: P_k and the gains at every
+step and one transfer per block.  Which nodes are kept, and where, is
+sde_engine._kept_blocks' rule.  riccati.csv is rendered as one block by
+export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ import numpy as np
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
 from .sde_engine import (_CHECK_EVERY, SimConfig, _kept_blocks, record_chain,
-                         sample_blocks)
+                         sample_blocks, time_grid)
 from .spin_algebra import _frozen
 
 __all__ = [
@@ -166,8 +168,8 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     return RiccatiSolution(times=grid, sigma_star=out, gains=kalman_gain(model, out))
 
 
-def gain_schedule(model: LinearModel, times) -> tuple:
-    """The path-independent part of the filter on a grid, formed once.
+def gain_schedule(model: LinearModel, times, keep=None) -> tuple:
+    """The path-independent part of the filter on a grid, formed in one pass.
 
     Over a step h, (T, W) = sde_engine.record_chain(model, h) gives
     x' = Phi x + w and dz = Psi x + v, Phi and Psi the state and record rows
@@ -180,67 +182,57 @@ def gain_schedule(model: LinearModel, times) -> tuple:
         P <- Phi P Phi^T + Q_d - K S K^T,
 
     and its estimates follow x_hat <- (Phi - K Psi) x_hat + K dz, none of
-    which depends on the record.  Returns P at every node (n_t, n, n), K over
-    every step (n_t - 1, n, p) and the estimate map Phi - K Psi over every
-    step (n_t - 1, n, n); record_chain is formed once per distinct step length.
+    which depends on the record.  Over a _CHECK_EVERY-step block of s steps
+    from node b0, x_hat_{b0+j} = T_j [x_hat_{b0}; dz], dz the block's s
+    record increments in step order, with T_0 = [I, 0] and T_{j+1} =
+    (Phi - K Psi) T_j plus K in step j's columns; the same walk forms P, K
+    and T_j.  T_j is kept for each of the block's rows j (keep, checked and
+    laid out by sde_engine._kept_blocks) and for the block's end j = s.
+    Returns keep as an index array, P at every node (n_t, n, n), K over
+    every step (n_t - 1, n, p) and, per block, (lo, hi, rows, transfer):
+    the block's slots lo:hi, its rows and the T_j^T stacked in row order as
+    (m, n + s p, n), m = hi - lo, or hi - lo + 1 with the end last when the
+    end is not kept.  record_chain is formed once per distinct step length.
     """
     times = _check_grid(times)
+    keep, blocks = _kept_blocks(keep, times.size - 1)
     n, p = model.n, model.D.shape[0]
-    steps = {}
+    chains = {}
     covs = np.empty((times.size, n, n))
     gains = np.empty((times.size - 1, n, p))
-    maps = np.empty((times.size - 1, n, n))
+    transfers = []
     covs[0] = cov = model.sigma0
-    for k, h in enumerate(np.diff(times)):
-        if h not in steps:
-            trans, w = record_chain(model, h)
-            steps[h] = trans[:, :n], w
-        t_x, w = steps[h]
-        # M = T P T^T + W, the covariance of (x', dz) given the earlier records,
-        # holds S = M_zz and K S = M_xz; P' = M_xx - K M_zx.
-        joint = t_x @ cov @ t_x.T + w
-        gains[k] = gain = np.linalg.solve(joint[n:, n:], joint[n:, :n]).T
-        maps[k] = t_x[:n] - gain @ t_x[n:]
-        covs[k + 1] = cov = _sym(joint[:n, :n] - gain @ joint[n:, :n])
-    return covs, gains, maps
-
-
-def _transfers(gains, maps, blocks) -> list:
-    """The estimate transfers of the _CHECK_EVERY-step blocks from node 0.
-
-    Over a block of s steps from node b0, x_hat_{b0+j} = T_j [x_hat_{b0}; dz],
-    dz the block's s record increments in step order, with T_0 = [I, 0] and
-    T_{j+1} = M_{b0+j} T_j plus K_{b0+j} in step j's columns, M the estimate
-    maps and K the gains.  ``blocks`` is sde_engine._kept_blocks' layout;
-    T_j is kept for each of the block's rows j and for the block's end
-    j = s.  Returns, per block, (lo, hi, transfer): the block's slots lo:hi
-    and the T_j^T stacked in row order as (m, n + s p, n), m = hi - lo, or
-    hi - lo + 1 with the end last when the end is not kept.
-    """
-    n_steps, n, p = gains.shape
-    out = []
-    for b0, (lo, hi, rows) in zip(range(0, n_steps, _CHECK_EVERY), blocks):
-        steps = min(_CHECK_EVERY, n_steps - b0)
-        t = np.eye(n, n + steps * p)
+    for b0, (lo, hi, rows) in zip(range(0, times.size - 1, _CHECK_EVERY), blocks):
+        block = np.diff(times[b0:b0 + _CHECK_EVERY + 1])
+        t = np.eye(n, n + block.size * p)
         stack = [t.T] if 0 in rows else []
-        for j in range(steps):
-            t = maps[b0 + j] @ t
-            t[:, n + j * p:n + (j + 1) * p] = gains[b0 + j]
-            if j + 1 in rows or j == steps - 1:
+        for j, h in enumerate(block):
+            if h not in chains:
+                trans, w = record_chain(model, h)
+                chains[h] = trans[:, :n], w
+            t_x, w = chains[h]
+            # M = T P T^T + W, the covariance of (x', dz) given the earlier
+            # records, holds S = M_zz and K S = M_xz; P' = M_xx - K M_zx.
+            joint = t_x @ cov @ t_x.T + w
+            gains[b0 + j] = gain = np.linalg.solve(joint[n:, n:], joint[n:, :n]).T
+            covs[b0 + j + 1] = cov = _sym(joint[:n, :n] - gain @ joint[n:, :n])
+            t = (t_x[:n] - gain @ t_x[n:]) @ t
+            t[:, n + j * p:n + (j + 1) * p] = gain
+            if j + 1 in rows or j == block.size - 1:
                 stack.append(t.T)
-        out.append((lo, hi, np.array(stack)))
-    return out
+        transfers.append((lo, hi, rows, np.array(stack)))
+    return keep, covs, gains, transfers
 
 
 def _step_estimates(x, dz, transfer, out) -> np.ndarray:
-    """Carry the estimates x, (n_records, n), over one block of _transfers,
-    with dz, (n_records, s p), the records' increments over its steps in step
-    order, by one batched product.  Each record and node takes a
-    vector-matrix product of its own, of one shape, so its rounding depends
-    neither on which other nodes are kept nor on how many records are carried
-    with it.  Stores the kept nodes' estimates in out at their slots and
-    returns x at the block's end."""
-    lo, hi, t = transfer
+    """Carry the estimates x, (n_records, n), over one block of
+    gain_schedule's transfers, with dz, (n_records, s p), the records'
+    increments over its steps in step order, by one batched product.  Each
+    record and node takes a vector-matrix product of its own, of one shape,
+    so its rounding depends neither on which other nodes are kept nor on how
+    many records are carried with it.  Stores the kept nodes' estimates in
+    out at their slots and returns x at the block's end."""
+    lo, hi, _, t = transfer
     xdz = np.empty((len(x), 1, 1, t.shape[1]))
     xdz[:, 0, 0, :x.shape[1]] = x
     xdz[:, 0, 0, x.shape[1]:] = dz
@@ -271,38 +263,30 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     if dz.ndim != 3 or dz.shape[0] < 1 or dz.shape[1:] != (times.size - 1, p):
         raise ValueError(f"dz must hold, for each of n_paths >= 1 records, one "
                          f"{p}-vector per grid step; got shape {dz.shape}")
-    keep, blocks = _kept_blocks(keep, times.size - 1)
-    covs, gains, maps = gain_schedule(model, times)
+    keep, covs, gains, transfers = gain_schedule(model, times, keep)
     records = dz.reshape(len(dz), -1)
     x = np.broadcast_to(model.x0_mean, (len(dz), n))
     out = np.empty((len(dz), keep.size, n))
-    for b0, transfer in zip(range(0, dz.shape[1], _CHECK_EVERY),
-                            _transfers(gains, maps, blocks)):
+    for b0, transfer in zip(range(0, dz.shape[1], _CHECK_EVERY), transfers):
         x = _step_estimates(x, records[:, b0 * p:(b0 + _CHECK_EVERY) * p], transfer, out)
     return out, covs, gains
 
 
-def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tuple:
+def filter_paths(model: AugmentedModel, config: SimConfig, keep) -> tuple:
     """Sample the model's records and filter them as they are sampled.
 
     Each block of sde_engine.sample_blocks is carried through the filter of
-    ``schedule``, gain_schedule(model, time_grid(config)), as it arrives, by
-    one estimate transfer (_transfers): the block's record row holds the
-    increments over its steps, bitwise simulate_paths' dz.  Only the nodes
-    ``keep`` lists (strictly increasing) are stored.  Returns z_p
-    (n_paths,), x_o at the kept nodes (n_paths, len(keep), 2) and the
-    estimates there (n_paths, len(keep), n), bitwise what simulate_paths
-    with every node kept and run_filter_ensemble give.  Memory is one
-    sampler block of one chunk plus n_paths * len(keep) values, on top of
-    the schedule's.
+    gain_schedule(model, time_grid(config), keep) as it arrives, by that
+    block's estimate transfer: the block's record row holds the increments
+    over its steps, bitwise simulate_paths' dz.  Only the nodes ``keep``
+    lists (strictly increasing) are stored.  Returns z_p (n_paths,), x_o at
+    the kept nodes (n_paths, len(keep), 2), the estimates there
+    (n_paths, len(keep), n), bitwise what simulate_paths with every node
+    kept and run_filter_ensemble give, and P at every node (n_t, n, n).
+    Memory is one sampler block of one chunk plus n_paths * len(keep)
+    values, on top of the schedule's.
     """
-    _, gains, maps = schedule
-    n_steps = config.n_steps
-    if gains.shape[0] != n_steps:
-        raise ValueError(f"the schedule covers {gains.shape[0]} steps, the "
-                         f"sampler {n_steps}")
-    keep, blocks = _kept_blocks(keep, n_steps)
-    transfers = _transfers(gains, maps, blocks)
+    keep, covs, _, transfers = gain_schedule(model, time_grid(config), keep)
     n_paths, n = config.n_paths, model.n
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))
@@ -312,11 +296,11 @@ def filter_paths(model: AugmentedModel, config: SimConfig, schedule, keep) -> tu
         if b0 == 0:
             z_p[start:stop] = z_vals[:nc]
             x = np.broadcast_to(model.x0_mean, (nc, n))
-        lo, hi, rows = blocks[b0 // _CHECK_EVERY]
+        transfer = transfers[b0 // _CHECK_EVERY]
+        lo, hi, rows, _ = transfer
         x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
-        x = _step_estimates(x, states[1:, 2, :nc].T, transfers[b0 // _CHECK_EVERY],
-                            x_hat[start:stop])
-    return z_p, x_o, x_hat
+        x = _step_estimates(x, states[1:, 2, :nc].T, transfer, x_hat[start:stop])
+    return z_p, x_o, x_hat, covs
 
 
 def write_riccati_csv(path, riccati: RiccatiSolution) -> None:

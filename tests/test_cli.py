@@ -517,22 +517,47 @@ def test_simulate_report_does_not_depend_on_paths_csv(tmp_path):
             == {k: g["count"] for k, g in with_csv["groups"].items()})
 
 
+def test_empty_formats_write_report_json_and_no_csv(tmp_path):
+    """report.json is always written: with outputs.formats [] every command
+    writes it and no CSV, and "json" in formats changes nothing."""
+    reports = {}
+    for formats in ([], ["json"]):
+        cfg = small_config()
+        cfg["outputs"]["formats"] = formats
+        path = write_config(tmp_path, cfg, f"{len(formats)}.json")
+        for command in ("analyze", "simulate", "filter", "oracle"):
+            out = tmp_path / f"{command}{len(formats)}"
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+            reports.setdefault(command, []).append((out / "report.json").read_bytes())
+    for command, (empty, json_only) in reports.items():
+        assert empty == json_only, command
+
+
+def _traced_peak(command, config) -> tuple:
+    """command(config) and its traced peak in bytes.  scipy.linalg, which
+    simulate and filter import at their first expm, is loaded first, so the
+    peak is the run's alone whichever test runs first."""
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        return command(config), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_stats_only_simulate_memory_is_bounded():
     """2000 paths x 800 steps: the full x_o and dz would take 38 MB, the
     terminal node and one step's noise draws per chunk under 2 MB."""
-    import tracemalloc
-
     cfg = small_config()
     cfg["sim"].update(dt=0.0125, t_final=10.0, n_paths=2000)
     cfg["outputs"]["formats"] = ["json"]
     config = load_config(cfg)
     assert config.sim.n_steps == 800
-    tracemalloc.start()
-    try:
-        report, ens = cli.cmd_simulate(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (report, ens), peak = _traced_peak(cli.cmd_simulate, config)
     assert report["n_paths"] == 2000 and ens.x_o.shape == (2000, 1, 2)
     assert peak < 10e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
@@ -597,43 +622,29 @@ def test_filter_memory_is_bounded():
     """2000 paths x 1000 steps: the whole ensemble would hold 48 MB of x_o
     and dz; the streamed filter holds one 64-step block of one chunk's noise
     draws (0.4 MB), the Kalman schedule and the 10 checkpoints."""
-    import tracemalloc
-
     cfg = small_config()
     cfg["sim"]["n_paths"] = 2000
     cfg["filter"].update(dt=0.005, t_final=5.0)
-    config = load_config(cfg)
-    tracemalloc.start()
-    try:
-        report, _ = cli.cmd_filter(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (report, _), peak = _traced_peak(cli.cmd_filter, load_config(cfg))
     assert report["n_paths"] == 2000 and len(report["mc_vs_riccati"]) == 10
     assert peak < 5e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 def test_filter_peak_does_not_grow_with_the_horizon():
     """256 paths, filter.t_final 5 then 50 (1000 then 10000 steps): the traced
-    peak of cmd_filter grows by under 1 kB per added step.  One chunk's noise
-    for every step would add 256 * 3 doubles (6.1 kB) per step; what grows is
-    the Kalman schedule's per-step arrays."""
-    import tracemalloc
-
+    peak of cmd_filter grows by under 0.28 kB per added step.  One chunk's
+    noise for every step would add 256 * 3 doubles (6.1 kB) per step.  What
+    grows is solve_riccati's Sigma*, G and nodes (104 B per node),
+    gain_schedule's P and K (96 B) and its one estimate transfer per 64-step
+    block (25 B per step), and the sampler's step indices."""
     peaks = []
     for t_final in (5.0, 50.0):
         cfg = small_config()
         cfg["sim"]["n_paths"] = 256
         cfg["filter"].update(dt=0.005, t_final=t_final)
-        config = load_config(cfg)
-        tracemalloc.start()
-        try:
-            cli.cmd_filter(config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_traced_peak(cli.cmd_filter, load_config(cfg))[1])
     per_step = (peaks[1] - peaks[0]) / 9000
-    assert per_step < 1e3, f"traced peaks {peaks} bytes, {per_step:.0f} B per step"
+    assert per_step < 280, f"traced peaks {peaks} bytes, {per_step:.0f} B per step"
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -717,14 +728,14 @@ def test_riccati_limit_detects_a_coefficient_off_by_1e_3(monkeypatch, name):
 
 def test_filter_gate_detects_an_inflated_filter_covariance(monkeypatch):
     """The gate's reference P scaled by 1.3 fails covariance_consistency; the
-    gains and estimate maps, and so the estimates, are left as they are."""
-    schedule = cli.gain_schedule
+    estimates are left as they are."""
+    streamed = cli.filter_paths
 
     def inflated(*args, **kwargs):
-        covs, gains, maps = schedule(*args, **kwargs)
-        return 1.3 * covs, gains, maps
+        z_p, x_o, x_hat, covs = streamed(*args, **kwargs)
+        return z_p, x_o, x_hat, 1.3 * covs
 
-    monkeypatch.setattr(cli, "gain_schedule", inflated)
+    monkeypatch.setattr(cli, "filter_paths", inflated)
     report, _ = cli.cmd_filter(load_config(DEFAULT_CONFIG))
     cov = report["checks"]["covariance_consistency"]
     assert cov["passed"] is False

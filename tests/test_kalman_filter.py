@@ -394,20 +394,21 @@ def test_run_filter_ensemble_keeps_requested_nodes():
 @pytest.mark.parametrize("n_paths", [2, 257, 600])
 def test_streamed_filter_is_the_whole_ensemble_route(n_paths):
     """filter_paths, which filters each sampler block as it arrives, gives
-    bitwise the estimates, x_o and z_p at the kept nodes of simulate_paths
-    followed by run_filter_ensemble.  150 steps end in a part block; 257 paths
-    leave a lone path in the last chunk, 600 a part chunk."""
+    bitwise the estimates, x_o and z_p at the kept nodes and P at every node
+    of simulate_paths followed by run_filter_ensemble.  150 steps end in a
+    part block; 257 paths leave a lone path in the last chunk, 600 a part
+    chunk."""
     model = build_augmented(BIASED_PLANT, BIASED_OBS)
     config = SimConfig(dt=0.02, t_final=3.0, n_paths=n_paths, seed=12)
     assert config.n_steps == 150
     keep = [0, 15, 63, 64, 65, 128, 130, 150]
-    z_p, x_o, x_hat = filter_paths(model, config, gain_schedule(model, time_grid(config)),
-                                   keep)
+    z_p, x_o, x_hat, covs = filter_paths(model, config, keep)
     ens = simulate_paths(model, config)
-    whole = run_filter_ensemble(model, ens.times, ens.dz, keep=keep)[0]
+    whole, whole_covs, _ = run_filter_ensemble(model, ens.times, ens.dz, keep=keep)
     np.testing.assert_array_equal(z_p, ens.z_p)
     np.testing.assert_array_equal(x_o, ens.x_o[:, keep])
     np.testing.assert_array_equal(x_hat, whole)
+    np.testing.assert_array_equal(covs, whole_covs)
 
 
 def test_ensemble_estimates_do_not_depend_on_how_many_records_are_filtered():
@@ -419,14 +420,6 @@ def test_ensemble_estimates_do_not_depend_on_how_many_records_are_filtered():
     for n in (1, 2, 300):
         np.testing.assert_array_equal(run_filter_ensemble(model, ens.times, ens.dz[:n])[0],
                                       full[:n], err_msg=f"{n} records")
-
-
-def test_filter_paths_rejects_a_schedule_for_another_grid():
-    model = build_augmented(PLANT, OBS)
-    config = SimConfig(dt=0.02, t_final=1.0, n_paths=2, seed=1)
-    schedule = gain_schedule(model, np.arange(40) * 0.02)
-    with pytest.raises(ValueError, match="schedule covers 39 steps, the sampler 50"):
-        filter_paths(model, config, schedule, [50])
 
 
 def _scalar_records(n_paths, dt, t_final, seed):
@@ -490,6 +483,37 @@ def test_estimates_carry_across_block_boundaries():
         g = gains[k, :, 0]
         x_hat = x_hat @ (phi - np.outer(g, psi)).T + np.outer(ens.dz[:, k], g)
         np.testing.assert_allclose(batch[:, k + 1], x_hat, rtol=0.0, atol=1e-12)
+
+
+def test_filter_on_an_uneven_grid_matches_a_per_step_loop():
+    """150 random steps of 1, 2 or 3 units of 2^-6 cross two 64-step block
+    boundaries and end in a part block, so the schedule reuses each step
+    length's chain across blocks.  The estimates (within 1e-12) and P
+    (within 1e-12 relative) equal a per-step Kalman filter built from
+    reference.sampler_step, which does not go through sde_engine."""
+    model = build_augmented(BIASED_PLANT, BIASED_OBS)
+    rng = np.random.default_rng(24)
+    times = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size=150))]) * 2.0 ** -6
+    steps = np.diff(times)
+    assert np.unique(steps).size == 3
+    dz = rng.standard_normal((4, steps.size)) * np.sqrt(steps)
+    batch, covs, _ = run_filter_ensemble(model, times, dz)
+    x_hat = np.broadcast_to(model.x0_mean, (len(dz), 3))
+    cov = model.sigma0
+    np.testing.assert_array_equal(batch[:, 0], x_hat)
+    np.testing.assert_array_equal(covs[0], cov)
+    noise = np.zeros((4, 4))
+    for k, h in enumerate(steps):
+        phi, psi, noise_cov = sampler_step(model, h)
+        noise[1:, 1:] = noise_cov
+        t_x = np.vstack([phi, psi])
+        joint = t_x @ cov @ t_x.T + noise
+        gain = joint[:3, 3] / joint[3, 3]
+        cov = joint[:3, :3] - np.outer(gain, joint[3, :3])
+        x_hat = x_hat @ phi.T + np.outer(dz[:, k] - x_hat @ psi, gain)
+        np.testing.assert_allclose(batch[:, k + 1], x_hat, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(covs[k + 1], cov, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(cov)))
 
 
 def test_error_covariance_optimal_gain_reproduces_riccati():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .export import write_csv
-from .spin_algebra import PAULI, _checked_grid, _frozen, _integer, _real
+from .spin_algebra import _THETA, PAULI, _checked_grid, _frozen, _integer, _real
 
 __all__ = [
     "FockConfig",
@@ -179,19 +179,6 @@ def joint_initial_state(rho_p, n_trunc: int, alpha: complex = 0.0) -> JointState
     vec = coherent_state(int(n_trunc) + 1, alpha)
     return JointState(np.kron(rho_p, np.outer(vec, vec.conj())))
 
-
-# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), as tabulated
-# in scipy.sparse.linalg._expm_multiply: m Taylor terms of exp(tau A) meet
-# double-precision backward error whenever tau |A|_1 <= theta_m.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 
 # Stored nodes propagated per block: the states of one block are the only
 # density matrices alive at once, so memory does not grow with n_t.

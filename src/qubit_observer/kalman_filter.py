@@ -51,7 +51,7 @@ from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
 from .sde_engine import (_CHECK_EVERY, SimConfig, _kept_blocks, record_chain,
                          sample_blocks, time_grid)
-from .spin_algebra import _frozen
+from .spin_algebra import _frozen, expm
 
 __all__ = [
     "LinearModel",
@@ -139,8 +139,6 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     Raises RuntimeError with the first bad step and its time if X is
     singular or the covariance turns non-finite.
     """
-    from scipy.linalg import expm
-
     grid = _check_grid(grid)
     n = model.n
     ham = _hamiltonian(model)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
-from .spin_algebra import _checked_grid, _integer
+from .spin_algebra import _checked_grid, _integer, expm
 
 __all__ = [
     "SimConfig",
@@ -116,8 +116,6 @@ def exact_lti_step(a, b, dt: float) -> tuple:
     whatever dt.  The discrete chain x_{k+1} = transition x_k + N(0, noise_cov)
     matches the continuous marginals exactly for any dt.
     """
-    from scipy.linalg import expm
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -144,13 +142,15 @@ def record_chain(model: LinearModel, h: float) -> tuple:
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor L with L L^T = cov for a symmetric PSD matrix, rank-deficiency allowed."""
+    """Factor L with L L^T = cov for a symmetric PSD matrix, rank-deficiency
+    allowed; eigenvalues below zero by up to 1e-10 of the largest (or of 1)
+    are roundoff and are clipped."""
     cov = 0.5 * (cov + cov.T)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(cov)
-        if w.min() < -1e-10:
+        if w.min() < -1e-10 * max(1.0, w.max()):
             raise ValueError(f"covariance not PSD (min eig {w.min():.3e})") from None
         return v * np.sqrt(np.clip(w, 0.0, None))
 

@@ -3,9 +3,12 @@
 Pauli matrices, the skew-symmetric map that encodes their commutators, the
 drift generator induced by a Hamiltonian linear in the spin operators, and
 the first two moments of the measured spin combination for a given density
-matrix.  Everything here is finite 2x2 / 3x3 arithmetic with no approximation
-beyond floating point.  It imports nothing from the package, so it also holds
-the field rules that the config, sampler and oracle dataclasses share.
+matrix.  The spin algebra is finite 2x2 / 3x3 arithmetic with no
+approximation beyond floating point.  The module imports nothing from the
+package, so it also holds the field rules that the config, sampler and
+oracle dataclasses share, and the Taylor degree table that the oracle's
+propagator shares with expm, the small matrix exponential of the sampler
+and the filter.
 """
 
 import math
@@ -19,6 +22,7 @@ __all__ = [
     "theta",
     "plant_generator",
     "qubit_moments",
+    "expm",
 ]
 
 
@@ -75,6 +79,61 @@ def _checked_grid(dt, t_final) -> tuple:
     if t_final / dt > 1e8:
         raise ValueError("t_final/dt exceeds the 1e8 step guard")
     return dt, t_final
+
+
+# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), as tabulated
+# in scipy.sparse.linalg._expm_multiply: m Taylor terms of exp(A) meet
+# double-precision backward error whenever A's norm (or the alpha of expm)
+# is at most theta_m.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+# expm's highest Taylor degree (theta 3.54); its alpha needs p <= 6
+_EXPM_DEGREE = 30
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) for a small dense real square matrix: a Taylor polynomial of
+    a / 2^s squared s times (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    31(3), 2009).
+
+    With d_k = |a^k|_1^(1/k) from exact powers, k <= 7, degree m (a key of
+    _THETA) is accurate for s = max(0, ceil(log2(alpha_m / theta_m))), where
+    alpha_m = min(d_1, max(d_p, d_(p+1)) over p >= 2 with p (p - 1) <= m + 1).
+    The plan with the fewest squarings, then the lowest degree, is summed by
+    Horner.  The norms of powers, not |a|_1, keep s small for a generator
+    whose large entries are nearly nilpotent, such as record_chain's record
+    rows.  Degrees stop at _EXPM_DEGREE: near theta_55 = 9.9 Horner's sum
+    cancels terms of e^9.9 and loses 1e-13 on a rotation.  A zero matrix
+    gives the identity exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+    power = a
+    d = [np.abs(a).sum(axis=0).max()]
+    for k in range(2, 8):
+        power = power @ a
+        d.append(np.abs(power).sum(axis=0).max() ** (1.0 / k))
+    plans = []
+    for m, theta in _THETA.items():
+        if m > _EXPM_DEGREE:
+            break
+        alpha = min([d[0]] + [max(d[p - 1], d[p]) for p in range(2, 7) if p * (p - 1) <= m + 1])
+        plans.append((math.ceil(math.log2(alpha / theta)) if alpha > theta else 0, m))
+    s, m = min(plans)
+    scaled = a / 2.0 ** s
+    out = eye
+    for k in range(m, 0, -1):
+        out = eye + scaled @ out / k
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 # The three 2x2 spin matrices at time zero, read-only.

@@ -535,12 +535,8 @@ def test_empty_formats_write_report_json_and_no_csv(tmp_path):
 
 
 def _traced_peak(command, config) -> tuple:
-    """command(config) and its traced peak in bytes.  scipy.linalg, which
-    simulate and filter import at their first expm, is loaded first, so the
-    peak is the run's alone whichever test runs first."""
+    """command(config) and its traced peak in bytes."""
     import tracemalloc
-
-    import scipy.linalg  # noqa: F401
 
     tracemalloc.start()
     try:
@@ -650,22 +646,33 @@ def test_filter_peak_does_not_grow_with_the_horizon():
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
-def test_analyze_and_oracle_import_no_scipy():
-    """analyze and oracle run on numpy alone: in a fresh process, importing the
-    CLI, loading the default config and running both commands leaves no scipy
-    module loaded.  simulate and filter import scipy at their first expm."""
-    code = ("import sys\n"
-            "from qubit_observer.cli import cmd_analyze, cmd_oracle, load_config\n"
-            "config = load_config(sys.argv[1])\n"
-            "assert cmd_analyze(config)['passed'] and cmd_oracle(config)[0]['passed']\n"
+def test_no_command_imports_scipy(tmp_path):
+    """Every command runs on numpy alone: in a fresh process, running analyze,
+    oracle, filter and filter --self-test on the default config, and simulate
+    with and without paths.csv, through cli.main leaves no scipy module
+    loaded."""
+    json_only = json.loads(DEFAULT_CONFIG.read_text())
+    json_only["outputs"]["formats"] = ["json"]
+    json_only = write_config(tmp_path, json_only, "json_only.json")
+    default = str(DEFAULT_CONFIG)
+    runs = [["analyze", "--config", default], ["oracle", "--config", default],
+            ["filter", "--config", default], ["filter", "--self-test", "--config", default],
+            ["simulate", "--config", default], ["simulate", "--config", json_only]]
+    argv = [run + ["--out", str(tmp_path / str(k))] for k, run in enumerate(runs)]
+    code = ("import json, sys\n"
+            "from qubit_observer.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    assert main(args) == 0, args\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code, str(DEFAULT_CONFIG)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "4" / "paths.csv").exists()
+    assert not (tmp_path / "5" / "paths.csv").exists()
 
 
 @pytest.mark.parametrize("seed", [62, 388])

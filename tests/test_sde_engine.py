@@ -7,8 +7,8 @@ import pytest
 
 from qubit_observer.model_builder import (AugmentedModel, ObserverSpec,
                                           build_augmented, steady_state_mean)
-from qubit_observer.sde_engine import (SimConfig, ensemble_mean_cov,
-                                       exact_lti_step, sample_blocks,
+from qubit_observer.sde_engine import (SimConfig, _psd_factor, ensemble_mean_cov,
+                                       exact_lti_step, record_chain, sample_blocks,
                                        simulate_paths, time_grid, two_point_law,
                                        write_paths_csv)
 from qubit_observer.spin_algebra import PlantSpec
@@ -363,15 +363,20 @@ def test_every_node_kept_is_the_default_run():
     assert tail.dz.shape == (70, 0)
 
 
+def _unstable_model():
+    """The pinned plant's model with the quadratures' drift block set to +2 I."""
+    model = build_augmented(PINNED, OBS)
+    a = model.A.copy()
+    a[1:, 1:] = 2.0 * np.eye(2)
+    return AugmentedModel(A=a, B=model.B, C=model.C, D=model.D,
+                          x0_mean=model.x0_mean, sigma0=model.sigma0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unstable_run_raises():
     """A drift block of +2 I grows the state by e^(2 dt) per step until it
     overflows; the finiteness check turns that into a RuntimeError."""
-    model = build_augmented(PINNED, OBS)
-    a = model.A.copy()
-    a[1:, 1:] = 2.0 * np.eye(2)
-    unstable = AugmentedModel(A=a, B=model.B, C=model.C, D=model.D,
-                              x0_mean=model.x0_mean, sigma0=model.sigma0)
+    unstable = _unstable_model()
     config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
     with pytest.raises(RuntimeError, match="non-finite state"):
         simulate_paths(unstable, config)
@@ -394,14 +399,32 @@ def test_unstable_run_on_a_partial_keep_raises():
     """Stepping straight between kept nodes keeps the finiteness check: the
     +2 I drift overflows within the gaps of 50 time units, and the error
     names the path and the grid step of the block's end."""
-    model = build_augmented(PINNED, OBS)
-    a = model.A.copy()
-    a[1:, 1:] = 2.0 * np.eye(2)
-    unstable = AugmentedModel(A=a, B=model.B, C=model.C, D=model.D,
-                              x0_mean=model.x0_mean, sigma0=model.sigma0)
+    unstable = _unstable_model()
     config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
     with pytest.raises(RuntimeError, match=r"path \d+ produced a non-finite state near step 1000"):
         simulate_paths(unstable, config, keep=[100, 500, 1000])
+
+
+def test_psd_factor_tolerance_is_relative(monkeypatch):
+    """The unstable model's live noise covariance over a 50-unit gap has
+    eigenvalues near 1e87 and a third at roundoff, about 1e71 of either
+    sign.  Given -1e-16 of the largest there, as roundoff can leave it, the
+    eigenvalue route that serves where Cholesky fails accepts it, where an
+    absolute tolerance refused it; -1e-6 of the largest is still refused."""
+    cov = record_chain(_unstable_model(), 50.0)[1][1:, 1:]
+    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+    assert w[-1] > 1e86 and abs(w[0]) <= 1e-15 * w[-1]
+
+    def fails(_):
+        raise np.linalg.LinAlgError
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    w[0] = -1e-16 * w[-1]
+    factor = _psd_factor((v * w) @ v.T)
+    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+    w[0] = -1e-6 * w[-1]
+    with pytest.raises(ValueError, match="covariance not PSD"):
+        _psd_factor((v * w) @ v.T)
 
 
 def test_stats_only_peak_is_flat_in_the_horizon():

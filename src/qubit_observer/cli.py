@@ -121,14 +121,15 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
     """Monte Carlo run: paths plus ensemble-vs-steady-state comparison.
 
     The report reads only the terminal node, so unless paths.csv is wanted
-    the sampler takes one exact step per path, from node 0 straight to it,
-    and the returned ensemble holds that node alone.  Its statistics then
-    differ in value from a run with paths.csv, which steps every node; z_p,
-    and so the group counts, do not.
+    the sampler takes one exact step per path, a stride of n_steps from
+    node 0 straight to the terminal node, and the returned ensemble holds
+    those two nodes alone.  Its statistics then differ in value from a run
+    with paths.csv, which steps every node; z_p, and so the group counts, do
+    not.
     """
     model = build_augmented(config.plant, config.observer)
-    keep = None if "csv" in config.outputs.formats else [config.sim.n_steps]
-    ens = simulate_paths(model, config.sim, keep=keep)
+    stride = 1 if "csv" in config.outputs.formats else config.sim.n_steps
+    ens = simulate_paths(model, config.sim, stride)
     mean_map = steady_state_mean(config.observer) @ config.observer.beta
 
     terminal = ens.x_o[:, -1]

@@ -103,19 +103,21 @@ def write_csv(path, header, blocks) -> None:
     Every row reads as one FLOAT_FMT field per header column, comma-separated,
     LF line ends.  blocks needs only len() and indexing, so a caller can hand
     in a lazy view whose blocks are built on access.  Every block is checked
-    before the file is opened: a non-finite value raises ValueError and no
-    file is created.  With at least two blocks and two usable CPUs, the blocks
-    are cut into one contiguous range per worker (_worker_count); the parent
-    renders the first range into path while forked children render the others
-    into anonymous temporary files beside it, then the parent reaps them and
-    appends their bytes in order.  If anything fails, every child is killed
-    and reaped and the partly written file is removed.
+    before the file is opened: a non-finite value raises ValueError naming
+    the block's index, and no file is created.  With at least two blocks and
+    two usable CPUs, the blocks are cut into one contiguous range per worker
+    (_worker_count); the parent renders the first range into path while
+    forked children render the others into anonymous temporary files beside
+    it, then the parent reaps them and appends their bytes in order.  If
+    anything fails, every child is killed and reaped and the partly written
+    file is removed.
     """
     for i in range(len(blocks)):
         block = np.asarray(blocks[i], dtype=float)
         finite = np.isfinite(block)
         if not finite.all():
-            raise ValueError(f"non-finite value in output: {float(block[~finite][0])!r}")
+            raise ValueError(f"non-finite value in output: {float(block[~finite][0])!r} "
+                             f"in block {i}")
     workers = _worker_count(len(blocks))
     cuts = [len(blocks) * w // workers for w in range(workers + 1)]
     spills, pids = [], []

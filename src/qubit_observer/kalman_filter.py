@@ -38,9 +38,9 @@ sampler's blocks as they arrive, each already holding its steps'
 increments (filter_paths, which forms the schedule of the sampler's own
 grid).  filter_paths holds one sampler block of one chunk plus n_paths
 values per kept node, on top of the schedule: P_k and the gains at every
-step and one transfer per block.  Which nodes are kept, and where, is
-sde_engine._kept_blocks' rule.  riccati.csv is rendered as one block by
-export.write_csv, like every CSV artifact.
+step and one transfer per block.  Which nodes are kept, and where they fall
+in the blocks, is _kept_blocks' rule, for both routes.  riccati.csv is
+rendered as one block by export.write_csv, like every CSV artifact.
 """
 
 from dataclasses import dataclass
@@ -49,8 +49,7 @@ import numpy as np
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
-from .sde_engine import (_CHECK_EVERY, SimConfig, _kept_blocks, record_chain,
-                         sample_blocks, time_grid)
+from .sde_engine import _CHECK_EVERY, SimConfig, record_chain, sample_blocks, time_grid
 from .spin_algebra import _frozen, expm
 
 __all__ = [
@@ -98,6 +97,30 @@ def _check_grid(grid) -> np.ndarray:
             or np.any(np.diff(grid) <= 0.0)):
         raise ValueError("grid must be strictly increasing with >= 2 points")
     return grid
+
+
+def _kept_blocks(keep, n_steps: int) -> tuple:
+    """Where the nodes keep lists fall in the sampler's blocks of steps.
+
+    keep, by default every node, must be a non-empty, strictly increasing
+    1-d integer sequence in [0, n_steps]: ValueError naming keep otherwise.
+    Returns keep as an index array and, for each _CHECK_EVERY-step block from
+    node b0 in turn, (lo, hi, rows): keep[lo:hi] are the block's kept nodes,
+    so their slots are consecutive, and rows their rows in the block's
+    states, whose row 0 is node b0 (the previous block's last node, so it
+    counts here only when b0 is 0).
+    """
+    keep = np.arange(n_steps + 1) if keep is None else np.asarray(keep)
+    if (keep.ndim != 1 or keep.size < 1 or keep.dtype.kind not in "iu"
+            or keep[0] < 0 or keep[-1] > n_steps or np.any(np.diff(keep) <= 0)):
+        raise ValueError(f"keep must be strictly increasing node indices in "
+                         f"[0, {n_steps}]; got {keep!r}")
+    blocks = []
+    for b0 in range(0, n_steps, _CHECK_EVERY):
+        n = min(_CHECK_EVERY, n_steps - b0)
+        lo, hi = np.searchsorted(keep, (b0 + (b0 > 0), b0 + n + 1))
+        blocks.append((lo, hi, keep[lo:hi] - b0))
+    return keep, blocks
 
 
 def _hamiltonian(model: LinearModel) -> np.ndarray:
@@ -185,7 +208,7 @@ def gain_schedule(model: LinearModel, times, keep=None) -> tuple:
     record increments in step order, with T_0 = [I, 0] and T_{j+1} =
     (Phi - K Psi) T_j plus K in step j's columns; the same walk forms P, K
     and T_j.  T_j is kept for each of the block's rows j (keep, checked and
-    laid out by sde_engine._kept_blocks) and for the block's end j = s.
+    laid out by _kept_blocks) and for the block's end j = s.
     Returns keep as an index array, P at every node (n_t, n, n), K over
     every step (n_t - 1, n, p) and, per block, (lo, hi, rows, transfer):
     the block's slots lo:hi, its rows and the T_j^T stacked in row order as

@@ -14,17 +14,15 @@ which is what makes the record informative for filtering.  The sampler,
 sample_blocks, is one linear recursion driven by seeded RNG streams (plant
 values and initial quadratures in path order, noise one stream per chunk
 of paths), and hands out its live states, each with the record increment
-of the step that ends there, one block of steps of one chunk of paths at a
-time.  It steps between the grid nodes its caller lists: every node when
-every step's record increment is needed (paths.csv, the filter), otherwise
-node 0 and the kept nodes alone, one exact step per gap, since the chain's
-law over any interval is one exponential away.  Each block's noise is
-drawn just before the block is stepped, and its consumers (simulate_paths
-here, kalman_filter.filter_paths) take what they need from each block as
-it arrives and store only the nodes their caller keeps, as _kept_blocks
-lays them out on the sampler's own steps, so they need memory for one
-block of one chunk plus n_paths values per kept node, whatever the step
-count.
+of the step that ends there, one block of _CHECK_EVERY steps of one chunk
+of paths at a time.  It steps one fixed stride of grid steps: every node
+when every step's record increment is needed (paths.csv, the filter), or
+straight from node 0 to the last when only that node is (a simulate
+without paths.csv), since the chain's law over any interval is one
+exponential away.  Each block's noise is drawn just before the block is
+stepped, and its consumers (simulate_paths here, kalman_filter.filter_paths)
+take what they need from each block as it arrives, so the sampler's own
+memory is one block of one chunk, whatever the step count.
 """
 
 import math
@@ -84,12 +82,12 @@ class SimConfig:
 class Ensemble:
     """Sampled paths as arrays, one row per path, all on the nodes ``times``.
 
-    ``times`` is the simulation grid, or the sub-grid of the nodes the caller
-    kept.  ``z_p[i]`` is the realized plant value of path i (constant in
-    time), ``x_o[i, k]`` its observer quadratures at ``times[k]`` and, on the
-    full grid, ``dz[i, k]`` its homodyne record increment over the step from
-    ``times[k]``.  Shapes: times (n_t,), z_p (n_paths,), x_o (n_paths, n_t, 2),
-    dz (n_paths, n_t - 1) on the full grid and (n_paths, 0) on a sub-grid.
+    ``times`` is the simulation grid, or every stride-th node of it.
+    ``z_p[i]`` is the realized plant value of path i (constant in time),
+    ``x_o[i, k]`` its observer quadratures at ``times[k]`` and ``dz[i, k]``
+    its homodyne record increment from ``times[k]`` to ``times[k + 1]``.
+    Shapes: times (n_t,), z_p (n_paths,), x_o (n_paths, n_t, 2),
+    dz (n_paths, n_t - 1).
     """
 
     times: np.ndarray
@@ -185,52 +183,31 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def _checked_nodes(nodes, n_steps: int, name: str = "keep") -> np.ndarray:
-    """nodes, by default every node, as an index array; ValueError naming
-    ``name`` unless it is a non-empty, strictly increasing 1-d integer
-    sequence in [0, n_steps]."""
-    nodes = np.arange(n_steps + 1) if nodes is None else np.asarray(nodes)
-    if (nodes.ndim != 1 or nodes.size < 1 or nodes.dtype.kind not in "iu"
-            or nodes[0] < 0 or nodes[-1] > n_steps or np.any(np.diff(nodes) <= 0)):
-        raise ValueError(f"{name} must be strictly increasing node indices in "
-                         f"[0, {n_steps}]; got {nodes!r}")
-    return nodes
+def _checked_stride(stride, n_steps: int) -> int:
+    """stride as an int; ValueError naming it unless it is a positive
+    integer dividing n_steps."""
+    stride = _integer("stride", stride)
+    if stride < 1 or n_steps % stride:
+        raise ValueError(f"stride must be a positive integer dividing n_steps = "
+                         f"{n_steps}; got {stride}")
+    return stride
 
 
-def _kept_blocks(keep, n_steps: int) -> tuple:
-    """Where the nodes keep lists fall in the sampler's blocks of steps.
-
-    keep, by default every node, is checked by _checked_nodes.  Returns keep
-    as an index array and, for each _CHECK_EVERY-step block from node b0 in
-    turn, (lo, hi, rows): keep[lo:hi] are the block's kept nodes, so their
-    slots are consecutive, and rows their rows in the block's states, whose
-    row 0 is node b0 (the previous block's last node, so it counts here only
-    when b0 is 0).  Nodes and steps here are the sampler's own.
-    """
-    keep = _checked_nodes(keep, n_steps)
-    blocks = []
-    for b0 in range(0, n_steps, _CHECK_EVERY):
-        n = min(_CHECK_EVERY, n_steps - b0)
-        lo, hi = np.searchsorted(keep, (b0 + (b0 > 0), b0 + n + 1))
-        blocks.append((lo, hi, keep[lo:hi] - b0))
-    return keep, blocks
-
-
-def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
+def sample_blocks(model: AugmentedModel, config: SimConfig, stride: int = 1):
     """Sample the reduced model's paths, handing out one block of steps at a time.
 
-    The sampler steps between the grid nodes ``nodes`` lists, strictly
-    increasing from node 0, by default every node.  Over a gap of g grid
-    steps the live state s = (x_o, dz) follows one linear recursion
+    The sampler takes n_steps // stride steps of stride grid steps each, a
+    positive divisor of n_steps (ValueError otherwise), from node 0.  The
+    live state s = (x_o, dz) follows one linear recursion
 
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
-    read off record_chain(model, g * dt) for the chain (z_p, x_o, record): T
-    and drift are the live rows of its transition in the x_o and z_p
-    columns, T's record column is zero, and L L^T is the live block of its
-    noise covariance, so every step has the exact joint law of the model
-    over its gap and the record entry of s_{k+1} is the record increment dz
-    over step k.  The chain is formed once per distinct gap.
+    read off record_chain(model, stride * dt) for the chain (z_p, x_o,
+    record): T and drift are the live rows of its transition in the x_o and
+    z_p columns, T's record column is zero, and L L^T is the live block of
+    its noise covariance, so every step has the exact joint law of the model
+    over stride grid steps and the record entry of s_{k+1} is the record
+    increment dz over step k.
     Paths are sampled in chunks of _CHUNK, chunk c holding paths
     c * _CHUNK onward in its columns; every chunk is _CHUNK columns wide, and
     the columns past n_paths are idle (plant value 0, zero x_o(0) draws):
@@ -250,42 +227,35 @@ def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
     z_vals, states): the chunk's paths start to stop - 1 are its first
     stop - start columns, z_vals (_CHUNK,) the plant values and states
     (n + 1, 3, _CHUNK) the live (x_o, dz) at the sampler's nodes b0 to
-    b0 + n, nodes[b0:b0 + n + 1], so states[1:, 2] holds the increments over
-    the block's n steps (states[0, 2] is 0 at node 0).  The buffers are
-    reused, so a block is valid only until the next is requested.  Each
-    block is checked for finite values before it is handed out; a
-    non-finite one raises RuntimeError naming the path and the grid step.
+    b0 + n, grid nodes b0 * stride to (b0 + n) * stride, so states[1:, 2]
+    holds the increments over the block's n steps (states[0, 2] is 0 at
+    node 0).  The buffers are reused, so a block is valid only until the
+    next is requested.  Each block is checked for finite values before it
+    is handed out; a non-finite one raises RuntimeError naming the path and
+    the grid step, (b0 + n) * stride.
     Memory is one block of one chunk, about 3 * _CHUNK * (2 _CHECK_EVERY +
     1) values with its noise, whatever the step count.
     """
     n_paths = config.n_paths
-    nodes = _checked_nodes(nodes, config.n_steps, "nodes")
-    if nodes[0] != 0:
-        raise ValueError(f"nodes must start at node 0; got {nodes!r}")
-    gaps, gap_index = np.unique(np.diff(nodes), return_inverse=True)
-    n_steps = gap_index.size
+    stride = _checked_stride(stride, config.n_steps)
+    n_steps = config.n_steps // stride
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
 
     # The live rows of the chain (x_o, r): z_p enters through its column, and
     # r's column is dropped, so each step's record entry is its increment.
-    transitions, drifts, noise_factors = [], [], []
-    for g in gaps:
-        chain, chain_cov = record_chain(model, g * config.dt)
-        chain[:, 3] = 0.0
-        transitions.append(chain[1:, 1:])
-        drifts.append(chain[1:, 0])
-        noise_factors.append(_psd_factor(chain_cov[1:, 1:]))
-    drifts, noise_factors = np.array(drifts)[:, :, None], np.array(noise_factors)
-    n_noise = noise_factors.shape[2]
+    chain, chain_cov = record_chain(model, stride * config.dt)
+    chain[:, 3] = 0.0
+    transition, drift = chain[1:, 1:], chain[1:, 0, None]
+    noise_factor = _psd_factor(chain_cov[1:, 1:])
 
     z_rng, x0_rng = (np.random.default_rng(s) for s in
                      np.random.SeedSequence(config.seed).spawn(3)[:2])
     z_vals = np.empty(_CHUNK)
     x0 = np.empty((_CHUNK, 2))
     m = min(_CHECK_EVERY, n_steps)
-    eta = np.empty((m, n_noise, _CHUNK))
+    eta = np.empty((m, noise_factor.shape[1], _CHUNK))
     noise = np.empty((m, 3, _CHUNK))
     block = np.empty((m + 1, 3, _CHUNK))
     for c, start in enumerate(range(0, n_paths, _CHUNK)):
@@ -297,58 +267,51 @@ def sample_blocks(model: AugmentedModel, config: SimConfig, nodes=None):
         x0_rng.standard_normal(out=x0[:nc])
         noise_rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(2, c)))
-        forcing = drifts * z_vals
+        forcing = drift * z_vals
         block[0, :2] = mean_o + factor_o @ x0.T
         block[0, 2] = 0.0
 
         for b0 in range(0, n_steps, _CHECK_EVERY):
             n = min(_CHECK_EVERY, n_steps - b0)
-            steps = gap_index[b0:b0 + n]
             noise_rng.standard_normal(out=eta[:n])
-            np.matmul(noise_factors[steps], eta[:n], out=noise[:n])
-            noise[:n] += forcing[steps]
-            for j, g in enumerate(steps.tolist()):
-                np.matmul(transitions[g], block[j], out=block[j + 1])
+            np.matmul(noise_factor, eta[:n], out=noise[:n])
+            noise[:n] += forcing
+            for j in range(n):
+                np.matmul(transition, block[j], out=block[j + 1])
                 block[j + 1] += noise[j]
-            _finiteness_check(block[n, :, :nc], ids, nodes[b0 + n])
+            _finiteness_check(block[n, :, :nc], ids, (b0 + n) * stride)
             yield start, stop, b0, z_vals, block[:n + 1]
             block[0] = block[n]
 
 
-def simulate_paths(model: AugmentedModel, config: SimConfig, keep=None) -> Ensemble:
+def simulate_paths(model: AugmentedModel, config: SimConfig, stride: int = 1) -> Ensemble:
     """Sample trajectories and homodyne records of the reduced model.
 
     The paths are sample_blocks' (see there for the recursion, the RNG
     streams and the chunking), and a path's values do not depend on how many
-    paths are drawn with it.  ``keep`` lists the grid nodes to return,
-    strictly increasing, as in kalman_filter.run_filter_ensemble; by default
-    every node is kept, and dz, the sampler's per-step increments, is stored
-    only then.  The sampler steps from node 0 straight to each kept node, one
-    exact step per gap, so keep=[n_steps] takes one step per path and its
-    x_o there, drawn from its exact law, differs in value from the full
-    run's.  z_p and x_o(0) are the full run's bitwise.  Only the kept nodes'
-    x_o are stored, gathered from each block as it arrives, so memory is
-    n_paths * len(keep) values plus one block of one chunk, whatever
-    n_steps.
+    paths are drawn with it.  The ensemble is returned on the nodes 0,
+    stride, ..., n_steps, with dz the record increment over each stride of
+    grid steps; stride must be a positive integer dividing n_steps
+    (ValueError otherwise), by default 1, every node.  Each sampler step is
+    one exact step of stride grid steps, so stride=n_steps takes one step
+    per path and its x_o at n_steps, drawn from its exact law, differs in
+    value from the stride-1 run's; z_p and x_o(0) are the stride-1 run's
+    bitwise.  Memory is n_paths * (3 n_steps / stride + 3) values plus one
+    block of one chunk.
     """
-    n_paths, n_steps = config.n_paths, config.n_steps
-    keep = _checked_nodes(keep, n_steps)
-    every = keep.size == n_steps + 1
-    nodes = keep if keep[0] == 0 else np.concatenate([[0], keep])
-    _, blocks = _kept_blocks(np.arange(nodes.size - keep.size, nodes.size), nodes.size - 1)
+    n_paths = config.n_paths
+    n_steps = config.n_steps // _checked_stride(stride, config.n_steps)
     z_p = np.empty(n_paths)
-    x_o = np.empty((n_paths, keep.size, 2))
-    dz = np.empty((n_paths, n_steps if every else 0))
-    for start, stop, b0, z_vals, states in sample_blocks(model, config, nodes):
-        nc = stop - start
+    x_o = np.empty((n_paths, n_steps + 1, 2))
+    dz = np.empty((n_paths, n_steps))
+    for start, stop, b0, z_vals, states in sample_blocks(model, config, stride):
+        nc, n = stop - start, len(states) - 1
         if b0 == 0:
             z_p[start:stop] = z_vals[:nc]
-        lo, hi, rows = blocks[b0 // _CHECK_EVERY]
-        x_o[start:stop, lo:hi] = states[rows, :2, :nc].transpose(2, 0, 1)
-        if every:
-            dz[start:stop, b0:b0 + len(states) - 1] = states[1:, 2, :nc].T
+        x_o[start:stop, b0:b0 + n + 1] = states[:, :2, :nc].transpose(2, 0, 1)
+        dz[start:stop, b0:b0 + n] = states[1:, 2, :nc].T
 
-    times = keep * config.dt  # time_grid(config)[keep], without the whole grid
+    times = np.arange(0, config.n_steps + 1, stride) * config.dt
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)
     return Ensemble(times=times, z_p=z_p, x_o=x_o, dz=dz)
@@ -401,19 +364,12 @@ def write_paths_csv(path, ens: Ensemble) -> None:
     """Concatenated per-path CSV: path_id, t, dz, x_o_1, x_o_2, z_p_true.
 
     Row k of a path carries the state at t_k and the record increment over
-    the step starting at t_k; the final row pads dz with 0, so ens must hold
-    every grid node (simulate_paths with keep=None): ValueError otherwise.
-    The whole ensemble is checked for finite values first, so a bad path is
-    named and no file is created.  export.write_csv then renders a lazy view
-    with one block per path, so memory does not grow with n_paths: path_id
-    and z_p_true are formatted once per path and t once per worker, only dz
-    and x_o row by row, and the paths are split across the usable CPUs.
+    the step starting at t_k; the final row pads dz with 0.  export.write_csv
+    renders a lazy view with one block per path, so memory does not grow
+    with n_paths: path_id and z_p_true are formatted once per path and t
+    once per worker, only dz and x_o row by row, and the paths are split
+    across the usable CPUs.  write_csv checks every block first, so a
+    non-finite value raises ValueError naming its block, the path's index,
+    and no file is created.
     """
-    if ens.dz.shape != (ens.z_p.size, ens.times.size - 1):
-        raise ValueError(f"paths.csv needs every node: dz has shape {ens.dz.shape}, not "
-                         f"one increment per step {(ens.z_p.size, ens.times.size - 1)}; "
-                         "simulate_paths gives it with keep=None")
-    finite = np.isfinite(ens.x_o).all(axis=(1, 2)) & np.isfinite(ens.dz).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite value in path {int(np.argmin(finite))}")
     write_csv(path, ("path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"), _PathBlocks(ens))

@@ -376,7 +376,7 @@ def test_run_filter_ensemble_rejects_dz_shape_mismatch():
 
 def test_run_filter_ensemble_keeps_requested_nodes():
     """keep returns exactly the requested slices of the full run; bad keeps
-    raise, here and in simulate_paths, which shares the rule."""
+    raise, here and in filter_paths, which shares the rule."""
     model = build_augmented(PLANT, OBS)
     config = SimConfig(dt=0.01, t_final=0.5, n_paths=5, seed=3)
     ens = simulate_paths(model, config)
@@ -388,7 +388,7 @@ def test_run_filter_ensemble_keeps_requested_nodes():
         with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
             run_filter_ensemble(model, ens.times, ens.dz, keep=bad)
         with pytest.raises(ValueError, match=r"keep must be .* in \[0, 50\]"):
-            simulate_paths(model, config, keep=bad)
+            filter_paths(model, config, bad)
 
 
 @pytest.mark.parametrize("n_paths", [2, 257, 600])

@@ -135,8 +135,8 @@ def test_record_chain_is_the_sampler_and_filter_step(omega_o, log_kappa, log_rad
        st.floats(-4.0, 1.0), st.floats(-4.0, 1.0))
 def test_record_chain_composes_exactly(omega_o, log_kappa, log_radius, angle, plant,
                                        log_a, log_b):
-    """The premise of stepping the sampler straight between kept nodes: the
-    exact chain over a + b is its steps over a then b, T(a + b) = T(b) T(a)
+    """The premise of the sampler's strides, one exact step over several
+    grid steps: the exact chain over a + b is its steps over a then b, T(a + b) = T(b) T(a)
     and W(a + b) = T(b) W(a) T(b)^T + W(b), relative to each one's largest
     entry.
 

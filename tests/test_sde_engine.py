@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qubit_observer.kalman_filter import filter_paths, run_filter_ensemble
 from qubit_observer.model_builder import (AugmentedModel, ObserverSpec,
                                           build_augmented, steady_state_mean)
 from qubit_observer.sde_engine import (SimConfig, _psd_factor, ensemble_mean_cov,
@@ -210,15 +211,15 @@ def test_paths_independent_of_ensemble_size(scheme):
 
     Every chunk is 256 columns wide, idle ones past n_paths, so every product
     has one shape: 1 and 257 paths leave one path in their last chunk, 2 and
-    300 fewer than the 600-path run does.  The same holds for a partial keep,
-    which steps straight between its nodes.
+    300 fewer than the 600-path run does.  The same holds for a stride of
+    5 grid steps.
     """
     model = build_augmented(MIXED, OBS)
-    for keep in (None, [7, 30, 50]):
+    for stride in (1, 5):
 
         def run(n_paths):
             return simulate_paths(model, SimConfig(dt=0.02, t_final=1.0, n_paths=n_paths,
-                                                   seed=123), keep=keep)
+                                                   seed=123), stride=stride)
 
         full = run(600)
         again = run(600)
@@ -228,7 +229,7 @@ def test_paths_independent_of_ensemble_size(scheme):
             part = run(n)
             for name in ("z_p", "x_o", "dz"):
                 np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[:n],
-                                              err_msg=f"{name}, n_paths={n}, keep={keep}")
+                                              err_msg=f"{name}, n_paths={n}, stride={stride}")
 
 
 def _reference_noise(config, n_rows, n_noise=3):
@@ -245,14 +246,15 @@ def _reference_noise(config, n_rows, n_noise=3):
     return eta
 
 
-def _reference_paths(model, config, transition, drift, factor):
-    """Plain per-path, per-step loop over the documented streams; each
-    step's record increment is taken directly, without the record's column."""
+def _reference_paths(model, config, transition, drift, factor, stride=1):
+    """Plain per-path, per-step loop over the documented streams, n_steps //
+    stride steps; each step's record increment is taken directly, without
+    the record's column."""
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     z_rng, x0_rng = (np.random.default_rng(s) for s in
                      np.random.SeedSequence(config.seed).spawn(3)[:2])
     factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
-    n_steps = config.n_steps
+    n_steps = config.n_steps // stride
     eta = _reference_noise(config, n_steps, factor.shape[1])
     z_p = np.empty(config.n_paths)
     x_o = np.empty((config.n_paths, n_steps + 1, 2))
@@ -302,65 +304,77 @@ def test_record_increments_are_exact_over_a_long_horizon():
     np.testing.assert_allclose(ens.dz, direct, rtol=0.0, atol=1e-14)
 
 
-def _reference_kept(model, config, keep):
-    """x_o at the kept nodes by a plain per-path loop over the documented
-    streams, one exact step of live_step(model, g dt) from node 0 to each
-    kept node, g its gap in grid steps."""
-    nodes = list(keep) if keep[0] == 0 else [0] + list(keep)
-    steps = {g: live_step(model, g * config.dt) for g in set(np.diff(nodes).tolist())}
-    support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
-    z_rng, x0_rng = (np.random.default_rng(s) for s in
-                     np.random.SeedSequence(config.seed).spawn(3)[:2])
-    factor_o = np.linalg.cholesky(model.sigma0[1:, 1:])
-    eta = _reference_noise(config, len(nodes) - 1)
-    x_o = np.empty((config.n_paths, len(nodes), 2))
-    for i in range(config.n_paths):
-        z_p = support if z_rng.random() < p_plus else -support
-        x_o[i, 0] = model.x0_mean[1:] + factor_o @ x0_rng.standard_normal(2)
-        for k, g in enumerate(np.diff(nodes)):
-            transition, drift, cov = steps[g]
-            new = (transition[:, :2] @ x_o[i, k] + drift * z_p
-                   + np.linalg.cholesky(cov) @ eta[i, k])
-            x_o[i, k + 1] = new[:2]
-    return x_o[:, len(nodes) - len(keep):]
-
-
-@pytest.mark.parametrize("n_paths,keep", [
-    (257, [0, 63, 64, 65, 128, 130]),
-    (257, [5, 64, 129, 130]),
-    (257, [0, 130]),
-    (1, [130]),
-    (1, [0, 64, 65]),
-], ids=["block-boundaries", "no-node-0", "blocks-keeping-nothing", "lone-path-terminal",
-        "lone-path"])
-def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, keep):
-    """keep stores the kept nodes' times and the full run's z_p bitwise and no
-    dz, which exists only on the full grid; x_o there is the exact chain
-    stepped from node 0 straight to each kept node, one noise row per gap, as
-    _reference_kept rebuilds it.  257 paths cross a chunk."""
+@pytest.mark.parametrize("n_paths,stride", [
+    (257, 1), (257, 5), (257, 26), (257, 130), (1, 1), (1, 5), (1, 26), (1, 130),
+], ids=["block-boundaries", "stride-5", "stride-26", "terminal", "lone-path",
+        "lone-path-stride-5", "lone-path-stride-26", "lone-path-terminal"])
+def test_kept_nodes_are_the_full_run_at_those_nodes(n_paths, stride):
+    """A stride keeps the nodes 0, stride, ..., n_steps and one dz per
+    strided step: the exact chain stepped stride grid steps at a time, one
+    noise row per step, as _reference_paths rebuilds it from
+    live_step(model, stride * dt).  z_p and x_o(0) are the stride-1 run's
+    bitwise.  257 paths cross a chunk, and stride 1 on 130 steps crosses two
+    block boundaries."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=n_paths, seed=31)
     full = simulate_paths(model, config)
-    part = simulate_paths(model, config, keep=keep)
-    np.testing.assert_array_equal(part.times, full.times[keep])
+    part = simulate_paths(model, config, stride=stride)
+    np.testing.assert_array_equal(part.times, full.times[::stride])
     np.testing.assert_array_equal(part.z_p, full.z_p)
-    want = _reference_kept(model, config, keep)
-    assert np.max(np.abs(part.x_o - want)) <= 1e-13 * np.max(np.abs(want))
-    assert part.dz.shape == (n_paths, 0)
+    np.testing.assert_array_equal(part.x_o[:, 0], full.x_o[:, 0])
+    transition, drift, cov = live_step(model, stride * config.dt)
+    z_p, x_o, dz = _reference_paths(model, config, transition, drift,
+                                    np.linalg.cholesky(cov), stride)
+    np.testing.assert_array_equal(part.z_p, z_p)
+    for got, want in ((part.x_o, x_o), (part.dz, dz)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_every_node_kept_is_the_default_run():
-    """All nodes listed give the default run's arrays bitwise, and all but
-    node 0 (stored before the first step) its x_o there and no dz."""
+    """A stride of 1, given as an int or a numpy integer, is the default
+    run, bitwise."""
     model = build_augmented(MIXED, OBS)
     config = SimConfig(dt=0.02, t_final=2.6, n_paths=70, seed=31)
     full = simulate_paths(model, config)
-    every = simulate_paths(model, config, keep=np.arange(config.n_steps + 1))
-    for name in ("times", "z_p", "x_o", "dz"):
-        np.testing.assert_array_equal(getattr(every, name), getattr(full, name))
-    tail = simulate_paths(model, config, keep=np.arange(1, config.n_steps + 1))
-    np.testing.assert_array_equal(tail.x_o, full.x_o[:, 1:])
-    assert tail.dz.shape == (70, 0)
+    for stride in (1, np.int64(1)):
+        every = simulate_paths(model, config, stride=stride)
+        for name in ("times", "z_p", "x_o", "dz"):
+            np.testing.assert_array_equal(getattr(every, name), getattr(full, name))
+
+
+@pytest.mark.parametrize("stride", [0, -1, 7, True, 2.5])
+def test_stride_is_checked(stride):
+    """A stride that is not a positive integer dividing the 130 steps is
+    refused, naming stride, by simulate_paths and sample_blocks alike."""
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.02, t_final=2.6, n_paths=2, seed=0)
+    with pytest.raises(ValueError, match="stride must be"):
+        simulate_paths(model, config, stride=stride)
+    with pytest.raises(ValueError, match="stride must be"):
+        next(sample_blocks(model, config, stride))
+
+
+def test_strided_ensemble_writes_paths_csv_and_filters(tmp_path):
+    """A strided ensemble is an ensemble on a coarser grid: paths.csv holds
+    its nodes, and run_filter_ensemble filters it bitwise as filter_paths
+    filters the same paths sampled on that grid."""
+    model = build_augmented(MIXED, OBS)
+    config = SimConfig(dt=0.02, t_final=2.6, n_paths=3, seed=4)
+    ens = simulate_paths(model, config, stride=26)
+    out = tmp_path / "paths.csv"
+    write_paths_csv(out, ens)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1).reshape(3, 6, 6)
+    np.testing.assert_array_equal(rows[:, :, 1], np.broadcast_to(ens.times, (3, 6)))
+    np.testing.assert_array_equal(rows[:, :-1, 2], ens.dz)
+    np.testing.assert_array_equal(rows[:, :, 3:5], ens.x_o)
+    x_hat, covs, _ = run_filter_ensemble(model, ens.times, ens.dz)
+    coarse = replace(config, dt=26 * config.dt)
+    z_p, x_o, streamed, streamed_covs = filter_paths(model, coarse, np.arange(6))
+    np.testing.assert_array_equal(z_p, ens.z_p)
+    np.testing.assert_array_equal(x_o, ens.x_o)
+    np.testing.assert_array_equal(x_hat, streamed)
+    np.testing.assert_array_equal(covs, streamed_covs)
 
 
 def _unstable_model():
@@ -382,27 +396,15 @@ def test_unstable_run_raises():
         simulate_paths(unstable, config)
 
 
-@pytest.mark.parametrize("nodes,match", [
-    ([5, 10], "nodes must start at node 0"),
-    ([0, 5, 5], r"nodes must be strictly increasing node indices in \[0, 50\]"),
-    ([0, 51], r"nodes must be .* in \[0, 50\]"),
-])
-def test_sampler_nodes_are_checked(nodes, match):
-    model = build_augmented(MIXED, OBS)
-    config = SimConfig(dt=0.02, t_final=1.0, n_paths=2, seed=0)
-    with pytest.raises(ValueError, match=match):
-        next(sample_blocks(model, config, nodes))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unstable_run_on_a_partial_keep_raises():
-    """Stepping straight between kept nodes keeps the finiteness check: the
-    +2 I drift overflows within the gaps of 50 time units, and the error
-    names the path and the grid step of the block's end."""
+    """A stride keeps the finiteness check: the +2 I drift overflows within
+    ten strides of 50 time units, and the error names the path and the grid
+    step of the block's end, 10 strides of 100 steps."""
     unstable = _unstable_model()
     config = SimConfig(dt=0.5, t_final=500.0, n_paths=3, seed=0)
     with pytest.raises(RuntimeError, match=r"path \d+ produced a non-finite state near step 1000"):
-        simulate_paths(unstable, config, keep=[100, 500, 1000])
+        simulate_paths(unstable, config, stride=100)
 
 
 def test_psd_factor_tolerance_is_relative(monkeypatch):
@@ -428,7 +430,7 @@ def test_psd_factor_tolerance_is_relative(monkeypatch):
 
 
 def test_stats_only_peak_is_flat_in_the_horizon():
-    """keep=[n_steps] takes one step per path, so the traced peak of a
+    """stride=n_steps takes one step per path, so the traced peak of a
     2000-path run does not grow with the step count; one chunk's noise for
     every step would add 256 * n_steps * 3 values, 11 MB at 2000 steps."""
     model = build_augmented(MIXED, OBS)
@@ -437,7 +439,7 @@ def test_stats_only_peak_is_flat_in_the_horizon():
         config = SimConfig(dt=0.05, t_final=t_final, n_paths=2000, seed=3)
         tracemalloc.start()
         try:
-            simulate_paths(model, config, keep=[config.n_steps])
+            simulate_paths(model, config, stride=config.n_steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -484,23 +486,15 @@ def test_time_grid_and_csv_roundtrip(tmp_path):
 
 
 def test_paths_csv_rejects_non_finite(tmp_path):
+    """A NaN in path 2, in x_o or in dz, is found by export.write_csv's one
+    pass over the blocks, which names block 2, path 2's, before the file is
+    opened."""
     model = build_augmented(MIXED, OBS)
     ens = simulate_paths(model, SimConfig(dt=0.1, t_final=0.5, n_paths=3, seed=0))
-    x_o = ens.x_o.copy()
-    x_o[2, 3, 1] = np.nan
+    x_o, dz = ens.x_o.copy(), ens.dz.copy()
+    x_o[2, 3, 1] = dz[2, 4] = np.nan
     out = tmp_path / "paths.csv"
-    with pytest.raises(ValueError, match="path 2"):
-        write_paths_csv(out, replace(ens, x_o=x_o))
-    assert not out.exists()
-
-
-def test_paths_csv_rejects_an_ensemble_without_every_dz(tmp_path):
-    """A partial keep stores no dz, which paths.csv needs at every node: the
-    writer says so before any file is opened."""
-    model = build_augmented(MIXED, OBS)
-    ens = simulate_paths(model, SimConfig(dt=0.1, t_final=0.5, n_paths=3, seed=0),
-                         keep=[0, 2, 5])
-    out = tmp_path / "paths.csv"
-    with pytest.raises(ValueError, match=r"paths\.csv needs every node: dz"):
-        write_paths_csv(out, ens)
-    assert list(tmp_path.iterdir()) == []
+    for bad in (replace(ens, x_o=x_o), replace(ens, dz=dz)):
+        with pytest.raises(ValueError, match=r"non-finite value in output: nan in block 2$"):
+            write_paths_csv(out, bad)
+        assert list(tmp_path.iterdir()) == []

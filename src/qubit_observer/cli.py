@@ -22,8 +22,8 @@ from .fock_oracle import (FockTruncationError, build_operators, evolve,
                           reduced_mean_trajectory, write_oracle_csv)
 # run_filter_ensemble is not called here: perfbench/traced_cli.py wraps it by
 # this name, so the name stays.
-from .kalman_filter import (_hamiltonian, filter_paths, run_filter_ensemble,
-                            solve_riccati, write_riccati_csv)
+from .kalman_filter import (_even_grid, _hamiltonian, filter_paths,
+                            run_filter_ensemble, solve_riccati, write_riccati_csv)
 from .model_builder import (LinearModel, build_augmented, closed_loop_transfer,
                             hurwitz_check, optimal_gain, output_bias,
                             steady_state_mean)
@@ -193,10 +193,10 @@ def _filter_self_test() -> dict:
 
 def _riccati_gap(model, ricc, cov_p) -> tuple:
     """Relative gap max_k |P_k - Sigma*(t_k)| / max|Sigma*(t_k)| and its
-    tolerance RICCATI_GAP_FACTOR (|H|_2 h)^2, h the largest step."""
+    tolerance RICCATI_GAP_FACTOR (|H|_2 h)^2, h the grid's one step."""
     gap = np.max(np.abs(cov_p - ricc.sigma_star), axis=(1, 2))
     gap /= np.max(np.abs(ricc.sigma_star), axis=(1, 2))
-    h = float(np.max(np.diff(ricc.times)))
+    _, h = _even_grid(ricc.times)
     scale = float(np.linalg.norm(_hamiltonian(model), 2)) * h
     return float(gap.max()), RICCATI_GAP_FACTOR * scale ** 2
 

@@ -16,29 +16,31 @@ second moments, Gaussian or not, which is exactly the regime of the
 two-point-distributed plant variable.
 
 The model (``LinearModel``, defined in ``model_builder``) forms (D D^T)^{-1}
-and the Riccati coefficients F, Q, R once.  Sigma* is propagated exactly,
-by the linear-fractional map of the constant Hamiltonian matrix, in blocks
-of up to 64 grid steps: the running products of the steps' flows give every
-covariance of a block from one batched solve, and the next block restarts
-from the last.  Blocks are cut short so that |H|_2 h m <= 1, and grids with
-|H|_2 h > 1/2 step one node at a time.  It symmetrizes every covariance and
-aborts on non-finite values.
+and the Riccati coefficients F, Q, R once.  Every entry point takes one
+step h per grid, as the sampler does: the grid must be evenly spaced, to
+within the rounding of its nodes (_even_grid).  Sigma* is propagated
+exactly, by the linear-fractional map of the constant Hamiltonian matrix,
+in blocks of up to 64 grid steps: the powers of the one step's flow give
+every covariance of a block from one batched solve, and the next block
+restarts from the last.  Blocks are cut short so that |H|_2 h m <= 1, and
+grids with |H|_2 h > 1/2 step one node at a time.  It symmetrizes every
+covariance and aborts on non-finite values.
 The records are sampled, so the filter applied to them is the discrete
-Kalman filter of the exact sampled-data model, sde_engine.record_chain, the
-same step the sampler takes; its covariance P_k is its error covariance at
-every step length and tends to Sigma*(t_k) as the step shrinks.  Neither
-covariance is projected onto the PSD cone.  P_k, the gains and the estimate
-maps do not depend on the records.  The estimates are linear in the start
-of a block and its record increments, so the maps and gains compose into
-one transfer matrix per sampler block (64 steps), and one batched product
-carries the records over the block.  gain_schedule forms P_k, the gains and
-the transfers in one walk over the grid and keeps no per-step map.  The
-same transfers serve a whole ensemble at once (run_filter_ensemble) and the
-sampler's blocks as they arrive, each already holding its steps'
-increments (filter_paths, which forms the schedule of the sampler's own
-grid).  filter_paths holds one sampler block of one chunk plus n_paths
-values per kept node, on top of the schedule: P_k and the gains at every
-step and one transfer per block.  Which nodes are kept, and where they fall
+Kalman filter of the exact sampled-data model, sde_engine.record_chain at
+h, the same step the sampler takes; its covariance P_k is its error
+covariance at every step length and tends to Sigma*(t_k) as h shrinks.
+Neither covariance is projected onto the PSD cone.  P_k, the gains and the
+estimate maps do not depend on the records.  The estimates are linear in
+the start of a block and its record increments, so the maps and gains
+compose into one transfer matrix per sampler block (64 steps), and one
+batched product carries the records over the block.  gain_schedule forms
+P_k, the gains and the transfers in one walk over the grid and keeps no
+per-step map.  The same transfers serve a whole ensemble at once
+(run_filter_ensemble) and the sampler's blocks as they arrive, each already
+holding its steps' increments (filter_paths, which forms the schedule of
+the sampler's own grid).  filter_paths holds one sampler block of one chunk
+plus n_paths values per kept node, on top of the schedule: P_k at every
+node and one transfer per block.  Which nodes are kept, and where they fall
 in the blocks, is _kept_blocks' rule, for both routes.  riccati.csv is
 rendered as one block by export.write_csv, like every CSV artifact.
 """
@@ -91,12 +93,24 @@ def kalman_gain(model: LinearModel, sigma: np.ndarray) -> np.ndarray:
     return sigma @ model.gain_slope + model.gain_offset
 
 
-def _check_grid(grid) -> np.ndarray:
+def _even_grid(grid) -> tuple:
+    """The grid as a float array and its one step h = (t_n - t_0) / n.
+
+    The filter takes one step per grid: every node must lie within
+    4 eps max|grid| of t_0 + k h, the rounding of the nodes themselves, so
+    np.arange(n + 1) * dt and np.linspace pass and a grid of two step
+    lengths does not.  ValueError otherwise, and for fewer than 2 nodes or
+    a non-finite or non-increasing one.
+    """
     grid = np.asarray(grid, dtype=float)
-    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
-            or np.any(np.diff(grid) <= 0.0)):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
-    return grid
+    if (grid.ndim == 1 and grid.size >= 2 and np.isfinite(grid).all()
+            and np.all(np.diff(grid) > 0.0)):
+        h = (grid[-1] - grid[0]) / (grid.size - 1)
+        off = np.max(np.abs(grid - (grid[0] + np.arange(grid.size) * h)))
+        if off <= 4.0 * np.finfo(float).eps * np.max(np.abs(grid)):
+            return grid, h
+    raise ValueError("grid must be strictly increasing and evenly spaced "
+                     "with >= 2 points")
 
 
 def _kept_blocks(keep, n_steps: int) -> tuple:
@@ -148,36 +162,31 @@ def _fractional_map(xy: np.ndarray, n: int) -> np.ndarray:
 def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
     """Propagate the covariance Riccati equation exactly over the given grid.
 
-    With the constant Hamiltonian H = [[-F^T, Q], [R, F]], the flow from node
-    k to node k + j maps Sigma_k to Sigma_{k+j} = Y X^{-1}, where [X; Y] =
-    Phi_{k->k+j} [I; Sigma_k] and Phi_{k->k+j} is the product of the steps'
-    expm(H h) (Davison & Maki, IEEE TAC 18(1), 1973); expm is formed once
-    per distinct step length.  The grid is stepped in blocks of
-    m = min(64, max(1, floor(1 / (|H|_2 h_max)))) steps: the running
-    products over a block give all its covariances from one batched solve,
-    and the next block restarts from the last of them.  The bound on m keeps
-    every product within norm e; grids with |H|_2 h > 1/2 step one node at
-    a time.
+    With the constant Hamiltonian H = [[-F^T, Q], [R, F]], the flow over j
+    steps maps Sigma_k to Sigma_{k+j} = Y X^{-1}, where [X; Y] =
+    expm(H h)^j [I; Sigma_k] (Davison & Maki, IEEE TAC 18(1), 1973).  The
+    grid must be evenly spaced (_even_grid), so expm(H h) and its powers up
+    to m = min(64, max(1, floor(1 / (|H|_2 h)))) are formed once.  The grid
+    is stepped in blocks of m steps: the powers give all of a block's
+    covariances from one batched solve, and the next block restarts from the
+    last of them.  The bound on m keeps every power within norm e; grids
+    with |H|_2 h > 1/2 step one node at a time.
     Stores the symmetrized covariance and the optimal gain at every node.
     Raises RuntimeError with the first bad step and its time if X is
     singular or the covariance turns non-finite.
     """
-    grid = _check_grid(grid)
+    grid, h = _even_grid(grid)
     n = model.n
     ham = _hamiltonian(model)
-    lengths, index = np.unique(np.diff(grid), return_inverse=True)
-    span = max(np.linalg.norm(ham, 2) * lengths[-1], 1.0 / _MAX_BLOCK)
-    block = max(1, int(1.0 / span))
+    span = max(np.linalg.norm(ham, 2) * h, 1.0 / _MAX_BLOCK)
+    block = min(max(1, int(1.0 / span)), grid.size - 1)
     out = np.empty((grid.size, n, n))
     out[0] = sigma = model.sigma0
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = np.array([expm(ham * h) for h in lengths])
-        for k in range(0, index.size, block):
-            phi = flows[index[k:k + block]]
-            stride = 1
-            while stride < len(phi):  # phi[j] <- the product of steps k to k + j
-                phi[stride:] = phi[stride:] @ phi[:-stride]
-                stride *= 2
+        flow = expm(ham * h)
+        powers = np.array([np.linalg.matrix_power(flow, j) for j in range(1, block + 1)])
+        for k in range(0, grid.size - 1, block):
+            phi = powers[:grid.size - 1 - k]
             sigmas = _fractional_map(phi[:, :, :n] + phi[:, :, n:] @ sigma, n)
             bad = ~np.isfinite(sigmas).all(axis=(1, 2))
             if bad.any():
@@ -192,7 +201,8 @@ def solve_riccati(model: LinearModel, grid) -> RiccatiSolution:
 def gain_schedule(model: LinearModel, times, keep=None) -> tuple:
     """The path-independent part of the filter on a grid, formed in one pass.
 
-    Over a step h, (T, W) = sde_engine.record_chain(model, h) gives
+    Over the grid's one step h (_even_grid), (T, W) =
+    sde_engine.record_chain(model, h), formed once, gives
     x' = Phi x + w and dz = Psi x + v, Phi and Psi the state and record rows
     of T's state columns, and W = [[Q_d, S_d], [S_d^T, R_d]] the covariance
     of (w, v).
@@ -213,25 +223,22 @@ def gain_schedule(model: LinearModel, times, keep=None) -> tuple:
     every step (n_t - 1, n, p) and, per block, (lo, hi, rows, transfer):
     the block's slots lo:hi, its rows and the T_j^T stacked in row order as
     (m, n + s p, n), m = hi - lo, or hi - lo + 1 with the end last when the
-    end is not kept.  record_chain is formed once per distinct step length.
+    end is not kept.
     """
-    times = _check_grid(times)
+    times, h = _even_grid(times)
     keep, blocks = _kept_blocks(keep, times.size - 1)
     n, p = model.n, model.D.shape[0]
-    chains = {}
+    trans, w = record_chain(model, h)
+    t_x = trans[:, :n]
     covs = np.empty((times.size, n, n))
     gains = np.empty((times.size - 1, n, p))
     transfers = []
     covs[0] = cov = model.sigma0
     for b0, (lo, hi, rows) in zip(range(0, times.size - 1, _CHECK_EVERY), blocks):
-        block = np.diff(times[b0:b0 + _CHECK_EVERY + 1])
-        t = np.eye(n, n + block.size * p)
+        s = min(_CHECK_EVERY, times.size - 1 - b0)
+        t = np.eye(n, n + s * p)
         stack = [t.T] if 0 in rows else []
-        for j, h in enumerate(block):
-            if h not in chains:
-                trans, w = record_chain(model, h)
-                chains[h] = trans[:, :n], w
-            t_x, w = chains[h]
+        for j in range(s):
             # M = T P T^T + W, the covariance of (x', dz) given the earlier
             # records, holds S = M_zz and K S = M_xz; P' = M_xx - K M_zx.
             joint = t_x @ cov @ t_x.T + w
@@ -239,7 +246,7 @@ def gain_schedule(model: LinearModel, times, keep=None) -> tuple:
             covs[b0 + j + 1] = cov = _sym(joint[:n, :n] - gain @ joint[n:, :n])
             t = (t_x[:n] - gain @ t_x[n:]) @ t
             t[:, n + j * p:n + (j + 1) * p] = gain
-            if j + 1 in rows or j == block.size - 1:
+            if j + 1 in rows or j == s - 1:
                 stack.append(t.T)
         transfers.append((lo, hi, rows, np.array(stack)))
     return keep, covs, gains, transfers
@@ -263,10 +270,12 @@ def _step_estimates(x, dz, transfer, out) -> np.ndarray:
 
 
 def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
-    """Kalman-filter many records sharing one grid, exactly at any step.
+    """Kalman-filter many records sharing one evenly spaced grid, exactly.
 
-    ``dz[:, k]`` is each record's increment over the step from ``times[k]``,
-    shaped (n_paths, n_steps) for a scalar record or (n_paths, n_steps, p).
+    ``times`` must be evenly spaced (_even_grid: ValueError otherwise), as
+    simulate_paths' are at any stride.  ``dz[:, k]`` is each record's
+    increment over the step from ``times[k]``, shaped (n_paths, n_steps) for
+    a scalar record or (n_paths, n_steps, p).
     The filter is gain_schedule's, started from x0_mean; it is unbiased, and
     P_k is its exact error covariance at node k.  All records are carried
     over each 64-step block by one batched product (_step_estimates), so a
@@ -276,7 +285,7 @@ def run_filter_ensemble(model: LinearModel, times, dz, keep=None) -> tuple:
     by default all) as (n_paths, len(keep), n), P at every node as
     (n_t, n, n) and K over every step as (n_t - 1, n, p).
     """
-    times = _check_grid(times)
+    times, _ = _even_grid(times)
     dz = np.asarray(dz, dtype=float)
     if dz.ndim == 2:
         dz = dz[:, :, None]
@@ -305,9 +314,10 @@ def filter_paths(model: AugmentedModel, config: SimConfig, keep) -> tuple:
     (n_paths, len(keep), n), bitwise what simulate_paths with every node
     kept and run_filter_ensemble give, and P at every node (n_t, n, n).
     Memory is one sampler block of one chunk plus n_paths * len(keep)
-    values, on top of the schedule's.
+    values, on top of the schedule's P and transfers.
     """
-    keep, covs, _, transfers = gain_schedule(model, time_grid(config), keep)
+    keep, covs, gains, transfers = gain_schedule(model, time_grid(config), keep)
+    del gains  # never read here: not held through the sampling
     n_paths, n = config.n_paths, model.n
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, keep.size, 2))

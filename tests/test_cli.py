@@ -629,14 +629,15 @@ def test_filter_memory_is_bounded():
 
 def test_filter_peak_does_not_grow_with_the_horizon():
     """256 paths, filter.t_final 5 then 50 (1000 then 10000 steps): the traced
-    peak of cmd_filter grows by under 235 B per added step.  One chunk's
+    peak of cmd_filter grows by under 215 B per added step.  One chunk's
     noise for every step would add 256 * 3 doubles (6.1 kB) per step.  What
     grows is solve_riccati's Sigma*, G and nodes (104 B per node),
-    gain_schedule's P and K (96 B) and its one estimate transfer per 64-step
-    block (25 B per step): this reads 221 B.  A sampler that held a step or
-    node index per step read 246 B.  A first run is made and dropped, since
-    the first cmd_filter of a process also traces about 1 MB of one-time
-    imports that would hide the growth."""
+    gain_schedule's P (72 B) and its one estimate transfer per 64-step block
+    (25 B per step), while its K (24 B) is dropped before the sampling: this
+    reads 205-208 B.  Holding K through the sampling read 221 B, and a
+    sampler that held a step or node index per step read 246 B.  A first
+    run is made and dropped, since the first cmd_filter of a process also
+    traces about 1 MB of one-time imports that would hide the growth."""
     def run(t_final):
         cfg = small_config()
         cfg["sim"]["n_paths"] = 256
@@ -646,7 +647,7 @@ def test_filter_peak_does_not_grow_with_the_horizon():
     run(5.0)
     peaks = [run(5.0), run(50.0)]
     per_step = (peaks[1] - peaks[0]) / 9000
-    assert per_step < 235, f"traced peaks {peaks} bytes, {per_step:.0f} B per step"
+    assert per_step < 215, f"traced peaks {peaks} bytes, {per_step:.0f} B per step"
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"

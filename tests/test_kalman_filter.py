@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qubit_observer.kalman_filter import (LinearModel, _hamiltonian, filter_paths,
-                                          gain_schedule, kalman_gain,
+from qubit_observer import kalman_filter
+from qubit_observer.kalman_filter import (LinearModel, _even_grid, _hamiltonian,
+                                          filter_paths, gain_schedule, kalman_gain,
                                           run_filter_ensemble, solve_riccati,
                                           write_riccati_csv)
 from qubit_observer.model_builder import ObserverSpec, build_augmented
@@ -164,17 +165,6 @@ def test_solve_riccati_zero_fixed_point():
     np.testing.assert_array_equal(ricc.sigma_star, np.zeros_like(ricc.sigma_star))
 
 
-def test_solve_riccati_uneven_grid_matches_exact_solution():
-    """Every step of a sorted random grid is distinct, so every step forms its
-    own matrix exponential."""
-    model = build_augmented(PLANT, OBS)
-    inner = np.sort(np.random.default_rng(11).uniform(0.0, 5.0, 999))
-    grid = np.concatenate([[0.0], inner, [5.0]])
-    assert np.unique(np.diff(grid)).size == grid.size - 1
-    exact = hamiltonian_riccati(model, grid)
-    assert np.max(np.abs(solve_riccati(model, grid).sigma_star - exact)) < 1e-11
-
-
 def test_solve_riccati_divergence_raises():
     """dSigma/dt = 2000 Sigma + 1 (Q = 0 since D C = 0) overflows near t = 0.36;
     the propagator stops with the step and time, without numpy warnings."""
@@ -208,14 +198,14 @@ def test_solve_riccati_divergence_inside_a_block_names_the_step():
 
 def test_solve_riccati_singular_step_raises():
     """F = 1e3 and Sigma0 = 0 give X = e^{-1000 h}, which underflows to a
-    singular 0 over the second step (h = 1.5) but not the first (h = 0.5)."""
+    singular 0 over a step of h = 1.5, so the first step already fails."""
     model = LinearModel(A=np.array([[1e3]]), B=np.zeros((1, 2)), C=np.zeros((2, 1)),
                         D=np.array([[1.0, 0.0]]), x0_mean=np.zeros(1),
                         sigma0=np.zeros((1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match=r"diverged at step 1 \(t = 0\.5\)"):
-            solve_riccati(model, [0.0, 0.5, 2.0])
+        with pytest.raises(RuntimeError, match=r"diverged at step 0 \(t = 0\)"):
+            solve_riccati(model, [0.0, 1.5, 3.0])
 
 
 @pytest.mark.parametrize("observer", [
@@ -256,14 +246,66 @@ def test_solve_riccati_takes_one_solve_per_block(monkeypatch):
 
 def test_grids_with_non_finite_nodes_are_refused():
     """A NaN or infinite node fails the grid check in every filter entry point
-    instead of yielding NaN estimates or a divergence at step 0."""
+    instead of yielding NaN estimates or a divergence at step 0, and so does
+    a grid of two step lengths, since the filter takes one step per grid."""
     model = scalar_regression_model()
-    for grid in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+    for grid in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                 [0.0, 1.0, 3.0]):
         for call in (lambda: solve_riccati(model, grid),
                      lambda: gain_schedule(model, grid),
                      lambda: run_filter_ensemble(model, grid, np.zeros((2, 2)))):
             with pytest.raises(ValueError, match="grid must be strictly increasing"):
                 call()
+
+
+def test_the_grids_the_package_builds_are_even():
+    """The grid rule accepts, with their own step, the grids of SimConfig
+    (the default simulate and filter grids, the README's), a stride-5
+    ensemble's nodes, linspace grids with and without an offset, the
+    self-test grid and a 10^6-step grid.  A node moved by 16 eps max|grid|
+    is refused, so the bound stays at the rounding of the nodes."""
+    filter_config = SimConfig(dt=0.005, t_final=5.0, n_paths=1, seed=0)
+    strided = simulate_paths(build_augmented(PLANT, OBS), filter_config, stride=5).times
+    eps = np.finfo(float).eps
+    for grid, step in ((time_grid(SimConfig(dt=0.05, t_final=10.0, n_paths=1, seed=0)), 0.05),
+                       (time_grid(filter_config), 0.005),
+                       (time_grid(SimConfig(dt=0.005, t_final=2.0, n_paths=1, seed=0)), 0.005),
+                       (strided, 0.025), (np.linspace(0, 2, 401), 0.005),
+                       (np.arange(10001) * 1e-3, 1e-3), (np.linspace(1.7, 3.7, 201), 0.01),
+                       (np.arange(10 ** 6 + 1) * 0.005, 0.005)):
+        _, h = _even_grid(grid)
+        assert h == pytest.approx(step, rel=1e-12)
+        moved = grid.copy()
+        moved[1] += 16 * eps * np.max(np.abs(grid))
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            _even_grid(moved)
+
+
+def test_each_schedule_forms_one_step(monkeypatch):
+    """filter_paths and run_filter_ensemble form record_chain once, at the
+    grid's one step, and solve_riccati forms expm once.  Rounding k dt
+    makes 12 distinct step lengths on the default filter grid, and a
+    schedule formed per distinct length would form 12."""
+    calls = {"record_chain": [], "expm": []}
+    for name, log in calls.items():
+        def counted(*args, real=getattr(kalman_filter, name), log=log):
+            log.append(args)
+            return real(*args)
+        monkeypatch.setattr(kalman_filter, name, counted)
+    model = build_augmented(PLANT, OBS)
+    config = SimConfig(dt=0.005, t_final=5.0, n_paths=4, seed=3)
+    assert np.unique(np.diff(time_grid(config))).size == 12
+
+    filter_paths(model, config, [config.n_steps])
+    assert [h for _, h in calls["record_chain"]] == [config.dt]
+    calls["record_chain"].clear()
+    ens = simulate_paths(model, config, stride=5)
+    run_filter_ensemble(model, ens.times, ens.dz)
+    (_, h), = calls["record_chain"]
+    assert abs(h - 5 * config.dt) <= np.spacing(5 * config.dt)
+
+    solve_riccati(model, time_grid(config))
+    assert len(calls["expm"]) == 1
 
 
 def test_riccati_first_row_stays_zero_for_pinned_plant():
@@ -485,28 +527,24 @@ def test_estimates_carry_across_block_boundaries():
         np.testing.assert_allclose(batch[:, k + 1], x_hat, rtol=0.0, atol=1e-12)
 
 
-def test_filter_on_an_uneven_grid_matches_a_per_step_loop():
-    """150 random steps of 1, 2 or 3 units of 2^-6 cross two 64-step block
-    boundaries and end in a part block, so the schedule reuses each step
-    length's chain across blocks.  The estimates (within 1e-12) and P
-    (within 1e-12 relative) equal a per-step Kalman filter built from
-    reference.sampler_step, which does not go through sde_engine."""
+def test_filter_matches_a_per_step_loop_across_blocks():
+    """150 steps of 2^-6 cross two 64-step block boundaries and end in a part
+    block.  The estimates (within 1e-12) and P (within 1e-12 relative) equal
+    a per-step Kalman filter built from reference.sampler_step, which does
+    not go through sde_engine."""
     model = build_augmented(BIASED_PLANT, BIASED_OBS)
-    rng = np.random.default_rng(24)
-    times = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size=150))]) * 2.0 ** -6
-    steps = np.diff(times)
-    assert np.unique(steps).size == 3
-    dz = rng.standard_normal((4, steps.size)) * np.sqrt(steps)
-    batch, covs, _ = run_filter_ensemble(model, times, dz)
+    h = 2.0 ** -6
+    dz = np.random.default_rng(24).standard_normal((4, 150)) * np.sqrt(h)
+    batch, covs, _ = run_filter_ensemble(model, np.arange(151) * h, dz)
     x_hat = np.broadcast_to(model.x0_mean, (len(dz), 3))
     cov = model.sigma0
     np.testing.assert_array_equal(batch[:, 0], x_hat)
     np.testing.assert_array_equal(covs[0], cov)
+    phi, psi, noise_cov = sampler_step(model, h)
     noise = np.zeros((4, 4))
-    for k, h in enumerate(steps):
-        phi, psi, noise_cov = sampler_step(model, h)
-        noise[1:, 1:] = noise_cov
-        t_x = np.vstack([phi, psi])
+    noise[1:, 1:] = noise_cov
+    t_x = np.vstack([phi, psi])
+    for k in range(150):
         joint = t_x @ cov @ t_x.T + noise
         gain = joint[:3, 3] / joint[3, 3]
         cov = joint[:3, :3] - np.outer(gain, joint[3, :3])

@@ -193,12 +193,13 @@ def _filter_self_test() -> dict:
 
 def _riccati_gap(model, ricc, cov_p) -> tuple:
     """Relative gap max_k |P_k - Sigma*(t_k)| / max|Sigma*(t_k)| and its
-    tolerance RICCATI_GAP_FACTOR (|H|_2 h)^2, h the grid's one step."""
+    tolerance RICCATI_GAP_FACTOR (|H|_2 h)^2, h the grid's one step, as
+    Python floats, so the printed check reads plain numbers."""
     gap = np.max(np.abs(cov_p - ricc.sigma_star), axis=(1, 2))
     gap /= np.max(np.abs(ricc.sigma_star), axis=(1, 2))
     _, h = _even_grid(ricc.times)
     scale = float(np.linalg.norm(_hamiltonian(model), 2)) * h
-    return float(gap.max()), RICCATI_GAP_FACTOR * scale ** 2
+    return float(gap.max()), float(RICCATI_GAP_FACTOR * scale ** 2)
 
 
 def cmd_filter(config: ExperimentConfig, self_test: bool = False):

@@ -14,7 +14,7 @@ import numpy as np
 from .fock_oracle import FockConfig
 from .model_builder import ObserverSpec
 from .sde_engine import SimConfig
-from .spin_algebra import PlantSpec, _checked_grid, plant_generator
+from .spin_algebra import PlantSpec, _Grid, plant_generator
 
 __all__ = [
     "ConfigError",
@@ -30,17 +30,13 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class FilterSettings:
-    """Grid for the Riccati solve and the record-driven filter run; the
-    sampler runs on it too, so it is held to SimConfig's grid rule."""
+class FilterSettings(_Grid):
+    """Grid for the Riccati solve and the record-driven filter run, which the
+    sampler runs on too: spin_algebra._Grid, like the sim and oracle grids,
+    with its own defaults."""
 
     dt: float = 0.005
     t_final: float = 2.0
-
-    def __post_init__(self):
-        dt, t_final = _checked_grid(self.dt, self.t_final)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_final", t_final)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .export import write_csv
-from .spin_algebra import _THETA, PAULI, _checked_grid, _frozen, _integer, _real
+from .spin_algebra import _THETA, PAULI, _frozen, _Grid, _integer, _real, time_grid
 
 __all__ = [
     "FockConfig",
@@ -45,24 +45,25 @@ class FockTruncationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FockConfig:
-    """Truncation level and stored-node grid of the joint evolution.
+class FockConfig(_Grid):
+    """Stored-node grid (spin_algebra._Grid) and truncation level of the joint
+    evolution.
 
     The propagation is exact; dt * store_every only spaces the stored nodes,
     which are also where leakage and trace drift are checked.
     """
 
-    n_trunc: int = 20
     dt: float = 1e-3
     t_final: float = 2.5
+    n_trunc: int = 20
     leakage_threshold: float = 1e-6
     store_every: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         n_trunc = _integer("n_trunc", self.n_trunc)
         if n_trunc < 4:
             raise ValueError("n_trunc must be >= 4")
-        dt, t_final = _checked_grid(self.dt, self.t_final)
         leakage_threshold = _real("leakage_threshold", self.leakage_threshold)
         if leakage_threshold <= 0.0:
             raise ValueError("leakage_threshold must be positive")
@@ -70,14 +71,8 @@ class FockConfig:
         if store_every < 1:
             raise ValueError("store_every must be >= 1")
         object.__setattr__(self, "n_trunc", n_trunc)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_final", t_final)
         object.__setattr__(self, "leakage_threshold", leakage_threshold)
         object.__setattr__(self, "store_every", store_every)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)
@@ -290,18 +285,19 @@ def _propagate(action, rho: np.ndarray, plan: tuple, count: int) -> np.ndarray:
 def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     """Exact propagation of rho' = -i[H, rho] + L rho L^dag - (1/2){L^dag L, rho}.
 
-    The stored nodes are every config.store_every steps of config.dt plus the
-    final step.  rho is carried from node to node by truncated Taylor series
-    of the generator's exponential (Al-Mohy & Higham 2011), whose degree and
-    scaling _taylor_plan fixes once for the regular node step and once for
-    an irregular tail step, with the generator applied in matrix form to the
-    Hermitian rho (H is taken Hermitian).  The nodes are propagated in
-    blocks of whole expansions, at most _BLOCK nodes.  Each block is
-    hermitized and reduced to expectation traces, whose health entries are
-    checked at every node: a trace drift above 1e-8 per unit time raises
-    RuntimeError, leakage into the top two Fock levels above the configured
-    threshold raises FockTruncationError.  The block's last state starts the
-    next block.
+    The stored nodes are time_grid(config, config.store_every), every
+    store_every steps of the grid, plus the final node n_steps * dt when
+    store_every does not divide n_steps.  rho is carried from node to node
+    by truncated Taylor series of the generator's exponential (Al-Mohy &
+    Higham 2011), whose degree and scaling _taylor_plan fixes once for the
+    regular node step and once for that irregular tail step, with the
+    generator applied in matrix form to the Hermitian rho (H is taken
+    Hermitian).  The nodes are propagated in blocks of whole expansions, at
+    most _BLOCK nodes.  Each block is hermitized and reduced to expectation
+    traces, whose health entries are checked at every node: a trace drift
+    above 1e-8 per unit time raises RuntimeError, leakage into the top two
+    Fock levels above the configured threshold raises FockTruncationError.
+    The block's last state starts the next block.
     Returns (times, traces) over the stored nodes, the first being state.rho.
     """
     action, mu, norm = _generator(ops)
@@ -313,12 +309,10 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     regular = _taylor_plan(norm, mu, stride * dt)
     per_block = regular[0] * (_BLOCK // regular[0])
     blocks = [(regular, min(per_block, n_full - k)) for k in range(0, n_full, per_block)]
+    times = time_grid(config, stride)
     if n_steps % stride:
         blocks.append((_taylor_plan(norm, mu, (n_steps % stride) * dt), 1))
-    stored = list(range(0, n_steps + 1, stride))
-    if stored[-1] != n_steps:
-        stored.append(n_steps)
-    times = np.array([k * dt for k in stored])
+        times = np.append(times, n_steps * dt)
 
     parts = [expectations(state.rho[None], ops)]
     rho = np.asarray(state.rho)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .export import write_csv
 from .model_builder import AugmentedModel, LinearModel
-from .spin_algebra import _checked_grid, _integer, expm
+from .spin_algebra import _Grid, _integer, expm, time_grid
 
 __all__ = [
     "SimConfig",
@@ -52,8 +52,9 @@ _CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Simulation grid, ensemble size and seed."""
+class SimConfig(_Grid):
+    """Simulation grid (spin_algebra._Grid: its rule and n_steps), ensemble
+    size and seed."""
 
     dt: float = 0.01
     t_final: float = 10.0
@@ -61,21 +62,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dt, t_final = _checked_grid(self.dt, self.t_final)
+        super().__post_init__()
         n_paths = _integer("n_paths", self.n_paths)
         seed = _integer("seed", self.seed)
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_final", t_final)
         object.__setattr__(self, "n_paths", n_paths)
         object.__setattr__(self, "seed", seed)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)
@@ -94,10 +89,6 @@ class Ensemble:
     z_p: np.ndarray
     x_o: np.ndarray
     dz: np.ndarray
-
-
-def time_grid(config: SimConfig) -> np.ndarray:
-    return np.arange(config.n_steps + 1) * config.dt
 
 
 def exact_lti_step(a, b, dt: float) -> tuple:
@@ -311,7 +302,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, stride: int = 1) ->
         x_o[start:stop, b0:b0 + n + 1] = states[:, :2, :nc].transpose(2, 0, 1)
         dz[start:stop, b0:b0 + n] = states[1:, 2, :nc].T
 
-    times = np.arange(0, config.n_steps + 1, stride) * config.dt
+    times = time_grid(config, stride)
     for a in (times, z_p, x_o, dz):
         a.setflags(write=False)
     return Ensemble(times=times, z_p=z_p, x_o=x_o, dz=dz)

@@ -5,10 +5,11 @@ drift generator induced by a Hamiltonian linear in the spin operators, and
 the first two moments of the measured spin combination for a given density
 matrix.  The spin algebra is finite 2x2 / 3x3 arithmetic with no
 approximation beyond floating point.  The module imports nothing from the
-package, so it also holds the field rules that the config, sampler and
-oracle dataclasses share, and the Taylor degree table that the oracle's
-propagator shares with expm, the small matrix exponential of the sampler
-and the filter.
+package, so it also holds what the config, sampler, filter and oracle share:
+the field rules, the one uniform time grid type that the sim, filter and
+oracle sections are (_Grid) and its nodes (time_grid), and the Taylor
+degree table that the oracle's propagator shares with expm, the small
+matrix exponential of the sampler and the filter.
 """
 
 import math
@@ -23,6 +24,7 @@ __all__ = [
     "plant_generator",
     "qubit_moments",
     "expm",
+    "time_grid",
 ]
 
 
@@ -66,19 +68,41 @@ def _reals(name: str, value) -> np.ndarray:
     return out
 
 
-def _checked_grid(dt, t_final) -> tuple:
-    """(dt, t_final) as floats; ValueError unless both obey _real, 0 < dt <
-    t_final and the grid has at most 1e8 steps.  The sim, filter and oracle
-    grids share this rule."""
-    dt = _real("dt", dt)
-    t_final = _real("t_final", t_final)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_final <= dt:
-        raise ValueError("t_final must exceed dt")
-    if t_final / dt > 1e8:
-        raise ValueError("t_final/dt exceeds the 1e8 step guard")
-    return dt, t_final
+@dataclass(frozen=True)
+class _Grid:
+    """Uniform time grid: nodes t_k = k dt for k = 0 to n_steps, the nearest
+    integer to t_final / dt.
+
+    dt and t_final obey _real, 0 < dt < t_final and the grid has at most 1e8
+    steps; ValueError otherwise.  SimConfig, config.FilterSettings and
+    FockConfig are this grid, each with its own defaults.
+    """
+
+    dt: float
+    t_final: float
+
+    def __post_init__(self):
+        dt = _real("dt", self.dt)
+        t_final = _real("t_final", self.t_final)
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if t_final <= dt:
+            raise ValueError("t_final must exceed dt")
+        if t_final / dt > 1e8:
+            raise ValueError("t_final/dt exceeds the 1e8 step guard")
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_final", t_final)
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
+
+
+def time_grid(config: _Grid, stride: int = 1) -> np.ndarray:
+    """The nodes 0, stride, 2 stride, ... up to n_steps of config's grid, as
+    times k dt; the sampler's records, the filter's nodes and the oracle's
+    stored nodes all sit there."""
+    return np.arange(0, config.n_steps + 1, stride) * config.dt
 
 
 # theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), as tabulated

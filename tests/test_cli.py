@@ -19,6 +19,7 @@ from qubit_observer.export import dumps_json, write_csv, write_json
 from qubit_observer.fock_oracle import ExpectationTraces, FockConfig, write_oracle_csv
 from qubit_observer.kalman_filter import RiccatiSolution, write_riccati_csv
 from qubit_observer.sde_engine import Ensemble, SimConfig, write_paths_csv
+from qubit_observer.spin_algebra import _Grid
 
 NAN = float("nan")
 INF = float("inf")
@@ -435,6 +436,45 @@ def test_oracle_step_guard_rejects_at_load():
     cfg["oracle"] = {"dt": 1e-12, "t_final": 2.5}
     with pytest.raises(ConfigError, match=r"^oracle: t_final/dt exceeds the 1e8 step guard"):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"dt": 0.0, "t_final": 1.0}, "dt must be positive"),
+    ({"dt": -0.01, "t_final": 1.0}, "dt must be positive"),
+    ({"dt": 0.5, "t_final": 0.5}, "t_final must exceed dt"),
+    ({"dt": 0.5, "t_final": 0.25}, "t_final must exceed dt"),
+    ({"dt": 1e-9, "t_final": 1.0}, "t_final/dt exceeds the 1e8 step guard"),
+    ({"dt": NAN, "t_final": 1.0}, "dt must be a finite number"),
+    ({"dt": 0.01, "t_final": INF}, "t_final must be a finite number"),
+], ids=["dt-zero", "dt-negative", "t_final-equal", "t_final-below", "step-guard",
+        "dt-nan", "t_final-inf"])
+@pytest.mark.parametrize("section", ["sim", "filter", "oracle"])
+def test_sim_filter_and_oracle_grids_obey_one_rule(section, grid, message):
+    """Each grid section is refused with the same message after its name."""
+    cfg = small_config()
+    cfg[section].update(grid)
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert str(info.value) == f"{section}: {message}"
+
+
+def test_the_grid_sections_are_one_grid_type():
+    config = load_config(small_config())
+    for cls, section in ((SimConfig, config.sim), (FilterSettings, config.filter),
+                         (FockConfig, config.oracle)):
+        assert issubclass(cls, _Grid) and isinstance(section, _Grid)
+
+
+def test_printed_checks_hold_no_numpy_reprs(tmp_path, capsys):
+    """Every [PASS]/[FAIL] line of every command prints plain Python numbers."""
+    path = write_config(tmp_path, small_config())
+    for argv in (["analyze"], ["simulate"], ["filter"], ["filter", "--self-test"], ["oracle"]):
+        main(argv + ["--config", path, "--out", str(tmp_path / argv[0])])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("[PASS]", "[FAIL]"))]
+        assert lines, argv
+        for line in lines:
+            assert "np." not in line, line
 
 
 def test_removed_sim_scheme_key_exits_with_config_error(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """Model and filter invariants over random valid observer and plant parameters."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qubit_observer.cli import _riccati_gap
+from qubit_observer.config import FilterSettings
+from qubit_observer.fock_oracle import FockConfig, build_operators, evolve, joint_initial_state
 from qubit_observer.kalman_filter import run_filter_ensemble, solve_riccati
 from qubit_observer.model_builder import (BETA_NORM_RANGE, KAPPA_RANGE, OMEGA_O_MAX,
                                           ObserverSpec, build_augmented, closed_loop_transfer,
                                           hurwitz_check, optimal_gain,
                                           output_bias, steady_state_mean)
-from qubit_observer.sde_engine import record_chain
+from qubit_observer.sde_engine import SimConfig, record_chain, time_grid
 from qubit_observer.spin_algebra import PAULI, PlantSpec
 from reference import live_step, sampler_step
 
@@ -154,3 +156,34 @@ def test_record_chain_composes_exactly(omega_o, log_kappa, log_radius, angle, pl
     (t_a, w_a), (t_b, w_b), (t_ab, w_ab) = (record_chain(model, h) for h in (a, b, a + b))
     for got, want, bound in ((t_b @ t_a, t_ab, 1e-11), (t_b @ w_a @ t_b.T + w_b, w_ab, 1e-13)):
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-6, 1e2), st.floats(1.0, 5000.0, exclude_min=True), st.integers(1, 64))
+def test_time_grid_is_bitwise_the_former_node_formulas(dt, steps, stride):
+    """The artifacts' times rest on this: on the sim, filter and oracle grids
+    alike, time_grid is bitwise np.arange(n + 1) * dt at stride 1 and
+    np.arange(0, n + 1, stride) * dt at any stride, and evolve's stored times
+    are bitwise the oracle's former np.array([k * dt for k in stored]), stored
+    every stride-th step plus n itself when stride does not divide n."""
+    t_final = dt * steps
+    assume(dt < t_final)
+    grids = (SimConfig(dt=dt, t_final=t_final), FilterSettings(dt=dt, t_final=t_final),
+             FockConfig(dt=dt, t_final=t_final, n_trunc=4, store_every=stride))
+    n = grids[0].n_steps
+    for grid in grids:
+        assert grid.n_steps == n
+        assert _bits(time_grid(grid)) == _bits(np.arange(n + 1) * dt)
+        assert _bits(time_grid(grid, stride)) == _bits(np.arange(0, n + 1, stride) * dt)
+
+    stored = list(range(0, n + 1, stride))
+    if stored[-1] != n:
+        stored.append(n)
+    # a nearly closed joint system: the propagation is cheap at any step
+    ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 1e-9, 4)
+    times, _ = evolve(joint_initial_state(np.eye(2) / 2, 4), ops, grids[2])
+    assert _bits(times) == _bits(np.array([k * dt for k in stored]))

@@ -49,8 +49,10 @@ class FockConfig(_Grid):
     """Stored-node grid (spin_algebra._Grid) and truncation level of the joint
     evolution.
 
-    The propagation is exact; dt * store_every only spaces the stored nodes,
-    which are also where leakage and trace drift are checked.
+    The propagation is exact; the node step store_every * dt only spaces the
+    stored nodes, which are also where leakage and trace drift are checked.
+    store_every must divide n_steps (_Grid.strides, ValueError otherwise),
+    so the last stored node is t_final.
     """
 
     dt: float = 1e-3
@@ -67,12 +69,10 @@ class FockConfig(_Grid):
         leakage_threshold = _real("leakage_threshold", self.leakage_threshold)
         if leakage_threshold <= 0.0:
             raise ValueError("leakage_threshold must be positive")
-        store_every = _integer("store_every", self.store_every)
-        if store_every < 1:
-            raise ValueError("store_every must be >= 1")
+        self.strides(self.store_every, "store_every")
         object.__setattr__(self, "n_trunc", n_trunc)
         object.__setattr__(self, "leakage_threshold", leakage_threshold)
-        object.__setattr__(self, "store_every", store_every)
+        object.__setattr__(self, "store_every", int(self.store_every))
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,9 @@ def joint_initial_state(rho_p, n_trunc: int, alpha: complex = 0.0) -> JointState
     return JointState(np.kron(rho_p, np.outer(vec, vec.conj())))
 
 
-# Stored nodes propagated per block: the states of one block are the only
-# density matrices alive at once, so memory does not grow with n_t.
+# At most this many stored nodes are propagated per block, a whole number of
+# expansions: the states of one block are the only density matrices alive at
+# once, so memory does not grow with the number of nodes.
 _BLOCK = 25
 
 
@@ -286,57 +287,43 @@ def evolve(state: JointState, ops: OperatorSet, config: FockConfig) -> tuple:
     """Exact propagation of rho' = -i[H, rho] + L rho L^dag - (1/2){L^dag L, rho}.
 
     The stored nodes are time_grid(config, config.store_every), every
-    store_every steps of the grid, plus the final node n_steps * dt when
-    store_every does not divide n_steps.  rho is carried from node to node
-    by truncated Taylor series of the generator's exponential (Al-Mohy &
-    Higham 2011), whose degree and scaling _taylor_plan fixes once for the
-    regular node step and once for that irregular tail step, with the
-    generator applied in matrix form to the Hermitian rho (H is taken
-    Hermitian).  The nodes are propagated in blocks of whole expansions, at
-    most _BLOCK nodes.  Each block is hermitized and reduced to expectation
-    traces, whose health entries are checked at every node: a trace drift
-    above 1e-8 per unit time raises RuntimeError, leakage into the top two
-    Fock levels above the configured threshold raises FockTruncationError.
-    The block's last state starts the next block.
+    store_every steps of the grid up to t_final.  rho is carried from node
+    to node by truncated Taylor series of the generator's exponential
+    (Al-Mohy & Higham 2011), whose degree and scaling _taylor_plan fixes
+    once for the node step store_every * dt, with the generator applied in
+    matrix form to the Hermitian rho (H is taken Hermitian).  The nodes are
+    propagated in blocks of whole expansions, at most _BLOCK nodes.  Each
+    block is hermitized and reduced to expectation traces, whose health
+    entries are checked at every node: a trace drift above 1e-8 per unit
+    time raises RuntimeError, leakage into the top two Fock levels above the
+    configured threshold raises FockTruncationError.  The block's last state
+    starts the next block.
     Returns (times, traces) over the stored nodes, the first being state.rho.
     """
     action, mu, norm = _generator(ops)
-    dt = config.dt
-    n_steps = config.n_steps
-    stride = config.store_every
-    n_full = n_steps // stride
-    # (plan, node count) per block; an irregular tail is its own block
-    regular = _taylor_plan(norm, mu, stride * dt)
-    per_block = regular[0] * (_BLOCK // regular[0])
-    blocks = [(regular, min(per_block, n_full - k)) for k in range(0, n_full, per_block)]
-    times = time_grid(config, stride)
-    if n_steps % stride:
-        blocks.append((_taylor_plan(norm, mu, (n_steps % stride) * dt), 1))
-        times = np.append(times, n_steps * dt)
+    times = time_grid(config, config.store_every)
+    plan = _taylor_plan(norm, mu, config.store_every * config.dt)
+    per_block = plan[0] * (_BLOCK // plan[0])
 
     parts = [expectations(state.rho[None], ops)]
     rho = np.asarray(state.rho)
-    node = 1
-    for plan, count in blocks:
-        rhos = _propagate(action, rho, plan, count)
+    for k in range(1, times.size, per_block):
+        rhos = _propagate(action, rho, plan, min(per_block, times.size - k))
         rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
         part = expectations(rhos, ops)
-        drift, leak = part.trace_drift, part.leakage
-        for k in range(count):
-            t_now = times[node + k]
-            if not drift[k] <= 1e-8 * max(t_now, 1.0):
+        for t_now, drift, leak in zip(times[k:], part.trace_drift, part.leakage):
+            if not drift <= 1e-8 * max(t_now, 1.0):
                 raise RuntimeError(
-                    f"trace drift {drift[k]:.3e} at t = {t_now:.6g}; "
+                    f"trace drift {drift:.3e} at t = {t_now:.6g}; "
                     f"the generator does not preserve the trace"
                 )
-            if not leak[k] <= config.leakage_threshold:
+            if not leak <= config.leakage_threshold:
                 raise FockTruncationError(
-                    f"Fock leakage {leak[k]:.3e} exceeds {config.leakage_threshold:.1e} "
+                    f"Fock leakage {leak:.3e} exceeds {config.leakage_threshold:.1e} "
                     f"at t = {t_now:.6g}; increase n_trunc"
                 )
         parts.append(part)
         rho = rhos[-1]
-        node += count
     return times, ExpectationTraces(**{
         f.name: _frozen(np.concatenate([getattr(part, f.name) for part in parts]))
         for f in fields(ExpectationTraces)})

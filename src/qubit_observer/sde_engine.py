@@ -174,22 +174,12 @@ def _finiteness_check(x: np.ndarray, path_ids, step: int) -> None:
     )
 
 
-def _checked_stride(stride, n_steps: int) -> int:
-    """stride as an int; ValueError naming it unless it is a positive
-    integer dividing n_steps."""
-    stride = _integer("stride", stride)
-    if stride < 1 or n_steps % stride:
-        raise ValueError(f"stride must be a positive integer dividing n_steps = "
-                         f"{n_steps}; got {stride}")
-    return stride
-
-
 def sample_blocks(model: AugmentedModel, config: SimConfig, stride: int = 1):
     """Sample the reduced model's paths, handing out one block of steps at a time.
 
-    The sampler takes n_steps // stride steps of stride grid steps each, a
-    positive divisor of n_steps (ValueError otherwise), from node 0.  The
-    live state s = (x_o, dz) follows one linear recursion
+    The sampler takes n_steps // stride steps of stride grid steps each from
+    node 0; stride must divide n_steps (SimConfig.strides, ValueError
+    otherwise).  The live state s = (x_o, dz) follows one linear recursion
 
         s_{k+1} = T s_k + drift z_p + L eta_k,    eta_k ~ N(0, I),
 
@@ -228,8 +218,8 @@ def sample_blocks(model: AugmentedModel, config: SimConfig, stride: int = 1):
     1) values with its noise, whatever the step count.
     """
     n_paths = config.n_paths
-    stride = _checked_stride(stride, config.n_steps)
-    n_steps = config.n_steps // stride
+    n_steps = config.strides(stride)
+    stride = int(stride)
     support, p_plus = two_point_law(model.x0_mean[0], model.sigma0[0, 0])
     mean_o = model.x0_mean[1:, None]
     factor_o = _psd_factor(model.sigma0[1:, 1:])
@@ -282,8 +272,8 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, stride: int = 1) ->
     streams and the chunking), and a path's values do not depend on how many
     paths are drawn with it.  The ensemble is returned on the nodes 0,
     stride, ..., n_steps, with dz the record increment over each stride of
-    grid steps; stride must be a positive integer dividing n_steps
-    (ValueError otherwise), by default 1, every node.  Each sampler step is
+    grid steps; stride must divide n_steps (SimConfig.strides, ValueError
+    otherwise), by default 1, every node.  Each sampler step is
     one exact step of stride grid steps, so stride=n_steps takes one step
     per path and its x_o at n_steps, drawn from its exact law, differs in
     value from the stride-1 run's; z_p and x_o(0) are the stride-1 run's
@@ -291,7 +281,7 @@ def simulate_paths(model: AugmentedModel, config: SimConfig, stride: int = 1) ->
     block of one chunk.
     """
     n_paths = config.n_paths
-    n_steps = config.n_steps // _checked_stride(stride, config.n_steps)
+    n_steps = config.strides(stride)
     z_p = np.empty(n_paths)
     x_o = np.empty((n_paths, n_steps + 1, 2))
     dz = np.empty((n_paths, n_steps))

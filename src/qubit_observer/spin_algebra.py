@@ -7,9 +7,10 @@ matrix.  The spin algebra is finite 2x2 / 3x3 arithmetic with no
 approximation beyond floating point.  The module imports nothing from the
 package, so it also holds what the config, sampler, filter and oracle share:
 the field rules, the one uniform time grid type that the sim, filter and
-oracle sections are (_Grid) and its nodes (time_grid), and the Taylor
-degree table that the oracle's propagator shares with expm, the small
-matrix exponential of the sampler and the filter.
+oracle sections are (_Grid), with its stride rule and its nodes
+(time_grid), and the Taylor degree table that the oracle's propagator
+shares with expm, the small matrix exponential of the sampler and the
+filter.
 """
 
 import math
@@ -75,7 +76,9 @@ class _Grid:
 
     dt and t_final obey _real, 0 < dt < t_final and the grid has at most 1e8
     steps; ValueError otherwise.  SimConfig, config.FilterSettings and
-    FockConfig are this grid, each with its own defaults.
+    FockConfig are this grid, each with its own defaults.  A stride of grid
+    steps, the sampler's or the oracle's store_every, divides n_steps
+    (strides).
     """
 
     dt: float
@@ -97,11 +100,23 @@ class _Grid:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    def strides(self, stride, name: str = "stride") -> int:
+        """n_steps // stride, the number of strides of stride grid steps;
+        ValueError naming name unless stride obeys _integer and is a
+        positive divisor of n_steps."""
+        value = _integer(name, stride)
+        if value < 1 or self.n_steps % value:
+            raise ValueError(f"{name} must be a positive integer dividing n_steps = "
+                             f"{self.n_steps}; got {value}")
+        return self.n_steps // value
+
 
 def time_grid(config: _Grid, stride: int = 1) -> np.ndarray:
-    """The nodes 0, stride, 2 stride, ... up to n_steps of config's grid, as
-    times k dt; the sampler's records, the filter's nodes and the oracle's
+    """The nodes 0, stride, 2 stride, ..., n_steps of config's grid, as times
+    k dt, for a stride that divides n_steps (_Grid.strides; ValueError
+    otherwise); the sampler's records, the filter's nodes and the oracle's
     stored nodes all sit there."""
+    config.strides(stride)
     return np.arange(0, config.n_steps + 1, stride) * config.dt
 
 

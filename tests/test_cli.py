@@ -383,6 +383,7 @@ def is_finite_float(value) -> bool:
     ("observer", "kappa", True),
     ("oracle", "leakage_threshold", "1e-6"),
     ("observer", "kappa", 10**400),
+    ("oracle", "store_every", 3),
 ], ids=["filter.t_final-inf", "filter.t_final-1e12", "filter.dt-1e-9", "filter.dt-str",
         "sim.n_paths-inf", "sim.n_paths-list", "sim.seed-inf", "sim.dt-null",
         "oracle.n_trunc-inf", "oracle.n_trunc-null", "oracle.store_every-inf",
@@ -392,16 +393,23 @@ def is_finite_float(value) -> bool:
         "oracle.n_trunc-fraction", "oracle.store_every-fraction",
         "oracle.t_final-below-dt", "outputs.formats-str", "outputs.directory-int",
         "sim.dt-bool", "sim.dt-str", "observer.beta-str", "observer.kappa-bool",
-        "oracle.leakage_threshold-str", "observer.kappa-huge-int"])
+        "oracle.leakage_threshold-str", "observer.kappa-huge-int",
+        "oracle.store_every-non-divisor"])
 def test_bad_config_value_exits_with_config_error(tmp_path, capsys, section, key, value):
-    """Out-of-range, non-finite and mistyped values stop at load with exit 2;
-    an integer count, the seed, the outputs fields and a real-valued field
-    given anything but a finite number are named in the message."""
+    """Out-of-range, non-finite and mistyped values stop at load with exit 2
+    and write nothing; an integer count, the seed, the outputs fields and a
+    real-valued field given anything but a finite number are named in the
+    message, and a store_every that does not divide the oracle's 400 steps
+    is refused by the grid's stride rule."""
     cfg = small_config()
     cfg[section][key] = value
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
+    if (key, value) == ("store_every", 3):
+        assert err == ("configuration error: oracle: store_every must be a positive "
+                       "integer dividing n_steps = 400; got 3\n")
     assert err.startswith(f"configuration error: {section}: ") and "Traceback" not in err
     if key in ("n_paths", "seed", "n_trunc", "store_every", "formats", "directory"):
         assert err.startswith(f"configuration error: {section}: {key} must be ")
@@ -823,20 +831,20 @@ def test_oracle_command(tmp_path):
 EIGENSTATE_RHO_PAIRS = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
 
 
-def test_oracle_with_a_tail_step_ends_at_t_final(tmp_path):
-    """store_every = 3 leaves a one-step tail after 133 strides; the reference
-    is evaluated at the same nodes and the last row sits at t_final."""
+def test_oracle_strides_end_at_t_final(tmp_path):
+    """store_every = 8 takes 50 strides of the 400 steps; the reference is
+    evaluated at the same nodes and the last row sits at t_final."""
     cfg = small_config()
     cfg["plant"]["rho_p"] = EIGENSTATE_RHO_PAIRS
     cfg["observer"]["omega_o"] = 1.0
-    cfg["oracle"]["store_every"] = 3
+    cfg["oracle"]["store_every"] = 8
     path = write_config(tmp_path, cfg)
     out = tmp_path / "orc"
     assert main(["oracle", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["mean_agreement"]["passed"] is True
     rows = (out / "oracle.csv").read_text().strip().splitlines()
-    assert len(rows) == 1 + 135
+    assert len(rows) == 1 + 51
     assert float(rows[-1].split(",")[0]) == 0.4
     assert float(rows[-1].split(",")[2]) < -0.05  # the means have moved
 

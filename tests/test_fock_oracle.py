@@ -127,8 +127,8 @@ def test_quadrature_means_follow_reduced_model():
 def test_reduced_mean_trajectory_on_uneven_steps():
     """The closed-form means equal the affine exponential stepped node to node
     over a random grid whose steps are all distinct, and over evolve's grid of
-    store_every steps with an irregular tail; bad times are refused.  The cases
-    are generic, undetuned with the weakest kappa, and the envelope's corner.
+    store_every steps; bad times are refused.  The cases are generic,
+    undetuned with the weakest kappa, and the envelope's corner.
 
     Measured against the stepped exponential: 2.2e-16 (generic), 3.7e-12
     (undetuned-weak, settled mean 2.2e4) and 4.2e-16 (corner).
@@ -138,8 +138,7 @@ def test_reduced_mean_trajectory_on_uneven_steps():
         np.random.default_rng(5).uniform(0.001, 0.2, 60))])
     times, _ = evolve(joint_initial_state(MIXED, 4),
                       build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 1.0, 4),
-                      FockConfig(n_trunc=4, dt=1e-3, t_final=0.257, store_every=10))
-    assert times[-1] - times[-2] < times[1] - times[0]  # the irregular tail node
+                      FockConfig(n_trunc=4, dt=1e-3, t_final=0.26, store_every=10))
     for omega_o, kappa in ((1.3, 2.0), (0.0, 1e-4), (100.0, 100.0)):
         aff = np.zeros((3, 3))
         aff[:2, :2] = [[-0.5 * kappa, 2.0 * omega_o], [-2.0 * omega_o, -0.5 * kappa]]
@@ -289,44 +288,43 @@ def test_zero_generator_takes_no_taylor_terms():
     assert mu == 0.0 and norm == 0.0
     assert _taylor_plan(norm, mu, 0.04)[3].shape[0] == 1
     state = joint_initial_state(EIGENSTATE, n_trunc, alpha=0.4 + 0.2j)
-    _assert_matches_dense(ops, state, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.63,
+    _assert_matches_dense(ops, state, FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.64,
                                                  store_every=4, leakage_threshold=1e-2))
 
 
 @pytest.mark.parametrize("n_trunc", [4, 5])
 def test_node_steps_past_theta_55_are_split(n_trunc):
     """At the corner kappa = omega_o = 100, |beta| = 1e3, norm * h exceeds
-    theta_55 for the regular node step and for the irregular tail step: each
-    node step is split into s equal sub-steps of one expansion each, and the
-    nodes still match the dense exponential.  The truncation is far too
-    small for this drive, so the leakage guard is off; the reference uses the
-    same truncated generator."""
+    theta_55 for the node step: it is split into s equal sub-steps of one
+    expansion each, and the nodes still match the dense exponential.  The
+    truncation is far too small for this drive, so the leakage guard is off;
+    the reference uses the same truncated generator."""
     ops = build_operators(np.zeros(3), [0.6, 0.0, 0.8], [600.0, -800.0], 100.0, 100.0, n_trunc)
-    config = FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=0.014, store_every=4,
+    config = FockConfig(n_trunc=n_trunc, dt=1e-3, t_final=0.016, store_every=4,
                         leakage_threshold=2.0)
     _, mu, norm = _generator(ops)
-    for step in (4e-3, 2e-3):
-        d, s, tau, _ = _taylor_plan(norm, mu, step)
-        assert norm * step > _THETA[55] and d == 1 and s > 1
-        assert tau == pytest.approx(step / s) and norm * tau <= _THETA[55]
+    step = 4e-3
+    d, s, tau, _ = _taylor_plan(norm, mu, step)
+    assert norm * step > _THETA[55] and d == 1 and s > 1
+    assert tau == pytest.approx(step / s) and norm * tau <= _THETA[55]
     _assert_matches_dense(ops, joint_initial_state(EIGENSTATE, n_trunc, alpha=0.3 - 0.1j),
                           config)
 
 
-def test_evolve_blocks_and_tail_match_single_shot():
-    """More stored nodes than one block, and n_steps not a multiple of store_every."""
+def test_evolve_blocks_match_single_shot():
+    """More stored nodes than one block, carried from block to block."""
     n_trunc = 5
     ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.5], 1.0, 4.0, n_trunc)
     state = joint_initial_state(EIGENSTATE, n_trunc)
-    config = FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.63, store_every=2,
+    config = FockConfig(n_trunc=n_trunc, dt=1e-2, t_final=0.64, store_every=2,
                         leakage_threshold=1e-2)
     times, traces = evolve(state, ops, config)
-    stored = list(range(0, 64, 2)) + [63]
+    stored = list(range(0, 65, 2))
     np.testing.assert_allclose(times, np.array(stored) * 1e-2, rtol=0, atol=1e-15)
-    assert times.size == 33  # more than one block, then the 1-step tail
+    assert times.size == 33  # more than one block
     single = expm_multiply(csr_matrix(_dense_superoperator(ops)),
                            np.asarray(state.rho).reshape(-1, order="F"),
-                           start=0.0, stop=0.63, num=64, endpoint=True)
+                           start=0.0, stop=0.64, num=65, endpoint=True)
     ref = _reference_traces(ops, state, stored, lambda v, k: single[k])
     for name in ("exp_zp", "exp_zp_sq", "exp_q", "exp_p", "leakage", "trace_drift"):
         np.testing.assert_allclose(getattr(traces, name), getattr(ref, name),

@@ -1,6 +1,7 @@
 """Model and filter invariants over random valid observer and plant parameters."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from qubit_observer.model_builder import (BETA_NORM_RANGE, KAPPA_RANGE, OMEGA_O_
                                           ObserverSpec, build_augmented, closed_loop_transfer,
                                           hurwitz_check, optimal_gain,
                                           output_bias, steady_state_mean)
-from qubit_observer.sde_engine import SimConfig, record_chain, time_grid
+from qubit_observer.sde_engine import SimConfig, record_chain, simulate_paths, time_grid
 from qubit_observer.spin_algebra import PAULI, PlantSpec
 from reference import live_step, sampler_step
 
@@ -167,23 +168,36 @@ def _bits(a: np.ndarray) -> tuple:
 def test_time_grid_is_bitwise_the_former_node_formulas(dt, steps, stride):
     """The artifacts' times rest on this: on the sim, filter and oracle grids
     alike, time_grid is bitwise np.arange(n + 1) * dt at stride 1 and
-    np.arange(0, n + 1, stride) * dt at any stride, and evolve's stored times
-    are bitwise the oracle's former np.array([k * dt for k in stored]), stored
-    every stride-th step plus n itself when stride does not divide n."""
+    np.arange(0, n + 1, d) * dt at d, the largest divisor of n up to stride,
+    and evolve's stored times are bitwise the oracle's former
+    np.array([k * dt for k in stored]), stored every d-th step.  A stride
+    that does not divide n is refused by time_grid on every grid, by
+    simulate_paths and by FockConfig as store_every, with the same text
+    after the name."""
     t_final = dt * steps
     assume(dt < t_final)
     grids = (SimConfig(dt=dt, t_final=t_final), FilterSettings(dt=dt, t_final=t_final),
-             FockConfig(dt=dt, t_final=t_final, n_trunc=4, store_every=stride))
+             FockConfig(dt=dt, t_final=t_final, n_trunc=4))
     n = grids[0].n_steps
+    d = max(k for k in range(1, stride + 1) if n % k == 0)
     for grid in grids:
         assert grid.n_steps == n
         assert _bits(time_grid(grid)) == _bits(np.arange(n + 1) * dt)
-        assert _bits(time_grid(grid, stride)) == _bits(np.arange(0, n + 1, stride) * dt)
-
-    stored = list(range(0, n + 1, stride))
-    if stored[-1] != n:
-        stored.append(n)
+        assert _bits(time_grid(grid, d)) == _bits(np.arange(0, n + 1, d) * dt)
     # a nearly closed joint system: the propagation is cheap at any step
     ops = build_operators(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 0.0], 0.0, 1e-9, 4)
-    times, _ = evolve(joint_initial_state(np.eye(2) / 2, 4), ops, grids[2])
-    assert _bits(times) == _bits(np.array([k * dt for k in stored]))
+    times, _ = evolve(joint_initial_state(np.eye(2) / 2, 4), ops,
+                      FockConfig(dt=dt, t_final=t_final, n_trunc=4, store_every=d))
+    assert _bits(times) == _bits(np.array([k * dt for k in range(0, n + 1, d)]))
+    if d == stride:
+        return
+    rule = f" must be a positive integer dividing n_steps = {n}; got {stride}$"
+    for grid in grids:
+        with pytest.raises(ValueError, match="^stride" + rule):
+            time_grid(grid, stride)
+    model = build_augmented(PlantSpec(r_p=np.zeros(3), c_p=[1.0, 0.0, 0.0], rho_p=np.eye(2) / 2),
+                            ObserverSpec(omega_o=1.0, kappa=4.0, beta=[1.0, 0.0]))
+    with pytest.raises(ValueError, match="^stride" + rule):
+        simulate_paths(model, grids[0], stride)
+    with pytest.raises(ValueError, match="^store_every" + rule):
+        FockConfig(dt=dt, t_final=t_final, n_trunc=4, store_every=stride)

@@ -143,7 +143,7 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
         "checks": {},
     }
 
-    z_limit = 0.0
+    z_limit, n_tests = 0.0, 0
     for label, mask in (("z_plus", z_true > 0), ("z_minus", z_true < 0)):
         count = int(mask.sum())
         if count < 2:
@@ -153,6 +153,7 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
         se = np.sqrt(np.diag(cov) / count)
         zscores = (mean - theory) / se
         z_limit = max(z_limit, float(np.max(np.abs(zscores))))
+        n_tests += zscores.size
         report["groups"][label] = {
             "count": count,
             "empirical_mean": mean.tolist(),
@@ -166,10 +167,13 @@ def cmd_simulate(config: ExperimentConfig) -> tuple:
         _, cov = ensemble_mean_cov(centered)
         cov_z = _covariance_z(centered, cov, np.eye(2))
         z_limit = max(z_limit, float(np.max(np.abs(cov_z))))
+        n_tests += cov_z.shape[0] * (cov_z.shape[0] + 1) // 2
         report["centered_terminal_covariance"] = cov.tolist()
         report["covariance_z_scores"] = cov_z.tolist()
-    _check(report, "steady_state_agreement", z_limit <= ZSCORE_LIMIT,
-           {"max_abs_z": z_limit, "limit": ZSCORE_LIMIT})
+    # n_tests counts the distinct z-scores (the covariance's upper triangle);
+    # a run with none, as at one path, fails rather than passing untested.
+    _check(report, "steady_state_agreement", n_tests > 0 and z_limit <= ZSCORE_LIMIT,
+           {"max_abs_z": z_limit, "limit": ZSCORE_LIMIT, "n_tests": n_tests})
     _finish(report)
     return report, ens
 

@@ -1,9 +1,11 @@
 """Deterministic CSV/JSON writers.
 
-Every float is rendered with 17 significant digits (FLOAT_FMT) so that
-rerunning a command with the same configuration and seed produces
-byte-identical artifacts on any IEEE-754 platform.  This module owns that
-format: paths.csv, riccati.csv and oracle.csv all go through write_csv.
+CSV floats are rendered with 17 significant digits (FLOAT_FMT), and
+report.json floats as Python's shortest round-trip repr, so that rerunning
+a command with the same configuration and seed produces byte-identical
+artifacts on any IEEE-754 platform.  This module owns both formats:
+paths.csv, riccati.csv and oracle.csv all go through write_csv, and
+report.json through write_json.
 
 write_csv renders each distinct value once.  A column whose bits are the
 same on every row of a block (path_id and z_p_true in paths.csv), or the
@@ -18,7 +20,6 @@ per-row "%.17g" rendering.
 
 import contextlib
 import json
-import math
 import os
 import shutil
 import signal
@@ -150,53 +151,22 @@ def write_csv(path, header, blocks) -> None:
             spill.close()
 
 
-def _json_fragment(obj, indent, out):
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, val) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key), ensure_ascii=False) + ": ")
-            _json_fragment(val, indent + 2, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad + "  ")
-            _json_fragment(val, indent + 2, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, np.ndarray):
-        _json_fragment(obj.tolist(), indent, out)
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value in output: {x!r}")
-        out.append(format(x, FLOAT_FMT))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _plain(obj):
+    """json.dumps fallback: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps_json(obj) -> str:
-    """Serialize dicts/lists/scalars with 17-significant-digit floats."""
-    out = []
-    _json_fragment(obj, 0, out)
-    return "".join(out) + "\n"
+    """Serialize dicts/lists/scalars, numpy values included, as indented JSON
+    with floats in Python's shortest round-trip repr.  A non-finite float
+    raises ValueError; a value of any other type raises TypeError."""
+    try:
+        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                          default=_plain) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"non-finite value in output: {exc}") from exc
 
 
 def write_json(path, obj) -> None:

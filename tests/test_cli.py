@@ -221,6 +221,32 @@ def test_dumps_json_roundtrip():
     assert json.loads(dumps_json(doc)) == doc
 
 
+def test_dumps_json_floats_come_back_with_their_bits():
+    """Every finite float, integral values and -0.0 included, loads back as a
+    float with the same bits; numpy scalars and arrays load as their Python
+    values; a non-finite float raises ValueError and any other type TypeError."""
+    drawn = np.frombuffer(np.random.default_rng(3).bytes(8 * 10_100), dtype=np.float64)
+    values = drawn[np.isfinite(drawn)][:10_000].tolist()
+    values += [-0.0, 5e-324, 1.7976931348623157e308, 5.0]
+    parsed = json.loads(dumps_json(values))
+    assert len(values) == 10_004 and all(type(v) is float for v in parsed)
+    assert [v.hex() for v in parsed] == [v.hex() for v in values]
+    doc = {"f": np.float64(-0.0), "i": np.int64(-7), "b": np.bool_(True),
+           "a": [np.array([[5.0, -0.0], [5e-324, 2.5]]), np.arange(2)]}
+    parsed = json.loads(dumps_json(doc))
+    assert parsed == {"f": -0.0, "i": -7, "b": True,
+                      "a": [[[5.0, -0.0], [5e-324, 2.5]], [0, 1]]}
+    assert [type(parsed[k]) for k in "fib"] == [float, int, bool]
+    assert [v.hex() for row in parsed["a"][0] for v in row] == [
+        v.hex() for v in (5.0, -0.0, 5e-324, 2.5)]
+    for bad in (NAN, np.float64(-INF), {"k": [np.array([1.0, INF])]}):
+        with pytest.raises(ValueError, match="^non-finite value in output"):
+            dumps_json(bad)
+    for bad in (object(), 1j, {"k": np.array([1j])}):
+        with pytest.raises(TypeError):
+            dumps_json(bad)
+
+
 def test_write_json_leaves_no_file_when_serialization_fails(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="non-finite"):
@@ -626,6 +652,20 @@ def test_simulate_single_path_has_constant_zp(tmp_path):
     rows = (out / "paths.csv").read_text().strip().splitlines()[1:]
     z_col = {row.split(",")[-1] for row in rows}
     assert len(z_col) == 1
+
+
+def test_simulate_gate_counts_its_tests_and_fails_with_none(tmp_path):
+    """steady_state_agreement reports in n_tests the distinct z-scores it took
+    the maximum over: two per group and the covariance's upper triangle.  One
+    path tests nothing, so the check fails and simulate exits 1."""
+    for n_paths, n_tests, code in ((60, 7, 0), (1, 0, 1)):
+        cfg = small_config(outputs={"directory": "out", "formats": ["json"]})
+        cfg["sim"]["n_paths"] = n_paths
+        out = tmp_path / str(n_paths)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == code
+        check = json.loads((out / "report.json").read_text())["checks"]["steady_state_agreement"]
+        assert check["detail"]["n_tests"] == n_tests and check["passed"] is (code == 0)
 
 
 def test_filter_self_test(tmp_path, capsys):

@@ -493,6 +493,28 @@ def test_scalar_regression_monte_carlo():
     assert abs(errors.mean()) < 4 * errors.std(ddof=1) / math.sqrt(n_paths)
 
 
+def test_two_row_records_follow_the_closed_form(tmp_path):
+    """Two decoupled scalar regressions read through two homodyne rows (p = 2):
+    each row's estimate is sum(dz)/(1+t) and P = Sigma* = diag(1/(1+t))."""
+    model = LinearModel(A=np.zeros((2, 2)), B=np.zeros((2, 4)),
+                        C=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                        D=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+                        x0_mean=np.zeros(2), sigma0=np.eye(2))
+    times = np.arange(0, 1001) * 1e-3
+    dz = np.random.default_rng(5).normal(scale=0.03, size=(4, times.size - 1, 2))
+    x_hat, covs, gains = run_filter_ensemble(model, times, dz)
+    sums = np.concatenate([np.zeros((4, 1, 2)), np.cumsum(dz, axis=1)], axis=1)
+    exact = np.eye(2) / (1.0 + times)[:, None, None]
+    assert np.max(np.abs(x_hat - sums / (1.0 + times)[:, None])) < 1e-12
+    assert np.max(np.abs(covs - exact)) < 1e-12
+    assert gains.shape == (times.size - 1, 2, 2)
+    ricc = solve_riccati(model, times)
+    assert np.max(np.abs(ricc.sigma_star - exact)) < 1e-12
+    write_riccati_csv(tmp_path / "riccati.csv", ricc)
+    header = (tmp_path / "riccati.csv").read_text().splitlines()[0].split(",")
+    assert header[-4:] == ["gain_1_1", "gain_1_2", "gain_2_1", "gain_2_2"]
+
+
 def test_run_filter_matches_ensemble_version():
     """The vectorized filter equals a plain per-record loop of its update rule."""
     model = build_augmented(PLANT, OBS)

@@ -13,6 +13,15 @@ import os
 import sys
 from dataclasses import replace
 
+# Every BLAS product here is at most 17x17, or 3x3 by 3x256, so a second
+# OpenBLAS thread does no work; it only spins on another core from numpy's
+# import on.  OpenBLAS reads its count once, when numpy loads, so the default
+# is set before the first numpy import below (the package's __init__ is lazy
+# for this) and only when the user chose no count in a variable it reads.
+if not any(os.environ.get(var) for var in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config

@@ -770,6 +770,97 @@ def test_no_command_imports_scipy(tmp_path):
     assert not (tmp_path / "5" / "paths.csv").exists()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# What python -m qubit_observer.cli does, with an analyze run to finish on.
+RUN_AS_MAIN = ("import runpy\n"
+               "sys.argv = ['qubit_observer.cli', 'analyze', '--config', sys.argv[1],"
+               " '--out', sys.argv[2]]\n"
+               "try:\n"
+               "    runpy.run_module('qubit_observer.cli', run_name='__main__', alter_sys=True)\n"
+               "except SystemExit as stop:\n"
+               "    assert stop.code == 0, stop.code\n")
+
+
+def _fresh_probe(statement, tmp_path, **env):
+    """Run statement in a fresh interpreter, then report the BLAS thread
+    variables, whether numpy is loaded and the OS thread count (None off
+    Linux).  The child inherits none of the thread variables, because this
+    process may have imported cli, which sets one; env adds to its
+    environment."""
+    code = ("import json, os, sys\n" + statement + "\n"
+            "tasks = '/proc/self/task'\n"
+            f"print(json.dumps({{'env': {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}},"
+            " 'numpy': 'numpy' in sys.modules,"
+            " 'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child.update(env)
+    run = subprocess.run([sys.executable, "-c", code, str(DEFAULT_CONFIG), str(tmp_path / "out")],
+                         env=child, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("statement", ["import qubit_observer.cli", RUN_AS_MAIN],
+                         ids=["import", "run-as-main"])
+def test_cli_runs_blas_on_one_thread_by_default(statement, tmp_path):
+    """With no thread variable set, the CLI sets OPENBLAS_NUM_THREADS to 1
+    before numpy loads, so OpenBLAS starts no second thread."""
+    probe = _fresh_probe(statement, tmp_path)
+    assert probe["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                            "OMP_NUM_THREADS": None}
+    assert probe["numpy"]
+    if probe["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads on")
+    assert probe["threads"] == 1
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_a_user_blas_thread_count_wins(var, tmp_path):
+    """A count set in any variable OpenBLAS reads is left alone, and no
+    OPENBLAS_NUM_THREADS is added beside it."""
+    probe = _fresh_probe("import qubit_observer.cli", tmp_path, **{var: "2"})
+    assert probe["env"] == {v: "2" if v == var else None for v in BLAS_THREAD_VARS}
+    if probe["threads"] is None or _usable_cpus() < 2:
+        pytest.skip("needs /proc/self/task and two usable CPUs")
+    assert probe["threads"] == 2
+
+
+def test_package_import_is_lazy(tmp_path):
+    """import qubit_observer loads no numpy and sets no thread variable, so a
+    library caller's BLAS settings are its own."""
+    probe = _fresh_probe("import qubit_observer", tmp_path)
+    assert probe["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+    assert not probe["numpy"]
+
+
+def test_package_names_are_their_modules_objects():
+    import importlib
+
+    import qubit_observer
+
+    assert qubit_observer.__all__
+    for name in qubit_observer.__all__:
+        module = importlib.import_module(f"qubit_observer.{qubit_observer._EXPORTS[name]}")
+        assert getattr(qubit_observer, name) is getattr(module, name), name
+    assert set(qubit_observer.__all__) <= set(dir(qubit_observer))
+
+
+def test_package_unknown_name_raises():
+    import qubit_observer
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qubit_observer.no_such_name
+    assert not hasattr(qubit_observer, "no_such_name")
+    with pytest.raises(ImportError):
+        from qubit_observer import no_such_name  # noqa: F401
+
+
 @pytest.mark.parametrize("seed", [62, 388])
 def test_filter_gate_passes_seeds_with_largest_z(seed):
     """Seeds whose largest of 60 covariance z-scores exceeds 4 (4.08, 4.29) pass

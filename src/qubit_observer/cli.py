@@ -313,7 +313,7 @@ def cmd_oracle(config: ExperimentConfig) -> tuple:
         "command": "oracle",
         "n_trunc": fock.n_trunc,
         "dt": fock.dt,
-        "t_final": fock.t_final,
+        "t_final": float(times[-1]),
         "initial_exp_zp": float(traces.exp_zp[0]),
         "max_mean_deviation": mean_dev,
         "max_zp_drift": zp_drift,

@@ -4,18 +4,18 @@ CSV floats are rendered with 17 significant digits (FLOAT_FMT), and
 report.json floats as Python's shortest round-trip repr, so that rerunning
 a command with the same configuration and seed produces byte-identical
 artifacts on any IEEE-754 platform.  This module owns both formats:
-paths.csv, riccati.csv and oracle.csv all go through write_csv, and
-report.json through write_json.
+riccati.csv and oracle.csv go through write_csv, paths.csv through
+write_rendered, and report.json through write_json.
 
-write_csv renders each distinct value once.  A column whose bits are the
-same on every row of a block (path_id and z_p_true in paths.csv), or the
-same as in the previous block (its t column), is baked into a cached row
-template; only the remaining columns are formatted row by row.  A table of
-two or more blocks is split across the CPUs the process may run on
-(os.sched_getaffinity, at most _MAX_WORKERS): forked children render
-contiguous ranges of blocks into anonymous temporary files that the parent
-appends in order.  Whatever the worker count, the bytes equal a plain
-per-row "%.17g" rendering.
+write_csv renders a table given as 2-D float blocks: it checks every value
+first, then writes one FLOAT_FMT cell per entry.  write_rendered is the
+writer under it, for a table whose layout its caller knows (paths.csv,
+through sde_engine.write_paths_csv): it takes the number of blocks and a
+function that returns the text of block i.  A table of two or more blocks
+is split across the CPUs the process may run on (os.sched_getaffinity, at
+most _MAX_WORKERS): forked children render contiguous ranges of blocks into
+anonymous temporary files that the parent appends in order, so the bytes do
+not depend on the worker count.
 """
 
 import contextlib
@@ -28,47 +28,23 @@ import tempfile
 import numpy as np
 
 FLOAT_FMT = ".17g"
-_SLOT = "%" + FLOAT_FMT
+SLOT = "%" + FLOAT_FMT
 _MAX_WORKERS = 4
 
 
-def _marker(col: int) -> str:
-    # Stands in a template for a column that is constant within the block.
-    return f"\0{col}\1"
+def check_finite(values, block: int) -> None:
+    """Raise ValueError naming the first non-finite entry of values and the
+    index of the block it belongs to."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"non-finite value in output: {float(values[~finite][0])!r} "
+                         f"in block {block}")
 
 
-def _render(fh, blocks, start: int, stop: int) -> None:
-    """Write blocks[start:stop] to the binary file fh, one row per line.
-
-    Columns are told apart by bit pattern, so 0.0 and -0.0 never share a
-    rendering: a constant column becomes a marker replaced once per block,
-    a column repeating the previous block's becomes literal text, and every
-    other column becomes a FLOAT_FMT slot.  The template is rebuilt only when
-    that split of the columns changes.
-    """
-    key = template = prev = varying = None
+def _write_range(fh, render, start: int, stop: int) -> None:
     for i in range(start, stop):
-        block = np.ascontiguousarray(blocks[i], dtype=float)
-        bits = block.view(np.int64)
-        if not len(bits):
-            continue
-        const = (bits == bits[0]).all(axis=0)
-        repeat = ~const & (prev is not None and prev.shape == bits.shape
-                           and (bits == prev).all(axis=0))
-        # Per column: 0 varies by row, 1 is constant, 2 repeats the previous block.
-        kinds = tuple((const + 2 * repeat).tolist())
-        if key != (len(bits), kinds):
-            key = (len(bits), kinds)
-            cells = [[_marker(j)] * len(bits) if kind == 1
-                     else [format(x, FLOAT_FMT) for x in block[:, j].tolist()] if kind == 2
-                     else [_SLOT] * len(bits) for j, kind in enumerate(kinds)]
-            template = "".join(",".join(row) + "\n" for row in zip(*cells))
-            varying = np.equal(kinds, 0)
-        text = template
-        for j in np.flatnonzero(const).tolist():
-            text = text.replace(_marker(j), format(block[0, j].item(), FLOAT_FMT))
-        fh.write((text % tuple(block[:, varying].ravel().tolist())).encode())
-        prev = bits
+        fh.write(render(i).encode())
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -77,19 +53,19 @@ def _worker_count(n_blocks: int) -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, n_blocks)
 
 
-def _fork_worker(spill, blocks, start: int, stop: int) -> int:
-    """Fork a child that renders blocks[start:stop] into spill; return its pid.
+def _fork_worker(spill, render, start: int, stop: int) -> int:
+    """Fork a child that writes blocks start to stop - 1 into spill; return its pid.
 
-    The child only builds and formats blocks (no BLAS call, whose threads do
-    not survive the fork) and leaves by os._exit, so nothing of the parent's
-    is flushed or cleaned up twice.
+    The child only formats text (no BLAS call, whose threads do not survive
+    the fork) and leaves by os._exit, so nothing of the parent's is flushed
+    or cleaned up twice.
     """
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        _render(spill, blocks, start, stop)
+        _write_range(spill, render, start, stop)
         spill.flush()
         status = 0
     except BaseException as exc:
@@ -98,38 +74,28 @@ def _fork_worker(spill, blocks, start: int, stop: int) -> int:
         os._exit(status)
 
 
-def write_csv(path, header, blocks) -> None:
-    """Write a sequence of 2-D float blocks, in order, under a comma-separated header.
+def write_rendered(path, header, n_blocks: int, render) -> None:
+    """Write the header line, then render(i) for i = 0 .. n_blocks - 1, in order.
 
-    Every row reads as one FLOAT_FMT field per header column, comma-separated,
-    LF line ends.  blocks needs only len() and indexing, so a caller can hand
-    in a lazy view whose blocks are built on access.  Every block is checked
-    before the file is opened: a non-finite value raises ValueError naming
-    the block's index, and no file is created.  With at least two blocks and
-    two usable CPUs, the blocks are cut into one contiguous range per worker
-    (_worker_count); the parent renders the first range into path while
-    forked children render the others into anonymous temporary files beside
-    it, then the parent reaps them and appends their bytes in order.  If
-    anything fails, every child is killed and reaped and the partly written
-    file is removed.
+    render(i) returns block i's rows as text, each row LF-terminated.  With
+    at least two blocks and two usable CPUs, the blocks are cut into one
+    contiguous range per worker (_worker_count); the parent writes the first
+    range into path while forked children write the others into anonymous
+    temporary files beside it, then the parent reaps them and appends their
+    bytes in order.  If anything fails, every child is killed and reaped and
+    the partly written file is removed.
     """
-    for i in range(len(blocks)):
-        block = np.asarray(blocks[i], dtype=float)
-        finite = np.isfinite(block)
-        if not finite.all():
-            raise ValueError(f"non-finite value in output: {float(block[~finite][0])!r} "
-                             f"in block {i}")
-    workers = _worker_count(len(blocks))
-    cuts = [len(blocks) * w // workers for w in range(workers + 1)]
+    workers = _worker_count(n_blocks)
+    cuts = [n_blocks * w // workers for w in range(workers + 1)]
     spills, pids = [], []
     fh = open(path, "wb")
     try:
         with fh:
             for start, stop in zip(cuts[1:-1], cuts[2:]):
                 spills.append(tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
-                pids.append(_fork_worker(spills[-1], blocks, start, stop))
+                pids.append(_fork_worker(spills[-1], render, start, stop))
             fh.write((",".join(header) + "\n").encode())
-            _render(fh, blocks, cuts[0], cuts[1])
+            _write_range(fh, render, cuts[0], cuts[1])
             while pids:
                 status = os.waitpid(pids[0], 0)[1]
                 pids.pop(0)
@@ -149,6 +115,26 @@ def write_csv(path, header, blocks) -> None:
     finally:
         for spill in spills:
             spill.close()
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write a sequence of 2-D float blocks, in order, under a comma-separated header.
+
+    Every row reads as one FLOAT_FMT field per header column, comma-separated,
+    LF line ends.  Every block is checked before the file is opened: a
+    non-finite value raises ValueError naming the block's index, and no file
+    is created.  The blocks are then written through write_rendered.
+    """
+    blocks = [np.asarray(block, dtype=float) for block in blocks]
+    for i, block in enumerate(blocks):
+        check_finite(block, i)
+
+    def render(i):
+        block = blocks[i]
+        row = ",".join([SLOT] * block.shape[1]) + "\n"
+        return (row * len(block)) % tuple(block.ravel().tolist())
+
+    write_rendered(path, header, len(blocks), render)
 
 
 def _plain(obj):

@@ -52,7 +52,7 @@ class FockConfig(_Grid):
     The propagation is exact; the node step store_every * dt only spaces the
     stored nodes, which are also where leakage and trace drift are checked.
     store_every must divide n_steps (_Grid.strides, ValueError otherwise),
-    so the last stored node is t_final.
+    so the last stored node is t_final rounded to the grid, n_steps * dt.
     """
 
     dt: float = 1e-3

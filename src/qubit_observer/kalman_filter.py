@@ -42,7 +42,7 @@ the sampler's own grid).  filter_paths holds one sampler block of one chunk
 plus n_paths values per kept node, on top of the schedule: P_k at every
 node and one transfer per block.  Which nodes are kept, and where they fall
 in the blocks, is _kept_blocks' rule, for both routes.  riccati.csv is
-rendered as one block by export.write_csv, like every CSV artifact.
+one table, checked and rendered by export.write_csv, as oracle.csv is.
 """
 
 from dataclasses import dataclass

@@ -274,14 +274,15 @@ def steady_state_mean(observer: ObserverSpec) -> np.ndarray:
         M = 4 / (kappa^2 + 16 omega_o^2) * [[kappa, 4 omega_o],
                                             [-4 omega_o, kappa]] @ J.
 
-    Cross-checked against -2 a_o^{-1} J beta before returning.
+    Cross-checked against -2 a_o^{-1} J beta before returning, to 1e-12
+    relative to the larger of 1 and the largest entry of that solve.
     """
     kappa, omega_o = observer.kappa, observer.omega_o
     M = (4.0 / (kappa**2 + 16.0 * omega_o**2)) * np.array(
         [[kappa, 4.0 * omega_o], [-4.0 * omega_o, kappa]]
     ) @ _J
     direct = -2.0 * np.linalg.solve(_observer_blocks(observer)[0], _J @ observer.beta)
-    if np.max(np.abs(M @ observer.beta - direct)) > 1e-12:
+    if np.max(np.abs(M @ observer.beta - direct)) > 1e-12 * max(1.0, np.max(np.abs(direct))):
         raise RuntimeError("steady-state mean closed form disagrees with direct solve")
     return M
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .export import write_csv
+from .export import FLOAT_FMT, SLOT, check_finite, write_rendered
 from .model_builder import AugmentedModel, LinearModel
 from .spin_algebra import _Grid, _integer, expm, time_grid
 
@@ -319,38 +319,34 @@ def ensemble_mean_cov(samples) -> tuple:
     return mean, cov
 
 
-class _PathBlocks:
-    """The rows of paths.csv as a sequence of (n_t, 6) blocks, one per path,
-    each built when it is indexed."""
-
-    def __init__(self, ens: Ensemble):
-        self.ens = ens
-
-    def __len__(self) -> int:
-        return self.ens.z_p.size
-
-    def __getitem__(self, pid: int) -> np.ndarray:
-        ens = self.ens
-        block = np.empty((ens.times.size, 6))
-        block[:, 0] = pid
-        block[:, 1] = ens.times
-        block[:-1, 2] = ens.dz[pid]
-        block[-1, 2] = 0.0
-        block[:, 3:5] = ens.x_o[pid]
-        block[:, 5] = ens.z_p[pid]
-        return block
-
-
 def write_paths_csv(path, ens: Ensemble) -> None:
     """Concatenated per-path CSV: path_id, t, dz, x_o_1, x_o_2, z_p_true.
 
     Row k of a path carries the state at t_k and the record increment over
-    the step starting at t_k; the final row pads dz with 0.  export.write_csv
-    renders a lazy view with one block per path, so memory does not grow
-    with n_paths: path_id and z_p_true are formatted once per path and t
-    once per worker, only dz and x_o row by row, and the paths are split
-    across the usable CPUs.  write_csv checks every block first, so a
-    non-finite value raises ValueError naming its block, the path's index,
-    and no file is created.
+    the step starting at t_k; the final row pads dz with 0.  The ensemble is
+    checked first, in one vectorized pass: a non-finite value raises
+    ValueError naming its block, the path's index, and no file is created.
+    The t column is formatted once per file into a row template with a
+    FLOAT_FMT slot for each of dz, x_o_1 and x_o_2; path_id and z_p_true are
+    filled in once per path, and export.write_rendered splits the paths
+    across the usable CPUs.  Every cell reads as format(x, FLOAT_FMT).
     """
-    write_csv(path, ("path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"), _PathBlocks(ens))
+    finite = (np.isfinite(ens.z_p) & np.isfinite(ens.dz).all(axis=1)
+              & np.isfinite(ens.x_o).all(axis=(1, 2)))
+    if not finite.all():
+        pid = int(np.argmin(finite))
+        check_finite(np.column_stack([np.append(ens.dz[pid], 0.0), ens.x_o[pid],
+                                      np.full(ens.times.size, ens.z_p[pid])]), pid)
+    rows = [f",{format(t, FLOAT_FMT)},{SLOT},{SLOT},{SLOT}," for t in ens.times.tolist()]
+    cells = np.zeros((len(rows), 3))
+
+    def render(pid):
+        path_id = format(float(pid), FLOAT_FMT)
+        z_p = format(ens.z_p[pid].item(), FLOAT_FMT)
+        cells[:-1, 0] = ens.dz[pid]
+        cells[:, 1:] = ens.x_o[pid]
+        template = path_id + f"{z_p}\n{path_id}".join(rows) + z_p + "\n"
+        return template % tuple(cells.ravel().tolist())
+
+    write_rendered(path, ("path_id", "t", "dz", "x_o_1", "x_o_2", "z_p_true"),
+                   ens.z_p.size, render)

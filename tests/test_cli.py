@@ -15,9 +15,10 @@ from pathlib import Path
 from qubit_observer import cli
 from qubit_observer.cli import main
 from qubit_observer.config import ConfigError, FilterSettings, OutputSettings, load_config
-from qubit_observer.export import dumps_json, write_csv, write_json
+from qubit_observer.export import dumps_json, write_csv, write_json, write_rendered
 from qubit_observer.fock_oracle import ExpectationTraces, FockConfig, write_oracle_csv
 from qubit_observer.kalman_filter import RiccatiSolution, write_riccati_csv
+from qubit_observer.model_builder import steady_state_mean, symplectic_j
 from qubit_observer.sde_engine import Ensemble, SimConfig, write_paths_csv
 from qubit_observer.spin_algebra import _Grid
 
@@ -95,7 +96,7 @@ def test_csv_writers_match_cell_by_cell_reference(tmp_path):
 
 
 def _use_cpus(monkeypatch, n):
-    """Make write_csv see n usable CPUs, whatever this machine has."""
+    """Make write_rendered see n usable CPUs, whatever this machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)), raising=False)
 
 
@@ -125,56 +126,35 @@ def test_paths_csv_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
         "paths_1.csv", "paths_2.csv", "paths_4.csv"]
 
 
-def test_constant_column_with_signed_zeros_renders_per_row(tmp_path, monkeypatch):
-    """0.0 and -0.0 compare equal but render as 0 and -0: a column mixing them
-    is not constant, and a block repeating the previous one up to the sign of
-    a zero is not a repeat."""
-    a = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, 1.5], [0.0, -0.0, 1.5]])
-    b = np.array([[-0.0, -0.0, 1.5], [-0.0, -0.0, 1.5], [0.0, 0.0, 1.5]])
-    blocks = [a, a, b, a.copy()]
-    for cpus in (1, 2):
-        _use_cpus(monkeypatch, cpus)
-        out = tmp_path / f"zeros_{cpus}.csv"
-        write_csv(out, ("u", "v", "w"), blocks)
-        rows = [row for block in blocks for row in block]
-        assert out.read_text().splitlines() == _reference_lines(("u", "v", "w"), rows)
-        assert out.read_text().splitlines()[1:4] == ["0,-0,1.5", "-0,-0,1.5", "0,-0,1.5"]
+def _failing_render(fails):
+    """A render for write_rendered that raises in the process named by fails
+    (the parent or its worker); a worker that is not meant to fail sleeps
+    10 s and returns, so a parent that fails must kill it to finish sooner,
+    and a parent that does not fail still returns."""
+    parent = os.getpid()
 
+    def render(i):
+        in_parent = os.getpid() == parent
+        if (fails == "parent") == in_parent:
+            raise RuntimeError("block cannot be rendered")
+        if not in_parent:
+            time.sleep(10.0)
+        return f"{i},{i}\n"
 
-class _FailingBlocks:
-    """Four blocks; indexing raises in the process named by ``fails`` once the
-    finiteness pass is over, and a worker that is not meant to fail sleeps."""
-
-    def __init__(self, fails):
-        self.fails = fails
-        self.parent = os.getpid()
-        self.checked = set()
-
-    def __len__(self):
-        return 4
-
-    def __getitem__(self, i):
-        in_parent = os.getpid() == self.parent
-        if in_parent and i not in self.checked:
-            self.checked.add(i)
-        elif (self.fails == "parent") == in_parent:
-            raise RuntimeError("block cannot be built")
-        elif not in_parent:
-            time.sleep(60)
-        return np.full((3, 2), float(i))
+    return render
 
 
 @pytest.mark.parametrize("fails", ["worker", "parent"])
 def test_failed_render_removes_file_and_leaves_no_child(tmp_path, monkeypatch, fails):
     """A worker that raises, or the parent's own range raising while a worker
-    runs, makes write_csv raise; the CSV is removed, no temporary file is
-    left and every child is reaped."""
+    runs, makes write_rendered raise; the CSV is removed, no temporary file
+    is left and every child is reaped, the sleeping one killed."""
     _use_cpus(monkeypatch, 2)
     out = tmp_path / "table.csv"
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="worker failed" if fails == "worker" else "cannot"):
-        write_csv(out, ("a", "b"), _FailingBlocks(fails))
-    assert time.perf_counter() - start < 30.0
+        write_rendered(out, ("a", "b"), 4, _failing_render(fails))
+    assert time.perf_counter() - start < 5.0
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -293,6 +273,28 @@ def test_analyze_rerun_is_byte_identical(tmp_path):
     assert main(["analyze", "--config", path, "--out", str(out1)]) == 0
     assert main(["analyze", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("omega_o, kappa, beta", [
+    (0.0, 1e-3, [30.0, 0.0]),
+    (0.0, 1e-4, [999.0 * math.cos(0.7), 999.0 * math.sin(0.7)]),
+    (1e-3, 1e-4, [999.0, 0.0]),
+    (1e-3, 1e-2, [999.0 * math.cos(0.7), 999.0 * math.sin(0.7)]),
+])
+def test_analyze_passes_at_envelope_corners(omega_o, kappa, beta):
+    """At a small kappa and a large |beta| the settled mean is about
+    |beta| / kappa (up to 1e7), so its closed form and the direct solve
+    differ by more than 1e-12 absolute, though by a few ulps;
+    steady_state_mean checks them relative to the solve, and analyze passes."""
+    config = load_config(small_config(observer={"omega_o": omega_o, "kappa": kappa,
+                                                "beta": beta}))
+    obs = config.observer
+    j = symplectic_j()
+    a_o = -0.5 * kappa * np.eye(2) + 2.0 * omega_o * j
+    direct = -2.0 * np.linalg.solve(a_o, j @ obs.beta)
+    np.testing.assert_allclose(steady_state_mean(obs) @ obs.beta, direct,
+                               rtol=1e-12, atol=0.0)
+    assert cli.cmd_analyze(config)["passed"] is True
 
 
 def test_gain_norm_monotone_in_kappa(tmp_path):
@@ -978,6 +980,20 @@ def test_oracle_strides_end_at_t_final(tmp_path):
     assert len(rows) == 1 + 51
     assert float(rows[-1].split(",")[0]) == 0.4
     assert float(rows[-1].split(",")[2]) < -0.05  # the means have moved
+
+
+def test_oracle_report_states_the_last_stored_node(tmp_path):
+    """oracle.dt 0.3 and t_final 1.0 round to 3 steps: the report's t_final
+    is the last row of oracle.csv, 3 * 0.3, not the configured 1.0."""
+    cfg = small_config()
+    cfg["oracle"].update(dt=0.3, t_final=1.0, store_every=1)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "orc"
+    main(["oracle", "--config", path, "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    rows = (out / "oracle.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 4
+    assert report["t_final"] == float(rows[-1].split(",")[0]) == 3 * 0.3
 
 
 def test_oracle_starts_from_the_configured_observer_state(tmp_path, monkeypatch):
